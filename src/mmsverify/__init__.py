@@ -7,14 +7,7 @@ verifiers for the bound lemmas, and an exhaustive pattern search, plus a
 CLI wrapping all of it.
 """
 
-from .combinat import (
-    BinomialTable,
-    KSubset,
-    binomial,
-    iterate_ksubsets,
-    rank_colex,
-    unrank_colex,
-)
+from .combinat import KSubset, binomial, rank_colex, unrank_colex
 from .counting import (
     CountReport,
     MultiplicityPattern,
@@ -63,7 +56,6 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinomialTable",
     "BoseMesnerOperator",
     "Claim",
     "CountReport",
@@ -87,7 +79,6 @@ __all__ = [
     "find_counterexample",
     "gen_random_zero_sum",
     "gen_star",
-    "iterate_ksubsets",
     "load_weights",
     "nonnegative_family",
     "normalize",

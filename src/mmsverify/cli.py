@@ -73,7 +73,6 @@ def _build_parser() -> _Parser:
 
     def add_common(p: _Parser) -> None:
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--threads", type=int, default=1)
 
     p_count = sub.add_parser("count", help="count nonnegative k-subset sums")
     add_input_flags(p_count)
@@ -191,10 +190,10 @@ def _echo(argv: Sequence[str]) -> str:
         if skip:
             skip = False
             continue
-        if token in ("--format", "--threads"):
+        if token == "--format":
             skip = True
             continue
-        if token.startswith("--format=") or token.startswith("--threads="):
+        if token.startswith("--format="):
             continue
         kept.append(token)
     return " ".join(kept)
@@ -265,7 +264,7 @@ def _dispatch(args: argparse.Namespace, parser: _Parser):
     if args.subcommand == "count":
         X, inputs = _load_vector(args, parser)
         restriction = _parse_restriction(args.restrict, parser)
-        report = count_nonnegative(X, args.k, restriction, workers=args.threads)
+        report = count_nonnegative(X, args.k, restriction)
         return inputs, report.to_dict(), _count_verdict(report)
 
     if args.subcommand == "verify":

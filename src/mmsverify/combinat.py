@@ -1,31 +1,28 @@
-"""Exact combinatorics kernel: binomials and colex-ordered subset streams.
+"""Exact combinatorics kernel: binomials, colex ranks and the revolving-door stream.
 
 Everything here is arbitrary-precision integer arithmetic. The revolving-door
-subset streams are deterministic: replaying them or splitting them by rank
-ranges gives identical results, which the colex unranking can cross-check.
+delta stream is deterministic, and the colex unranking can cross-check it.
 """
 
 from __future__ import annotations
 
-import logging
-from bisect import insort
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
 __all__ = [
-    "BinomialTable",
+    "ENUM_BUDGET",
     "KSubset",
     "binomial",
     "door_deltas",
-    "iterate_ksubsets",
     "rank_colex",
-    "split_rank_ranges",
     "unrank_colex",
 ]
 
-logger = logging.getLogger(__name__)
+# Largest C(n, k) the enumeration paths will walk; larger instances should
+# go through the multiplicity-pattern counter instead.
+ENUM_BUDGET = 10_000_000
 
 
 def binomial(a: int, b: int) -> int:
@@ -33,37 +30,6 @@ def binomial(a: int, b: int) -> int:
     if a < 0 or b < 0 or b > a:
         return 0
     return comb(a, b)
-
-
-class BinomialTable:
-    """Pascal-rule table of C(a, b) for 0 <= b <= a <= n_max.
-
-    Built by integer additions only, which makes it an independent
-    cross-check for binomial() (math.comb under the hood).
-    """
-
-    def __init__(self, n_max: int):
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        self.n_max = n_max
-        rows = [[1]]
-        for a in range(1, n_max + 1):
-            prev = rows[-1]
-            rows.append([1] + [prev[b - 1] + prev[b] for b in range(1, a)] + [1])
-        self._rows = rows
-
-    def get(self, a: int, b: int) -> int:
-        """Table lookup with the same zero extension as binomial()."""
-        if a < 0 or b < 0 or b > a:
-            return 0
-        if a > self.n_max:
-            raise ValueError(f"a={a} exceeds table bound n_max={self.n_max}")
-        return self._rows[a][b]
-
-    def row(self, a: int) -> tuple[int, ...]:
-        if not 0 <= a <= self.n_max:
-            raise ValueError(f"row {a} outside [0, {self.n_max}]")
-        return tuple(self._rows[a])
 
 
 @dataclass(frozen=True)
@@ -138,94 +104,48 @@ def unrank_colex(r: int, k: int, n: int) -> KSubset:
     return KSubset(tuple(out), n)
 
 
-def _door_deltas(n: int, k: int) -> Iterator[tuple[int, int]]:
-    # Transitions of the revolving-door list R(n, k), defined by
-    #   R(n, k) = R(n-1, k) ++ [S + {n-1} for S in reversed(R(n-1, k-1))]
-    # with singleton base lists at k == 0 and k == n. Consecutive subsets
-    # differ by removing one element and adding another.
-    if k <= 0 or k >= n:
-        return
-    yield from _door_deltas(n - 1, k)
-    # seam: last(R(n-1,k)) -> last(R(n-1,k-1)) + {n-1}
-    yield (n - 2, n - 1) if k == 1 else (k - 2, n - 1)
-    yield from _door_deltas_rev(n - 1, k - 1)
+def door_deltas(n: int, k: int) -> Iterator[tuple[int, int]]:
+    """(removed, added) transitions of the revolving-door k-subset list R(n, k).
 
+    R(n, k) = R(n-1, k) ++ [S + {n-1} for S in reversed(R(n-1, k-1))], with
+    singleton lists at k == 0 and k == n. The list starts at {0..k-1};
+    applying the deltas in order visits every k-subset of {0..n-1} once.
 
-def _door_deltas_rev(n: int, k: int) -> Iterator[tuple[int, int]]:
-    # Transitions of reversed(R(n, k)).
-    if k <= 0 or k >= n:
-        return
-    yield from _door_deltas(n - 1, k - 1)
-    # seam: last(R(n-1,k-1)) + {n-1} -> last(R(n-1,k))
-    yield (n - 1, n - 2) if k == 1 else (n - 1, k - 2)
-    yield from _door_deltas_rev(n - 1, k)
+    The whole table is built eagerly, level j = 1..k at a time, into two
+    arrays. Unrolled, the transitions of R(N, j) are, for m = j+1..N, a seam
+    (m-2, m-1) if j == 1, else (j-2, m-1), into the subsets with top element
+    m-1, followed by the transitions of reversed(R(m-1, j-1)). R(m-1, j-1)
+    is a prefix of the previous level, so that block is a reversed slice
+    with removed and added swapped.
 
-
-_TABLE_CAP = 5_000_000  # cache delta tables only below this many subsets
-
-
-@lru_cache(maxsize=64)
-def _door_delta_table(n: int, k: int) -> tuple[tuple[int, int], ...]:
-    return tuple(_door_deltas(n, k))
-
-
-def door_deltas(n: int, k: int) -> Iterator[tuple[int, int]] | tuple[tuple[int, int], ...]:
-    """(removed, added) transitions of the revolving-door k-subset stream.
-
-    The stream starts at {0..k-1}; applying the deltas in order visits every
-    k-subset of {0..n-1} exactly once. Small tables are cached since counting
-    sweeps replay the same (n, k) many times.
+    The levels hold about C(n+1, k) entries in all, which is at most twice
+    C(n, k) unless k > (n+1)/2. They are capped at 10 * ENUM_BUDGET
+    entries: copying one costs a small fraction of walking one subset, so
+    a build at the cap costs about as much as a walk at full budget.
+    ValueError is raised before anything is allocated when k is outside
+    0..n, C(n, k) is over ENUM_BUDGET or the levels are over their cap.
     """
-    if binomial(n, k) <= _TABLE_CAP:
-        return _door_delta_table(n, k)
-    return _door_deltas(n, k)
-
-
-def iterate_ksubsets(n: int, k: int) -> Iterator[tuple[KSubset, tuple[int, int] | None]]:
-    """Stream all k-subsets of {0..n-1} in revolving-door order.
-
-    Yields (subset, delta) where delta is None for the first subset and
-    (removed, added) afterwards, so a caller can maintain a running subset
-    sum with one subtraction and one addition per step.
-    """
-    if k <= 0 or k > n:
-        logger.warning("iterate_ksubsets(n=%d, k=%d): empty stream (need 1 <= k <= n)", n, k)
-        return
-    cur = list(range(k))
-    yield KSubset(tuple(cur), n), None
-    for rem, add in door_deltas(n, k):
-        cur.remove(rem)
-        insort(cur, add)
-        yield KSubset(tuple(cur), n), (rem, add)
-
-
-def split_rank_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    """Contiguous (start, length) chunks covering [0, total), near-equal sizes."""
-    if total < 0 or parts < 1:
-        raise ValueError("need total >= 0 and parts >= 1")
-    parts = min(parts, total) or 1
-    base, extra = divmod(total, parts)
-    out = []
-    start = 0
-    for i in range(parts):
-        length = base + (1 if i < extra else 0)
-        out.append((start, length))
-        start += length
-    return out
-
-
-def colex_successor_inplace(s: list[int], n: int) -> int:
-    """Advance a sorted index list to its colex successor; returns the pivot.
-
-    Positions 0..pivot-1 reset to 0..pivot-1 and position pivot increments.
-    Raises ValueError on the colex-maximal subset.
-    """
-    k = len(s)
-    for i in range(k):
-        nxt = s[i + 1] if i + 1 < k else n
-        if s[i] + 1 < nxt:
-            s[i] += 1
-            for j in range(i):
-                s[j] = j
-            return i
-    raise ValueError("no colex successor: subset is maximal")
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    size, built = binomial(n, k), binomial(n + 1, k)
+    if size > ENUM_BUDGET or built > 10 * ENUM_BUDGET:
+        raise ValueError(
+            f"C({n},{k}) = {size} subsets ({built} table entries) exceed the enumeration "
+            f"budget of {ENUM_BUDGET} subsets and {10 * ENUM_BUDGET} entries; "
+            "use the multiplicity-pattern counter (count_nonnegative_dp)"
+        )
+    if k == 0 or k == n:
+        return iter(())
+    r = n - k
+    rems = array("i", range(r))  # level 1: {0}, {1}, ..., {r}
+    adds = array("i", range(1, r + 1))
+    for j in range(2, k + 1):
+        next_rems, next_adds = array("i"), array("i")
+        for m in range(j + 1, r + j + 1):
+            last = binomial(m - 1, j - 1) - 2  # final transition of R(m-1, j-1)
+            next_rems.append(j - 2)
+            next_adds.append(m - 1)
+            next_rems += adds[last::-1]
+            next_adds += rems[last::-1]
+        rems, adds = next_rems, next_adds
+    return zip(rems, adds)

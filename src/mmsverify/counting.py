@@ -1,23 +1,22 @@
 """Counting nonnegative k-subset sums: enumeration and pattern routes.
 
 Two independent engines compute the same quantity. count_nonnegative walks
-the revolving-door subset stream with O(1) running-sum updates (optionally
-split into colex rank ranges across workers). count_nonnegative_dp sums
-products of binomials over compositions of k against a multiplicity pattern.
+the revolving-door subset stream with O(1) running-sum updates.
+count_nonnegative_dp sums products of binomials over compositions of k
+against a multiplicity pattern.
 Tests and the search engine hold them against each other; they are never
 allowed to share a code path.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Sequence
 
-from .combinat import binomial, door_deltas, split_rank_ranges, unrank_colex
-from .weights import ENUM_BUDGET, WeightVector
+from .combinat import binomial, door_deltas
+from .weights import WeightVector
 
 __all__ = [
     "CountReport",
@@ -127,31 +126,30 @@ class CountReport:
 
 def _count_plain(y: Sequence[int], n: int, k: int) -> int:
     """Nonnegative k-subset sums of integer weights, revolving-door route."""
+    deltas = door_deltas(n, k)
     s = sum(y[:k])
     count = 1 if s >= 0 else 0
-    for rem, add in door_deltas(n, k):
+    for rem, add in deltas:
         s += y[add] - y[rem]
         if s >= 0:
             count += 1
     return count
 
 
-def _count_tracked(
+def _walk_atoms(
     y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]
-) -> tuple[int, int]:
-    """(total satisfying the atoms, nonnegative among those)."""
+) -> tuple[int, int, int]:
+    """(total satisfying the atoms, nonnegative among those, their scaled sum)."""
+    deltas = door_deltas(n, k)
     kinds = [a.kind for a in atoms]
     sets = [a.indices for a in atoms]
-    cur = list(range(k))
     s = sum(y[:k])
-    hits = [sum(1 for i in cur if i in fs) for fs in sets]
-    total = nn = 0
-    ok = all(_atom_ok(kd, h) for kd, h in zip(kinds, hits))
-    if ok:
-        total += 1
-        if s >= 0:
-            nn += 1
-    for rem, add in door_deltas(n, k):
+    hits = [sum(1 for i in range(k) if i in fs) for fs in sets]
+    total = nn = acc = 0
+    if all(_atom_ok(kd, h) for kd, h in zip(kinds, hits)):
+        total, acc = 1, s
+        nn = 1 if s >= 0 else 0
+    for rem, add in deltas:
         s += y[add] - y[rem]
         for idx, fs in enumerate(sets):
             if rem in fs:
@@ -160,101 +158,30 @@ def _count_tracked(
                 hits[idx] += 1
         if all(_atom_ok(kd, h) for kd, h in zip(kinds, hits)):
             total += 1
+            acc += s
             if s >= 0:
                 nn += 1
-    return total, nn
-
-
-def _count_colex_range(
-    y: Sequence[int], n: int, k: int, atoms: Sequence[Atom], start: int, length: int
-) -> tuple[int, int]:
-    """Count over the colex rank window [start, start+length), lex successor walk.
-
-    Independent of the revolving-door route; used by the range-parallel path.
-    """
-    if length <= 0:
-        return 0, 0
-    kinds = [a.kind for a in atoms]
-    sets = [a.indices for a in atoms]
-    s_list = list(unrank_colex(start, k, n).indices)
-    cur_sum = sum(y[i] for i in s_list)
-    hits = [sum(1 for i in s_list if i in fs) for fs in sets]
-    total = nn = 0
-    for step in range(length):
-        if all(_atom_ok(kd, h) for kd, h in zip(kinds, hits)):
-            total += 1
-            if cur_sum >= 0:
-                nn += 1
-        if step + 1 == length:
-            break
-        # advance to the colex successor, updating sum and atom hits
-        i = 0
-        while True:
-            nxt = s_list[i + 1] if i + 1 < k else n
-            if s_list[i] + 1 < nxt:
-                break
-            i += 1
-        new_val = s_list[i] + 1
-        for j in range(i + 1):
-            old = s_list[j]
-            cur_sum -= y[old]
-            for idx, fs in enumerate(sets):
-                if old in fs:
-                    hits[idx] -= 1
-        for j in range(i):
-            s_list[j] = j
-            cur_sum += y[j]
-            for idx, fs in enumerate(sets):
-                if j in fs:
-                    hits[idx] += 1
-        s_list[i] = new_val
-        cur_sum += y[new_val]
-        for idx, fs in enumerate(sets):
-            if new_val in fs:
-                hits[idx] += 1
-    return total, nn
+    return total, nn, acc
 
 
 def count_nonnegative(
     X: WeightVector,
     k: int,
     restriction: Restriction | None = None,
-    workers: int = 1,
 ) -> CountReport:
-    """Count k-subsets S with sum(x_i for i in S) >= 0 under a restriction.
-
-    workers > 1 splits the colex rank space into contiguous ranges and sums
-    the partial counts in range order; the result is identical to the
-    single-worker revolving-door walk.
-    """
+    """Count k-subsets S with sum(x_i for i in S) >= 0 under a restriction."""
     n = X.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    total_subsets = binomial(n, k)
-    if total_subsets > ENUM_BUDGET:
-        raise ValueError(
-            f"C({n},{k}) = {total_subsets} exceeds the enumeration budget; "
-            "use count_nonnegative_dp on the multiplicity pattern"
-        )
     restriction = restriction or Restriction()
     restriction.validate(n)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     y, _ = X.scaled_ints()
     atoms = restriction.atoms
 
-    if workers > 1:
-        ranges = split_rank_ranges(total_subsets, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda rg: _count_colex_range(y, n, k, atoms, rg[0], rg[1]), ranges)
-            )
-        total = sum(p[0] for p in parts)
-        nn = sum(p[1] for p in parts)
-    elif atoms:
-        total, nn = _count_tracked(y, n, k, atoms)
+    if atoms:
+        total, nn, _ = _walk_atoms(y, n, k, atoms)
     else:
-        total, nn = total_subsets, _count_plain(y, n, k)
+        total, nn = binomial(n, k), _count_plain(y, n, k)
 
     bound_comparisons: tuple[tuple[str, int, bool], ...] = ()
     star_equality: bool | None = None
@@ -264,7 +191,7 @@ def count_nonnegative(
         bound_comparisons = (("C(n-1,k-1)", bound, nn >= bound),)
         if nn == bound:
             # Equality: is the family exactly the star on the top index?
-            _, nn_top = _count_tracked(y, n, k, Restriction.contains(0).atoms)
+            _, nn_top, _ = _walk_atoms(y, n, k, Restriction.contains(0).atoms)
             star_equality = nn_top == bound
             if star_equality:
                 witness = "all k-subsets containing index 0"
@@ -282,14 +209,14 @@ def count_nonnegative(
 
 def nonnegative_family(X: WeightVector, k: int) -> list[tuple[int, ...]]:
     """Explicit list of nonnegative k-subsets, sorted by colex rank."""
-    n = X.n
+    deltas = door_deltas(X.n, k)
     y, _ = X.scaled_ints()
     out = []
     cur = list(range(k))
     s = sum(y[:k])
     if s >= 0:
         out.append(tuple(cur))
-    for rem, add in door_deltas(n, k):
+    for rem, add in deltas:
         s += y[add] - y[rem]
         cur.remove(rem)
         cur.append(add)
@@ -302,25 +229,9 @@ def nonnegative_family(X: WeightVector, k: int) -> list[tuple[int, ...]]:
 
 def restricted_sum(X: WeightVector, k: int, restriction: Restriction) -> Fraction:
     """Exact sum of b_S over subsets satisfying the restriction."""
-    n = X.n
-    restriction.validate(n)
+    restriction.validate(X.n)
     y, scale = X.scaled_ints()
-    kinds = [a.kind for a in restriction.atoms]
-    sets = [a.indices for a in restriction.atoms]
-    cur = list(range(k))
-    s = sum(y[:k])
-    hits = [sum(1 for i in cur if i in fs) for fs in sets]
-    acc = s if all(_atom_ok(kd, h) for kd, h in zip(kinds, hits)) else 0
-    for rem, add in door_deltas(n, k):
-        s += y[add] - y[rem]
-        for idx, fs in enumerate(sets):
-            if rem in fs:
-                hits[idx] -= 1
-            if add in fs:
-                hits[idx] += 1
-        if all(_atom_ok(kd, h) for kd, h in zip(kinds, hits)):
-            acc += s
-    return Fraction(acc, scale)
+    return Fraction(_walk_atoms(y, X.n, k, restriction.atoms)[2], scale)
 
 
 def overlap_sums(X: WeightVector, k: int, block: Sequence[int]) -> tuple[Fraction, ...]:
@@ -329,6 +240,7 @@ def overlap_sums(X: WeightVector, k: int, block: Sequence[int]) -> tuple[Fractio
     fs = frozenset(block)
     if any(not 0 <= i < n for i in fs):
         raise ValueError("block indices out of range")
+    deltas = door_deltas(n, k)
     y, scale = X.scaled_ints()
     top = min(k, len(fs))
     acc = [0] * (top + 1)
@@ -336,7 +248,7 @@ def overlap_sums(X: WeightVector, k: int, block: Sequence[int]) -> tuple[Fractio
     s = sum(y[:k])
     h = sum(1 for i in cur if i in fs)
     acc[h] += s
-    for rem, add in door_deltas(n, k):
+    for rem, add in deltas:
         s += y[add] - y[rem]
         if rem in fs:
             h -= 1
@@ -402,27 +314,41 @@ class MultiplicityPattern:
 
 
 def _compositions(mults: Sequence[int], k: int, reverse: bool) -> Iterator[tuple[int, ...]]:
-    """Compositions (c_1..c_d), 0 <= c_i <= m_i, sum k, lexicographic order."""
+    """Compositions (c_1..c_d), 0 <= c_i <= m_i, sum k, lexicographic order.
+
+    A stack of per-position choice iterators replaces recursion, so the
+    number d of distinct values is not limited by the interpreter's stack.
+    """
     d = len(mults)
     suffix = [0] * (d + 1)
     for i in range(d - 1, -1, -1):
         suffix[i] = suffix[i + 1] + mults[i]
     out = [0] * d
+    left = [k] * d  # left[i]: what positions i.. still have to sum to
 
-    def rec(i: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if i == d - 1:
-            if 0 <= remaining <= mults[i]:
-                out[i] = remaining
-                yield tuple(out)
-            return
-        lo = max(0, remaining - suffix[i + 1])
-        hi = min(mults[i], remaining)
-        rng = range(hi, lo - 1, -1) if reverse else range(lo, hi + 1)
-        for c in rng:
+    def choices(i: int) -> Iterator[int]:
+        lo = max(0, left[i] - suffix[i + 1])
+        hi = min(mults[i], left[i])
+        return iter(range(hi, lo - 1, -1) if reverse else range(lo, hi + 1))
+
+    if d == 1:
+        if 0 <= k <= mults[0]:
+            yield (k,)
+        return
+    stack = [choices(0)]
+    while stack:
+        i = len(stack) - 1
+        for c in stack[i]:
             out[i] = c
-            yield from rec(i + 1, remaining - c)
-
-    yield from rec(0, k)
+            if i == d - 2:  # the last position takes what is left
+                out[i + 1] = left[i] - c
+                yield tuple(out)
+                continue
+            left[i + 1] = left[i] - c
+            stack.append(choices(i + 1))
+            break
+        else:
+            stack.pop()
 
 
 def _dp_count_scaled(

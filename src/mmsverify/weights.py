@@ -15,7 +15,8 @@ from math import lcm
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .combinat import KSubset, binomial, door_deltas, rank_colex
+# ENUM_BUDGET lives in combinat; it stays importable from here.
+from .combinat import ENUM_BUDGET, KSubset, binomial, door_deltas, rank_colex
 
 __all__ = [
     "SubsetSumVector",
@@ -29,11 +30,6 @@ __all__ = [
 ]
 
 MODES = ("require-zero-sum", "shift-to-zero")
-
-# Largest C(n, k) the enumeration paths will walk; larger instances should
-# go through the multiplicity-pattern counter instead.
-ENUM_BUDGET = 10_000_000
-
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -214,17 +210,13 @@ def subset_sums(X: WeightVector, k: int) -> SubsetSumVector:
     n = X.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if binomial(n, k) > ENUM_BUDGET:
-        raise ValueError(
-            f"C({n},{k}) = {binomial(n, k)} exceeds the enumeration budget; "
-            "use the multiplicity-pattern counter (count_nonnegative_dp)"
-        )
+    deltas = door_deltas(n, k)
     y, scale = X.scaled_ints()
     out = [0] * binomial(n, k)
     cur = list(range(k))
     s = sum(y[:k])
     out[rank_colex(cur)] = s
-    for rem, add in door_deltas(n, k):
+    for rem, add in deltas:
         s += y[add] - y[rem]
         cur.remove(rem)
         cur.append(add)

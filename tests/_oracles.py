@@ -9,6 +9,56 @@ from fractions import Fraction
 from itertools import combinations
 
 
+class BinomialTable:
+    """Pascal-rule table of C(a, b) for 0 <= b <= a <= n_max.
+
+    Built by integer additions only, which makes it an independent
+    cross-check for binomial() (math.comb under the hood).
+    """
+
+    def __init__(self, n_max):
+        if n_max < 0:
+            raise ValueError("n_max must be nonnegative")
+        self.n_max = n_max
+        rows = [[1]]
+        for a in range(1, n_max + 1):
+            prev = rows[-1]
+            rows.append([1] + [prev[b - 1] + prev[b] for b in range(1, a)] + [1])
+        self._rows = rows
+
+    def get(self, a, b):
+        """Table lookup with the same zero extension as binomial()."""
+        if a < 0 or b < 0 or b > a:
+            return 0
+        if a > self.n_max:
+            raise ValueError(f"a={a} exceeds table bound n_max={self.n_max}")
+        return self._rows[a][b]
+
+
+def revolving_door(n, k):
+    """The revolving-door list R(n, k) by its recursive definition.
+
+    R(n, k) = R(n-1, k) ++ [S + {n-1} for S in reversed(R(n-1, k-1))], with
+    singleton lists at k == 0 and k == n (Knuth, TAOCP 4A, 7.2.1.3).
+    """
+    if k == 0 or k == n:
+        return [tuple(range(k))]
+    head = revolving_door(n - 1, k)
+    tail = [S + (n - 1,) for S in reversed(revolving_door(n - 1, k - 1))]
+    return head + tail
+
+
+def revolving_door_deltas(n, k):
+    """(removed, added) transitions between consecutive subsets of R(n, k)."""
+    order = revolving_door(n, k)
+    out = []
+    for prev, cur in zip(order, order[1:]):
+        (rem,) = set(prev) - set(cur)
+        (add,) = set(cur) - set(prev)
+        out.append((rem, add))
+    return out
+
+
 def brute_count(values, k, pred=None):
     n = len(values)
     total = 0

@@ -23,9 +23,23 @@ def test_count_star_example():
     assert doc["command"] == "count --star --n 32 -k 2"
 
 
-def test_command_echo_drops_format_and_threads():
-    doc, _ = run_json("count", "--star", "--n", "8", "-k", "2", "--threads", "4")
+def test_command_echo_drops_format():
+    doc, _ = run_json("count", "--star", "--n", "8", "-k", "2")
     assert doc["command"] == "count --star --n 8 -k 2"
+
+
+def test_count_star_far_above_the_recursion_limit():
+    doc, code = run_json("count", "--star", "--n", "5000", "-k", "1")
+    assert code == 0
+    assert doc["verdict"] == "verified"
+    assert doc["report"]["nonnegative_count"] == "1"
+
+
+def test_walk_over_budget_exits_2_with_a_message():
+    out, err, code = run(["verify", "--lemma", "2", "--random", "--n", "60", "-k", "10"])
+    assert code == 2
+    assert out == ""
+    assert "enumeration budget" in err
 
 
 def test_count_with_restrictions():
@@ -177,11 +191,3 @@ def test_json_runs_are_byte_identical(cli_runner):
     assert first.returncode == 0
     assert first.stdout == second.stdout
 
-
-def test_json_identical_across_worker_counts(cli_runner):
-    base = ("count", "--random", "--n", "13", "-k", "4", "--seed", "2",
-            "--format", "json")
-    one = cli_runner(*base, "--threads", "1")
-    four = cli_runner(*base, "--threads", "4")
-    assert one.returncode == four.returncode == 0
-    assert one.stdout == four.stdout

@@ -1,21 +1,19 @@
 import math
+import time
 from itertools import combinations
 
 import pytest
 
 from mmsverify.combinat import (
-    BinomialTable,
+    ENUM_BUDGET,
     KSubset,
     binomial,
-    colex_successor_inplace,
     door_deltas,
-    iterate_ksubsets,
     rank_colex,
-    split_rank_ranges,
     unrank_colex,
 )
 
-from _oracles import brute_colex_rank
+from _oracles import BinomialTable, brute_colex_rank, revolving_door_deltas
 
 
 def test_binomial_matches_math_comb():
@@ -114,49 +112,26 @@ def test_door_deltas_change_one_element():
         assert rem != add
 
 
-def test_iterate_ksubsets_deltas_are_consistent():
-    for n in range(2, 8):
-        for k in range(1, n + 1):
-            prev = None
-            count = 0
-            for subset, delta in iterate_ksubsets(n, k):
-                if prev is None:
-                    assert delta is None
-                    assert subset.indices == tuple(range(k))
-                else:
-                    rem, add = delta
-                    expected = sorted(set(prev) - {rem} | {add})
-                    assert subset.indices == tuple(expected)
-                count += 1
-                prev = subset.indices
-            assert count == binomial(n, k)
+def test_door_deltas_follow_the_recursive_order():
+    for n in range(0, 13):
+        for k in range(0, n + 1):
+            assert list(door_deltas(n, k)) == revolving_door_deltas(n, k), (n, k)
 
 
-def test_iterate_ksubsets_empty_on_bad_k(caplog):
-    assert list(iterate_ksubsets(4, 0)) == []
-    assert list(iterate_ksubsets(4, 5)) == []
+def test_door_deltas_reach_large_n():
+    # one level per k and no recursion, so n far above the recursion limit works
+    deltas = list(door_deltas(5000, 1))
+    assert deltas[0] == (0, 1) and deltas[-1] == (4998, 4999)
+    assert len(list(door_deltas(5000, 4999))) == 4999
 
 
-def test_split_rank_ranges():
-    for total in (0, 1, 7, 10, 100):
-        for parts in (1, 2, 3, 7):
-            ranges = split_rank_ranges(total, parts)
-            flat = []
-            for start, length in ranges:
-                flat.extend(range(start, start + length))
-            assert flat == list(range(total))
-            lengths = [length for _, length in ranges if length]
-            if lengths:
-                assert max(lengths) - min(lengths) <= 1
-
-
-def test_colex_successor_walks_in_rank_order():
-    n, k = 7, 3
-    current = list(range(k))
-    ranks = [rank_colex(KSubset(tuple(current), n))]
-    for _ in range(binomial(n, k) - 1):
-        colex_successor_inplace(current, n)
-        ranks.append(rank_colex(KSubset(tuple(current), n)))
-    assert ranks == list(range(binomial(n, k)))
-    with pytest.raises(ValueError):
-        colex_successor_inplace(current, n)
+def test_door_deltas_refuse_over_budget_before_building():
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="enumeration budget"):
+        door_deltas(60, 10)  # C(60,10) is about 7.5e10
+    # k > (n+1)/2: C(20000,19999) is within budget, but the levels would
+    # hold C(20001,19999), about 2e8 entries
+    assert binomial(20000, 19999) <= ENUM_BUDGET < binomial(20001, 19999) // 10
+    with pytest.raises(ValueError, match="enumeration budget"):
+        door_deltas(20000, 19999)
+    assert time.perf_counter() - started < 1.0

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,7 +15,7 @@ from mmsverify.counting import (
     restricted_sum,
     star_family_size,
 )
-from mmsverify.weights import gen_random_zero_sum, gen_star, normalize
+from mmsverify.weights import gen_random_zero_sum, gen_star, normalize, subset_sums
 
 from _oracles import brute_count, brute_family, brute_restricted_sum
 
@@ -62,14 +63,17 @@ def test_count_with_restrictions_matches_brute():
             )
 
 
-def test_count_parallel_matches_serial():
+def test_count_intersects_and_disjoint_matches_brute():
     X = gen_random_zero_sum(12, 15, seed=5)
     restriction = Restriction.intersects(0, 1) & Restriction.disjoint(11)
+
+    def pred(s):
+        return bool({0, 1} & set(s)) and 11 not in s
+
     for k in (2, 4):
-        serial = count_nonnegative(X, k, restriction, workers=1)
-        parallel = count_nonnegative(X, k, restriction, workers=4)
-        assert serial.nonnegative_count == parallel.nonnegative_count
-        assert serial.total_checked == parallel.total_checked
+        report = count_nonnegative(X, k, restriction)
+        assert report.nonnegative_count == brute_count(X.values, k, pred)
+        assert report.total_checked == sum(1 for s in combinations(range(12), k) if pred(s))
 
 
 def test_restriction_validation():
@@ -166,9 +170,38 @@ def test_family_size_input_validation():
         family_size(8, 2, 8)
 
 
-def test_count_workers_argument_validation():
+def test_count_rejects_k_out_of_range():
     X = gen_star(6)
     with pytest.raises(ValueError):
         count_nonnegative(X, 0)
     with pytest.raises(ValueError):
         count_nonnegative(X, 7)
+
+
+def test_every_walker_rejects_k_outside_the_ground_set():
+    X = gen_star(4)
+    for k in (-1, 5):
+        for walk in (
+            lambda: restricted_sum(X, k, Restriction.contains(0)),
+            lambda: overlap_sums(X, k, (0,)),
+            lambda: nonnegative_family(X, k),
+            lambda: subset_sums(X, k),
+        ):
+            with pytest.raises(ValueError):
+                walk()
+
+
+def test_every_walker_refuses_over_budget_fast():
+    X = gen_random_zero_sum(60, 10, seed=1)  # C(60,10) is about 7.5e10
+    walkers = [
+        lambda: count_nonnegative(X, 10),
+        lambda: restricted_sum(X, 10, Restriction.contains(0)),
+        lambda: overlap_sums(X, 10, (0, 1, 2)),
+        lambda: nonnegative_family(X, 10),
+        lambda: subset_sums(X, 10),
+    ]
+    for walk in walkers:
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="enumeration budget"):
+            walk()
+        assert time.perf_counter() - started < 1.0
