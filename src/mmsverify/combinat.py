@@ -16,12 +16,13 @@ __all__ = [
     "KSubset",
     "binomial",
     "door_deltas",
+    "enum_budget_error",
     "rank_colex",
     "unrank_colex",
 ]
 
-# Largest C(n, k) the enumeration paths will walk; larger instances should
-# go through the multiplicity-pattern counter instead.
+# Largest C(n, k) the enumeration paths will walk; larger instances go
+# through the generating-function or the multiplicity-pattern counter.
 ENUM_BUDGET = 10_000_000
 
 
@@ -104,6 +105,17 @@ def unrank_colex(r: int, k: int, n: int) -> KSubset:
     return KSubset(tuple(out), n)
 
 
+def enum_budget_error(n: int, k: int) -> str | None:
+    """Why door_deltas(n, k) would refuse on size, or None when it fits."""
+    size, built = binomial(n, k), binomial(n + 1, k)
+    if size <= ENUM_BUDGET and built <= 10 * ENUM_BUDGET:
+        return None
+    return (
+        f"C({n},{k}) = {size} subsets ({built} table entries) exceed the enumeration "
+        f"budget of {ENUM_BUDGET} subsets and {10 * ENUM_BUDGET} entries"
+    )
+
+
 def door_deltas(n: int, k: int) -> Iterator[tuple[int, int]]:
     """(removed, added) transitions of the revolving-door k-subset list R(n, k).
 
@@ -127,12 +139,11 @@ def door_deltas(n: int, k: int) -> Iterator[tuple[int, int]]:
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    size, built = binomial(n, k), binomial(n + 1, k)
-    if size > ENUM_BUDGET or built > 10 * ENUM_BUDGET:
+    reason = enum_budget_error(n, k)
+    if reason is not None:
         raise ValueError(
-            f"C({n},{k}) = {size} subsets ({built} table entries) exceed the enumeration "
-            f"budget of {ENUM_BUDGET} subsets and {10 * ENUM_BUDGET} entries; "
-            "use the multiplicity-pattern counter (count_nonnegative_dp)"
+            f"{reason}; count_nonnegative uses the generating-function counter where it "
+            "fits, and count_nonnegative_dp counts from a multiplicity pattern"
         )
     if k == 0 or k == n:
         return iter(())

@@ -18,7 +18,7 @@ from .combinat import binomial
 from .counting import (
     MultiplicityPattern,
     _dp_count_scaled,
-    count_nonnegative,
+    _walk_count,
     count_nonnegative_dp,
     star_family_size,
 )
@@ -236,7 +236,8 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
         )
     reverified_enum = None
     if n <= ENUM_RECHECK_LIMIT:
-        enum_count = count_nonnegative(pattern.expand(), k).nonnegative_count
+        y, _ = pattern.expand().scaled_ints()
+        _, enum_count = _walk_count(y, n, k, ())
         if enum_count != b_count:
             raise RuntimeError(
                 f"count disagreement on the best pattern: sweep {b_count}, "

@@ -59,6 +59,18 @@ def revolving_door_deltas(n, k):
     return out
 
 
+_ATOM_WANTS = {
+    "contains": lambda hits: hits == 1,
+    "intersects": lambda hits: hits >= 1,
+    "disjoint": lambda hits: hits == 0,
+}
+
+
+def satisfies(atoms, subset):
+    """Whether a subset meets every atom (anything with .kind and .indices)."""
+    return all(_ATOM_WANTS[a.kind](len(a.indices & set(subset))) for a in atoms)
+
+
 def brute_count(values, k, pred=None):
     n = len(values)
     total = 0

@@ -1,4 +1,6 @@
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +21,7 @@ def test_count_star_example():
     assert doc["report"]["nonnegative_count"] == "31"
     assert doc["report"]["star_equality"] is True
     assert doc["report"]["bound_comparisons"][0]["value"] == "31"
+    assert doc["report"]["engine"] == "generating-function"
     assert doc["runtime_ms"] is None
     assert doc["command"] == "count --star --n 32 -k 2"
 
@@ -35,11 +38,55 @@ def test_count_star_far_above_the_recursion_limit():
     assert doc["report"]["nonnegative_count"] == "1"
 
 
-def test_walk_over_budget_exits_2_with_a_message():
-    out, err, code = run(["verify", "--lemma", "2", "--random", "--n", "60", "-k", "10"])
+def test_walk_over_budget_exits_2_with_a_message(tmp_path):
+    # 1/p over 59 distinct primes: the LCM has about 400 bits, so the
+    # generating function is as far over its budget as C(60,10) is over the walk's
+    primes = [p for p in range(2, 300) if all(p % q for q in range(2, p))][:59]
+    head = [Fraction(1, p) for p in primes]
+    path = tmp_path / "huge_lcm.json"
+    path.write_text(json.dumps({"weights": [str(v) for v in head + [-sum(head)]]}))
+    started = time.perf_counter()
+    out, err, code = run(["verify", "--lemma", "2", "--weights", str(path), "-k", "10"])
+    assert time.perf_counter() - started < 1.0
     assert code == 2
     assert out == ""
     assert "enumeration budget" in err
+    assert "generating-function counter" in err
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7])
+def test_theorem_answers_at_n_8k_squared(k):
+    n = 8 * k * k
+    for source in ("--random", "--star"):
+        started = time.perf_counter()
+        doc, code = run_json("verify", "--lemma", "theorem", source, "--n", str(n), "-k", str(k))
+        assert time.perf_counter() - started < 1.0, source
+        assert code == 0, source
+        assert doc["verdict"] == "verified", source
+        assert doc["report"]["preconditions"][0]["satisfied"] is True
+    # the star attains the bound, and its equality case is checked, not vacuous
+    assert doc["report"]["extra"]["count"] == doc["report"]["extra"]["bound"]
+    assert doc["report"]["claims"][1]["lhs"] is True  # star_equality of the count
+    assert doc["report"]["claims"][1]["satisfied"] is True
+
+
+def test_count_star_at_n_8k_squared_reports_star_equality():
+    doc, code = run_json("count", "--star", "--n", "392", "-k", "7")
+    assert code == 0
+    assert doc["report"]["star_equality"] is True
+    assert doc["report"]["engine"] == "generating-function"
+
+
+def test_count_with_k_near_n_answers():
+    # C(67,62) is within the walk's subset budget but its table is not; the
+    # count (4457891, the number of 5-subsets with sum <= 0 by brute force)
+    # is below C(66,61), which is no contradiction for k > n/2
+    doc, code = run_json("count", "--random", "--n", "67", "-k", "62")
+    assert code == 1
+    assert doc["verdict"] == "violated"
+    assert doc["report"]["engine"] == "generating-function"
+    assert doc["report"]["nonnegative_count"] == "4457891"
+    assert doc["report"]["bound_comparisons"][0]["value"] == "8936928"
 
 
 def test_count_with_restrictions():
@@ -181,6 +228,8 @@ def test_text_format_has_runtime():
     assert out.startswith("command: count --star --n 8 -k 2\n")
     assert "runtime_ms: None" not in out
     assert "verdict: verified" in out
+    # 28 subsets: walking them is cheaper than setting up the generating function
+    assert "  engine: enumeration\n" in out
 
 
 def test_json_runs_are_byte_identical(cli_runner):

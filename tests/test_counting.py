@@ -4,7 +4,9 @@ from itertools import combinations
 
 import pytest
 
+from mmsverify.combinat import binomial
 from mmsverify.counting import (
+    GF_BIT_BUDGET,
     MultiplicityPattern,
     Restriction,
     count_nonnegative,
@@ -14,10 +16,26 @@ from mmsverify.counting import (
     overlap_sums,
     restricted_sum,
     star_family_size,
+    _gf_count,
+    _walk_count,
 )
 from mmsverify.weights import gen_random_zero_sum, gen_star, normalize, subset_sums
 
-from _oracles import brute_count, brute_family, brute_restricted_sum
+from _oracles import brute_count, brute_family, brute_restricted_sum, satisfies
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+def walk_nonnegative(X, k):
+    """Nonnegative count by the revolving-door enumeration alone."""
+    y, _ = X.scaled_ints()
+    return _walk_count(y, X.n, k, ())[1]
+
+
+def huge_lcm_vector(n):
+    """1/p over distinct primes, balanced by the last entry: the LCM is their product."""
+    head = [Fraction(1, PRIMES[i % len(PRIMES)] ** (1 + i // len(PRIMES))) for i in range(n - 1)]
+    return normalize(head + [-sum(head)])
 
 
 def test_star_family_size():
@@ -142,6 +160,7 @@ def test_dp_matches_enumeration_small():
     assert count_nonnegative_dp(p, 2) == 12
     assert count_nonnegative_dp(p, 2, reverse=True) == 12
     X = p.expand()
+    assert walk_nonnegative(X, 2) == 12
     assert count_nonnegative(X, 2).nonnegative_count == 12
 
 
@@ -194,9 +213,6 @@ def test_every_walker_rejects_k_outside_the_ground_set():
 def test_every_walker_refuses_over_budget_fast():
     X = gen_random_zero_sum(60, 10, seed=1)  # C(60,10) is about 7.5e10
     walkers = [
-        lambda: count_nonnegative(X, 10),
-        lambda: restricted_sum(X, 10, Restriction.contains(0)),
-        lambda: overlap_sums(X, 10, (0, 1, 2)),
         lambda: nonnegative_family(X, 10),
         lambda: subset_sums(X, 10),
     ]
@@ -205,3 +221,89 @@ def test_every_walker_refuses_over_budget_fast():
         with pytest.raises(ValueError, match="enumeration budget"):
             walk()
         assert time.perf_counter() - started < 1.0
+
+
+def test_counters_answer_beyond_the_walk_budget():
+    # C(60,10) is about 7.5e10 subsets, far over the walk's budget
+    p = MultiplicityPattern(((Fraction(5), 12), (Fraction(-1, 2), 24), (Fraction(-2), 24)))
+    X = p.expand()
+    n, k = 60, 10
+    report = count_nonnegative(X, k)
+    assert report.engine == "generating-function"
+    assert report.total_checked == binomial(n, k)
+    assert report.nonnegative_count == count_nonnegative_dp(p, k)
+    # each element lies in C(n-1,k-1) k-subsets, in C(n-2,k-2) of those through 0
+    expected = X.values[0] * binomial(n - 1, k - 1) + sum(X.values[1:]) * binomial(n - 2, k - 2)
+    assert restricted_sum(X, k, Restriction.contains(0)) == expected
+    # |S & B| = t: an element of B lies in C(|B|-1,t-1) C(n-|B|,k-t) of them, one outside in
+    # C(|B|,t) C(n-|B|-1,k-t-1)
+    block = (0, 13, 40)
+    inside = sum(X.values[i] for i in block)
+    outside = -inside
+    assert overlap_sums(X, k, block) == tuple(
+        inside * binomial(2, t - 1) * binomial(57, k - t) + outside * binomial(3, t) * binomial(56, k - t - 1)
+        for t in range(4)
+    )
+
+
+def test_count_reports_its_engine():
+    X = gen_random_zero_sum(20, 9, seed=4)
+    report = count_nonnegative(X, 5)
+    assert report.engine == "generating-function"
+    assert report.to_dict()["engine"] == "generating-function"
+
+
+def test_huge_lcm_falls_back_to_enumeration():
+    X = huge_lcm_vector(12)
+    y, _ = X.scaled_ints()
+    assert max(y) - min(y) > GF_BIT_BUDGET  # one slot shift alone is over the budget
+    for k in (1, 4, 11):
+        report = count_nonnegative(X, k)
+        assert report.engine == "enumeration"
+        assert report.nonnegative_count == brute_count(X.values, k)
+
+
+def test_over_both_budgets_names_both_fast():
+    X = huge_lcm_vector(60)  # C(60,10) subsets and a huge LCM
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="enumeration budget") as info:
+        count_nonnegative(X, 10)
+    assert "generating-function counter" in str(info.value)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_count_far_above_half_matches_complements():
+    # S has a nonnegative sum exactly when its 3-element complement sums to <= 0
+    X = gen_random_zero_sum(30, 50, seed=6)
+    complements = sum(1 for t in combinations(X.values, 3) if sum(t) <= 0)
+    y, _ = X.scaled_ints()
+    assert _gf_count(y, 30, 27, ()) == (binomial(30, 27), complements)
+    assert count_nonnegative(X, 27).nonnegative_count == complements
+
+
+def test_star_equality_recount_at_the_theorem_threshold():
+    for k in (4, 7):
+        n = 8 * k * k
+        report = count_nonnegative(gen_star(n), k)
+        assert report.nonnegative_count == star_family_size(n, k)
+        assert report.star_equality is True
+
+
+def test_engines_agree_on_corner_cases():
+    X = normalize(["7/2", "1/3", "-1/6", "-1", "-1", "-3/2", "-1/6"])
+    y, _ = X.scaled_ints()
+    contains, intersects, disjoint = (
+        Restriction.contains, Restriction.intersects, Restriction.disjoint
+    )
+    cases = [
+        (6, contains(1)),  # k > n/2
+        (3, disjoint(0, 1, 2, 3, 4)),  # two elements left for k = 3
+        (2, disjoint(0, 1, 2, 3, 4, 5, 6)),  # nothing left
+        (2, contains(3) & disjoint(3)),  # the only allowed hit is dropped
+        (4, intersects(0, 6) & contains(5) & disjoint(2)),
+    ]
+    for k, restriction in cases:
+        atoms = restriction.atoms
+        subsets = [s for s in combinations(range(7), k) if satisfies(atoms, s)]
+        expected = (len(subsets), brute_count(X.values, k, lambda s: s in subsets))
+        assert _gf_count(y, 7, k, atoms) == _walk_count(y, 7, k, atoms) == expected, restriction.describe()

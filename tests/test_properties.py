@@ -1,12 +1,16 @@
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmsverify.combinat import KSubset, binomial, rank_colex, unrank_colex
 from mmsverify.counting import (
+    Atom,
     MultiplicityPattern,
     Restriction,
+    _gf_count,
+    _walk_count,
     count_nonnegative,
     count_nonnegative_dp,
     overlap_sums,
@@ -16,7 +20,7 @@ from mmsverify.lemmas import single_overlap_coefficient
 from mmsverify.scheme import verify_eigenvector_all
 from mmsverify.weights import normalize, subset_sums
 
-from _oracles import brute_count, brute_restricted_sum
+from _oracles import brute_count, brute_restricted_sum, satisfies
 
 
 @st.composite
@@ -104,9 +108,48 @@ def test_overlap_sums_partition_the_restricted_sum(X, data):
 def test_dp_agrees_with_enumeration_both_orders(X, data):
     k = data.draw(st.integers(min_value=1, max_value=X.n))
     pattern = MultiplicityPattern.from_weights(X)
-    direct = count_nonnegative(X, k).nonnegative_count
+    y, _ = X.scaled_ints()
+    _, direct = _walk_count(y, X.n, k, ())
     assert count_nonnegative_dp(pattern, k) == direct
     assert count_nonnegative_dp(pattern, k, reverse=True) == direct
+
+
+@st.composite
+def rational_vectors(draw, n_max=9):
+    """Zero-sum vectors whose entries share a denominator drawn from 1, 2, 3, 6, 10."""
+    n = draw(st.integers(min_value=1, max_value=n_max))
+    den = draw(st.sampled_from((1, 2, 3, 6, 10)))
+    head = draw(st.lists(st.integers(min_value=-12, max_value=12), min_size=n - 1, max_size=n - 1))
+    return normalize([Fraction(v, den) for v in head] + [Fraction(-sum(head), den)])
+
+
+@st.composite
+def conjunctions(draw, n):
+    """Up to four atoms of any kind; index sets of any size, so disjoint may drop most of the set."""
+    atoms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(("contains", "intersects", "disjoint")))
+        indices = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n))
+        atoms.append(Atom(kind, frozenset(indices)))
+    return tuple(atoms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_vectors(), st.data())
+def test_generating_function_equals_walk_equals_brute(X, data):
+    n = X.n
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    atoms = data.draw(conjunctions(n))
+    y, _ = X.scaled_ints()
+    gf = _gf_count(y, n, k, atoms)
+    walk = _walk_count(y, n, k, atoms)
+    total = sum(1 for s in combinations(range(n), k) if satisfies(atoms, s))
+    brute = brute_count(X.values, k, lambda s: satisfies(atoms, s))
+    assert gf == walk == (total, brute)
+    restriction = Restriction(atoms)
+    assert restricted_sum(X, k, restriction) == brute_restricted_sum(
+        X.values, k, lambda s: satisfies(atoms, s)
+    )
 
 
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=8))

@@ -110,3 +110,19 @@ def test_report_dict_shape():
     assert doc["verdict"] in ("verified", "violated")
     assert isinstance(doc["best_count"], str)
     assert doc["provenance"]["value_range"] == 3
+
+
+def test_enumeration_recheck_walks_the_subsets(monkeypatch):
+    import mmsverify.search as search
+
+    walked = []
+    real = search._walk_count
+
+    def spy(y, n, k, atoms):
+        walked.append((n, k))
+        return real(y, n, k, atoms)
+
+    monkeypatch.setattr(search, "_walk_count", spy)
+    report = sweep_patterns(SearchSpace(n=6, k=2, max_distinct=2, value_range=6))
+    assert report.reverified_enum is True
+    assert walked == [(6, 2)]
