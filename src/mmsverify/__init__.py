@@ -33,7 +33,6 @@ from .lemmas import (
 )
 from .report import Claim, LemmaReport, Precondition
 from .scheme import (
-    BoseMesnerOperator,
     StructureMatrix,
     bose_mesner_eigenvalue,
     build_structure_matrix,
@@ -56,7 +55,6 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoseMesnerOperator",
     "Claim",
     "CountReport",
     "KSubset",

@@ -29,7 +29,6 @@ from .scheme import (
     build_structure_matrix,
     verify_eigenvector,
     verify_eigenvector_all,
-    verify_factorization,
     verify_wilson_identities,
 )
 from .search import SearchSpace, find_counterexample, sweep_patterns

@@ -1,7 +1,9 @@
-"""Exact combinatorics kernel: binomials, colex ranks and the revolving-door stream.
+"""Exact combinatorics kernel: binomials, colex order and the revolving-door stream.
 
-Everything here is arbitrary-precision integer arithmetic. The revolving-door
-delta stream is deterministic, and the colex unranking can cross-check it.
+Everything here is arbitrary-precision integer arithmetic. colex() builds
+colex-ordered lists of subset sums, bitmasks and index tuples; the
+revolving-door delta stream serves the two counting walks. Both are
+deterministic, and the colex unranking can cross-check them.
 """
 
 from __future__ import annotations
@@ -9,12 +11,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 __all__ = [
     "ENUM_BUDGET",
     "KSubset",
     "binomial",
+    "colex",
     "door_deltas",
     "enum_budget_error",
     "rank_colex",
@@ -106,7 +109,9 @@ def unrank_colex(r: int, k: int, n: int) -> KSubset:
 
 
 def enum_budget_error(n: int, k: int) -> str | None:
-    """Why door_deltas(n, k) would refuse on size, or None when it fits."""
+    """Why colex or door_deltas would refuse (n, k), or None when it fits."""
+    if not 0 <= k <= n:
+        return f"need 0 <= k <= n, got k={k}, n={n}"
     size, built = binomial(n, k), binomial(n + 1, k)
     if size <= ENUM_BUDGET and built <= 10 * ENUM_BUDGET:
         return None
@@ -114,6 +119,29 @@ def enum_budget_error(n: int, k: int) -> str | None:
         f"C({n},{k}) = {size} subsets ({built} table entries) exceed the enumeration "
         f"budget of {ENUM_BUDGET} subsets and {10 * ENUM_BUDGET} entries"
     )
+
+
+def colex(items: Sequence[Any], k: int, empty: Any = 0) -> list[Any]:
+    """empty + items[i1] + ... + items[ik] over all k-subsets i1 < ... < ik, in colex order.
+
+    Integer items give subset sums, 1 << i bitmasks, and (i,) with empty=()
+    index tuples. The colex list of the j-subsets of {0..t-1} is a prefix of
+    the list for any longer prefix, so level j is, over each top element t,
+    the first C(t, j-1) entries of level j-1 plus items[t]. The levels hold
+    C(n+1, k) entries in all, and enum_budget_error refuses before any.
+    """
+    n = len(items)
+    reason = enum_budget_error(n, k)
+    if reason is not None:
+        raise ValueError(reason)
+    level = [empty]
+    for j in range(1, k + 1):
+        nxt: list[Any] = []
+        for t in range(j - 1, n - k + j):
+            x = items[t]
+            nxt += [s + x for s in level[: binomial(t, j - 1)]]
+        level = nxt
+    return level
 
 
 def door_deltas(n: int, k: int) -> Iterator[tuple[int, int]]:
@@ -137,14 +165,14 @@ def door_deltas(n: int, k: int) -> Iterator[tuple[int, int]]:
     ValueError is raised before anything is allocated when k is outside
     0..n, C(n, k) is over ENUM_BUDGET or the levels are over their cap.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     reason = enum_budget_error(n, k)
     if reason is not None:
-        raise ValueError(
-            f"{reason}; count_nonnegative uses the generating-function counter where it "
-            "fits, and count_nonnegative_dp counts from a multiplicity pattern"
-        )
+        if 0 <= k <= n:
+            reason += (
+                "; count_nonnegative uses the generating-function counter where it "
+                "fits, and count_nonnegative_dp counts from a multiplicity pattern"
+            )
+        raise ValueError(reason)
     if k == 0 or k == n:
         return iter(())
     r = n - k

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm, prod
 from typing import Iterator, Sequence
 
-from .combinat import ENUM_BUDGET, binomial, door_deltas, enum_budget_error
+from .combinat import ENUM_BUDGET, binomial, colex, door_deltas, enum_budget_error
 from .weights import WeightVector
 
 __all__ = [
@@ -379,22 +380,17 @@ def count_nonnegative(
 
 
 def nonnegative_family(X: WeightVector, k: int) -> list[tuple[int, ...]]:
-    """Explicit list of nonnegative k-subsets, sorted by colex rank."""
-    deltas = door_deltas(X.n, k)
+    """Explicit list of nonnegative k-subsets, in colex order.
+
+    Lex order over the ground read backwards is colex order reversed, so
+    combinations(range(n-1, -1, -1), k), each tuple read backwards, meets
+    the colex sums from the end. The refusal is that of colex(y, k).
+    """
     y, _ = X.scaled_ints()
-    out = []
-    cur = list(range(k))
-    s = sum(y[:k])
-    if s >= 0:
-        out.append(tuple(cur))
-    for rem, add in deltas:
-        s += y[add] - y[rem]
-        cur.remove(rem)
-        cur.append(add)
-        cur.sort()
-        if s >= 0:
-            out.append(tuple(cur))
-    out.sort(key=lambda t: tuple(reversed(t)))
+    sums = colex(y, k)
+    walk = zip(combinations(range(X.n - 1, -1, -1), k), reversed(sums))
+    out = [S[::-1] for S, s in walk if s >= 0]
+    out.reverse()
     return out
 
 

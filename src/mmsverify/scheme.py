@@ -3,26 +3,26 @@
 The inclusion matrix W has a 1 at (Y, S) when the j-subset Y lies inside the
 k-subset S; the Kneser variant Wbar marks Y disjoint from S. Their exact
 integer product Wbar^T W depends only on intersection sizes, and the vector
-of k-subset sums of a zero-sum weight vector is an eigenvector of it. All
-products here are exact; dense materialization is capped by an entry budget,
-beyond which the closed-form entry accessor still works.
+of k-subset sums of a zero-sum weight vector is an eigenvector of it.
+Subsets are indexed in combinat.colex order. The checks pack each 0/1 row
+into one int straight from the subset bitmasks, so an inner product is an
+AND and a popcount. DEFAULT_DENSE_BUDGET caps the entries built or packed
+and PAIR_BUDGET the pairs of k-subsets visited, both before any work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from typing import Sequence
 
-from .combinat import KSubset, binomial
+from .combinat import KSubset, binomial, colex
 from .report import Claim, LemmaReport, Precondition, claim
 from .weights import WeightVector
 
 __all__ = [
-    "BoseMesnerOperator",
     "DEFAULT_DENSE_BUDGET",
     "DenseBudgetError",
+    "PAIR_BUDGET",
     "StructureMatrix",
     "bose_mesner_entry",
     "bose_mesner_eigenvalue",
@@ -34,29 +34,31 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_BUDGET = 10_000_000
+# Most (S, T) pairs of k-subsets an operator check visits. It admits
+# verify_eigenvector_all at (n, k) = (16, 5), 19.1M pairs in about 2 s.
+PAIR_BUDGET = 40_000_000
 
 
 class DenseBudgetError(ValueError):
-    """Raised when a dense matrix would exceed the entry budget."""
+    """Raised when a dense matrix or a pair loop would exceed its budget."""
 
 
-@lru_cache(maxsize=128)
-def subsets_colex(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+def subsets_colex(n: int, m: int) -> list[tuple[int, ...]]:
     """All m-subsets of {0..n-1} in colex order (m = 0 gives the empty set)."""
-    if m == 0:
-        return ((),)
-    return tuple(sorted(combinations(range(n), m), key=lambda t: t[::-1]))
+    return colex([(i,) for i in range(n)], m, ())
 
 
-@lru_cache(maxsize=128)
-def masks_colex(n: int, m: int) -> tuple[int, ...]:
-    out = []
-    for t in subsets_colex(n, m):
-        mask = 0
-        for i in t:
-            mask |= 1 << i
-        out.append(mask)
-    return tuple(out)
+def masks_colex(n: int, m: int) -> list[int]:
+    """Bitmasks of all m-subsets of {0..n-1} in colex order."""
+    return colex([1 << i for i in range(n)], m)
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _pack(bits: list[int]) -> int:
+    """The int whose bit c is bits[c] (0 or 1), in time linear in len(bits)."""
+    return int(bytes(bits[::-1]).translate(_DIGITS), 2)
 
 
 @dataclass(frozen=True)
@@ -102,24 +104,30 @@ class StructureMatrix:
         }
 
 
-def _check_budget(n: int, j: int, k: int, budget: int) -> None:
-    entries = binomial(n, j) * binomial(n, k)
-    if entries > budget:
+def _check_budget(rows: int, n: int, k: int) -> None:
+    entries = rows * binomial(n, k)
+    if entries > DEFAULT_DENSE_BUDGET:
         raise DenseBudgetError(
-            f"dense C({n},{j}) x C({n},{k}) matrix has {entries} entries, over the "
-            f"budget of {budget}; use bose_mesner_entry / BoseMesnerOperator instead"
+            f"{rows} rows over C({n},{k}) k-subsets hold {entries} entries, over the dense "
+            f"budget of {DEFAULT_DENSE_BUDGET}; bose_mesner_entry gives any one in closed form"
         )
 
 
-def build_structure_matrix(
-    kind: str, n: int, j: int, k: int, budget: int = DEFAULT_DENSE_BUDGET
-) -> StructureMatrix:
+def _check_pairs(n: int, k: int) -> None:
+    pairs = binomial(n, k) ** 2
+    if pairs > PAIR_BUDGET:
+        raise DenseBudgetError(
+            f"C({n},{k})^2 = {pairs} pairs of k-subsets, over the pair budget of {PAIR_BUDGET}"
+        )
+
+
+def build_structure_matrix(kind: str, n: int, j: int, k: int) -> StructureMatrix:
     """Materialize the inclusion or Kneser matrix densely."""
     if kind not in ("inclusion", "kneser"):
         raise ValueError(f"unknown kind {kind!r}")
     if not (0 <= j <= k <= n):
         raise ValueError(f"need 0 <= j <= k <= n, got j={j}, k={k}, n={n}")
-    _check_budget(n, j, k, budget)
+    _check_budget(binomial(n, j), n, k)
     jm = masks_colex(n, j)
     km = masks_colex(n, k)
     if kind == "inclusion":
@@ -142,81 +150,47 @@ def bose_mesner_eigenvalue(n: int, k: int, j: int) -> int:
     return -binomial(k - 1, j - 1) * binomial(n - j - 1, k - 1)
 
 
-@dataclass(frozen=True)
-class BoseMesnerOperator:
-    """The product Wbar^T W as an entry accessor, densified on request."""
-
-    n: int
-    k: int
-    j: int
-
-    def entry(self, S: KSubset, T: KSubset) -> int:
-        return bose_mesner_entry(S, T, self.j)
-
-    def dense(self, budget: int = DEFAULT_DENSE_BUDGET) -> list[list[int]]:
-        entries = binomial(self.n, self.k) ** 2
-        if entries > budget:
-            raise DenseBudgetError(
-                f"dense operator has {entries} entries, over the budget of {budget}"
-            )
-        km = masks_colex(self.n, self.k)
-        return [
-            [binomial(self.k - (sm & tm).bit_count(), self.j) for tm in km] for sm in km
-        ]
-
-
 def _param_echo(**kwargs: int) -> list[Precondition]:
     return [Precondition(name, value, True) for name, value in kwargs.items()]
 
 
-def verify_factorization(
-    n: int, j: int, k: int, budget: int = DEFAULT_DENSE_BUDGET
-) -> LemmaReport:
+def verify_factorization(n: int, j: int, k: int) -> LemmaReport:
     """Multiply Kneser^T by inclusion and compare with the closed form.
 
-    The product is computed from the materialized 0/1 matrices (columns
-    packed into bitmasks; popcount of AND is the exact inner product).
+    Column S of each 0/1 matrix is packed over the j-subset axis, so entry
+    (S, T) of the product is the popcount of one AND.
     """
-    incl = build_structure_matrix("inclusion", n, j, k, budget)
-    knes = build_structure_matrix("kneser", n, j, k, budget)
-    ck = binomial(n, k)
-    cj = binomial(n, j)
-    # column c of each matrix, packed over the j-subset axis
-    incl_cols = [0] * ck
-    knes_cols = [0] * ck
-    for y in range(cj):
-        irow = incl.rows[y]
-        krow = knes.rows[y]
-        bit = 1 << y
-        for c in range(ck):
-            if irow[c]:
-                incl_cols[c] |= bit
-            if krow[c]:
-                knes_cols[c] |= bit
+    if not (0 <= j <= k <= n):
+        raise ValueError(f"need 0 <= j <= k <= n, got j={j}, k={k}, n={n}")
+    _check_budget(binomial(n, j), n, k)
+    _check_pairs(n, k)
+    jm = masks_colex(n, j)
     km = masks_colex(n, k)
+    incl_cols = [_pack([ym & sm == ym for ym in jm]) for sm in km]
+    knes_cols = [_pack([not ym & sm for ym in jm]) for sm in km]
+    want = [binomial(k - m, j) for m in range(k + 1)]
     mismatches = 0
     witness = None
-    for s in range(ck):
-        scol = knes_cols[s]
-        smask = km[s]
-        for t in range(ck):
-            got = (scol & incl_cols[t]).bit_count()
-            want = binomial(k - (smask & km[t]).bit_count(), j)
-            if got != want:
+    for s, (scol, smask) in enumerate(zip(knes_cols, km)):
+        for t, (tcol, tmask) in enumerate(zip(incl_cols, km)):
+            got = (scol & tcol).bit_count()
+            closed = want[(smask & tmask).bit_count()]
+            if got != closed:
                 mismatches += 1
                 if witness is None:
+                    ksets = subsets_colex(n, k)
                     witness = {
-                        "S": list(subsets_colex(n, k)[s]),
-                        "T": list(subsets_colex(n, k)[t]),
+                        "S": list(ksets[s]),
+                        "T": list(ksets[t]),
                         "product": got,
-                        "closed_form": want,
+                        "closed_form": closed,
                     }
     return LemmaReport(
         name="bose-mesner-factorization",
         preconditions=tuple(_param_echo(n=n, j=j, k=k)),
         claims=(
             claim(
-                f"Kneser^T * inclusion equals C(k-|S&T|,{j}) on all {ck * ck} pairs",
+                f"Kneser^T * inclusion equals C(k-|S&T|,{j}) on all {len(km) ** 2} pairs",
                 mismatches,
                 "==",
                 0,
@@ -226,16 +200,14 @@ def verify_factorization(
     )
 
 
-def _scaled_sums(y: Sequence[int], n: int, m: int) -> list[int]:
-    """Integer m-subset sums in colex order (m = 0 gives the single 0)."""
-    return [sum(y[i] for i in t) for t in subsets_colex(n, m)]
-
-
 def _eigen_claims(X: WeightVector, k: int, js: Sequence[int]) -> tuple[list[Claim], dict]:
     n = X.n
+    if X.is_zero():
+        raise ValueError("eigenvector check needs a nonzero weight vector")
+    _check_pairs(n, k)
     y, _ = X.scaled_ints()
     km = masks_colex(n, k)
-    b = _scaled_sums(y, n, k)
+    b = colex(y, k)
     coeffs = {j: [binomial(k - m, j) for m in range(k + 1)] for j in js}
     eigs = {j: bose_mesner_eigenvalue(n, k, j) for j in js}
     mism = {j: 0 for j in js}
@@ -280,8 +252,6 @@ def verify_eigenvector(X: WeightVector, j: int, k: int) -> LemmaReport:
     n = X.n
     if not (1 <= k <= n and 0 <= j <= k):
         raise ValueError(f"need 1 <= k <= n and 0 <= j <= k, got n={n}, k={k}, j={j}")
-    if X.is_zero():
-        raise ValueError("eigenvector check needs a nonzero weight vector")
     claims, witness = _eigen_claims(X, k, [j])
     return LemmaReport(
         name="subset-sum-eigenvector",
@@ -296,8 +266,6 @@ def verify_eigenvector_all(X: WeightVector, k: int) -> LemmaReport:
     n = X.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if X.is_zero():
-        raise ValueError("eigenvector check needs a nonzero weight vector")
     js = list(range(k + 1))
     claims, witness = _eigen_claims(X, k, js)
     return LemmaReport(
@@ -308,36 +276,38 @@ def verify_eigenvector_all(X: WeightVector, k: int) -> LemmaReport:
     )
 
 
-def verify_wilson_identities(
-    X: WeightVector, j: int, k: int, budget: int = DEFAULT_DENSE_BUDGET
-) -> LemmaReport:
+def verify_wilson_identities(X: WeightVector, j: int, k: int) -> LemmaReport:
     """Exact checks of the three inclusion/Kneser product identities.
 
     (a) W_jk W_1k^T is two-valued: C(n-j, k-j) where the singleton lies in
         the j-subset, C(n-j-1, k-j-1) elsewhere.
     (b) W_jk W_1k^T x = C(n-j-1, k-j) W_1j^T x.
     (c) Wbar_jk^T W_1j^T x = -C(n-k-1, j-1) W_1k^T x.
+
+    For (a) the rows of W_jk and W_1k are packed, C(n, j) + n rows of
+    C(n, k) bits, and each entry is one AND and a popcount.
     """
     n = X.n
     if not (1 <= k <= n and 0 <= j <= k):
         raise ValueError(f"need 1 <= k <= n and 0 <= j <= k, got n={n}, k={k}, j={j}")
-    _check_budget(n, j, k, budget)
+    _check_budget(binomial(n, j) + n, n, k)
     y, _ = X.scaled_ints()
     jm = masks_colex(n, j)
     km = masks_colex(n, k)
-    b = _scaled_sums(y, n, k)
-    bj = _scaled_sums(y, n, j)
+    b = colex(y, k)
+    bj = colex(y, j)
 
     # (a) entries of W_jk W_1k^T: count k-supersets of (j-subset union singleton)
     in_val = binomial(n - j, k - j)
     out_val = binomial(n - j - 1, k - j - 1)
+    rows = [_pack([ym & sm == ym for sm in km]) for ym in jm]
+    singles = [_pack([sm >> t & 1 for sm in km]) for t in range(n)]
     mism_a = 0
     witness_a = None
-    for s, smask in enumerate(jm):
-        for t in range(n):
-            tbit = 1 << t
-            got = sum(1 for kmask in km if smask & kmask == smask and kmask & tbit)
-            want = in_val if smask & tbit else out_val
+    for s, (row, ym) in enumerate(zip(rows, jm)):
+        for t, single in enumerate(singles):
+            got = (row & single).bit_count()
+            want = in_val if ym >> t & 1 else out_val
             if got != want:
                 mism_a += 1
                 if witness_a is None:

@@ -32,13 +32,13 @@ MAX_DISTINCT_CAP = 4
 
 
 def _positive_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of positive ints summing to total, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _positive_compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Ordered tuples of positive ints summing to total, lexicographic.
+
+    Each composition is the gaps between parts - 1 cut points in 1..total-1;
+    combinations yields the cuts, and so the gaps, in lexicographic order.
+    """
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class SearchSpace:
     k: int
     max_distinct: int = 2
     value_range: int = 6
-    candidate_budget: int = DEFAULT_CANDIDATE_BUDGET
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= self.n:
@@ -69,8 +68,6 @@ class SearchSpace:
             )
         if self.value_range < 1:
             raise ValueError(f"value_range must be >= 1, got {self.value_range}")
-        if self.candidate_budget < 1:
-            raise ValueError("candidate_budget must be >= 1")
 
     def size(self) -> int:
         """Upper bound on candidates: head grids before the zero-sum filter."""
@@ -186,10 +183,10 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
     n <= 16, before the report is emitted.
     """
     total = space.size()
-    if total > space.candidate_budget:
+    if total > DEFAULT_CANDIDATE_BUDGET:
         raise ValueError(
             f"grid holds about {total} candidates, over the budget of "
-            f"{space.candidate_budget}; reduce value_range or max_distinct"
+            f"{DEFAULT_CANDIDATE_BUDGET}; reduce value_range or max_distinct"
         )
     n, k = space.n, space.k
     bound = star_family_size(n, k)
@@ -257,7 +254,6 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
             "k": k,
             "max_distinct": space.max_distinct,
             "value_range": space.value_range,
-            "candidate_budget": space.candidate_budget,
         },
         reverified_dp=True,
         reverified_enum=reverified_enum,

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 # ENUM_BUDGET lives in combinat; it stays importable from here.
-from .combinat import ENUM_BUDGET, KSubset, binomial, door_deltas, rank_colex
+from .combinat import ENUM_BUDGET, KSubset, binomial, colex, rank_colex
 
 __all__ = [
     "SubsetSumVector",
@@ -206,20 +206,9 @@ class SubsetSumVector:
 
 
 def subset_sums(X: WeightVector, k: int) -> SubsetSumVector:
-    """Materialize every k-subset sum via the revolving-door delta stream."""
+    """Materialize every k-subset sum, in colex order."""
     n = X.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    deltas = door_deltas(n, k)
     y, scale = X.scaled_ints()
-    out = [0] * binomial(n, k)
-    cur = list(range(k))
-    s = sum(y[:k])
-    out[rank_colex(cur)] = s
-    for rem, add in deltas:
-        s += y[add] - y[rem]
-        cur.remove(rem)
-        cur.append(add)
-        cur.sort()
-        out[rank_colex(cur)] = s
-    return SubsetSumVector(n, k, tuple(Fraction(v, scale) for v in out))
+    return SubsetSumVector(n, k, tuple(Fraction(v, scale) for v in colex(y, k)))

@@ -54,6 +54,16 @@ def test_walk_over_budget_exits_2_with_a_message(tmp_path):
     assert "generating-function counter" in err
 
 
+def test_eigenvector_over_pair_budget_exits_2_with_a_message():
+    for extra in ([], ["-j", "2"]):
+        started = time.perf_counter()
+        out, err, code = run(["verify", "--lemma", "eigenvector", "--random", "--n", "30", "-k", "5", *extra])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert out == ""
+        assert "pair budget" in err
+
+
 @pytest.mark.parametrize("k", [4, 5, 6, 7])
 def test_theorem_answers_at_n_8k_squared(k):
     n = 8 * k * k

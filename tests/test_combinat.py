@@ -8,6 +8,7 @@ from mmsverify.combinat import (
     ENUM_BUDGET,
     KSubset,
     binomial,
+    colex,
     door_deltas,
     rank_colex,
     unrank_colex,
@@ -127,11 +128,36 @@ def test_door_deltas_reach_large_n():
 
 def test_door_deltas_refuse_over_budget_before_building():
     started = time.perf_counter()
-    with pytest.raises(ValueError, match="enumeration budget"):
+    with pytest.raises(ValueError, match="enumeration budget.*count_nonnegative_dp"):
         door_deltas(60, 10)  # C(60,10) is about 7.5e10
     # k > (n+1)/2: C(20000,19999) is within budget, but the levels would
     # hold C(20001,19999), about 2e8 entries
     assert binomial(20000, 19999) <= ENUM_BUDGET < binomial(20001, 19999) // 10
     with pytest.raises(ValueError, match="enumeration budget"):
         door_deltas(20000, 19999)
+    assert time.perf_counter() - started < 1.0
+    # an invalid k is refused without the hint toward other counters
+    for n, k in ((5, 7), (5, -1)):
+        with pytest.raises(ValueError) as refused:
+            door_deltas(n, k)
+        assert str(refused.value) == f"need 0 <= k <= n, got k={k}, n={n}"
+
+
+def test_colex_matches_sorted_combinations():
+    for n in range(0, 10):
+        for k in range(0, n + 1):
+            order = sorted(combinations(range(n), k), key=lambda t: t[::-1])
+            assert colex([(i,) for i in range(n)], k, ()) == order, (n, k)
+            assert colex([1 << i for i in range(n)], k) == [sum(1 << i for i in S) for S in order]
+            items = [3 * i * i - 7 for i in range(n)]
+            assert colex(items, k) == [sum(items[i] for i in S) for S in order]
+
+
+def test_colex_refuses_before_building():
+    started = time.perf_counter()
+    for k in (-1, 6):
+        with pytest.raises(ValueError, match="0 <= k <= n"):
+            colex(list(range(5)), k)
+    with pytest.raises(ValueError, match="enumeration budget"):
+        colex(list(range(60)), 10)  # C(60,10) is about 7.5e10
     assert time.perf_counter() - started < 1.0

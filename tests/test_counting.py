@@ -112,6 +112,28 @@ def test_nonnegative_family_matches_brute_and_colex_order():
     fam = nonnegative_family(X, 3)
     assert sorted(fam) == sorted(brute_family(X.values, 3))
     assert fam == sorted(fam, key=lambda t: t[::-1])
+    assert nonnegative_family(X, 0) == [()]
+
+
+def test_listings_with_k_above_half_match_brute():
+    for n, k, seed in ((9, 7, 2), (12, 9, 4), (7, 7, 1), (8, 5, 3)):
+        X = gen_random_zero_sum(n, 9, seed=seed)
+        colex_order = sorted(combinations(range(n), k), key=lambda t: t[::-1])
+        expected = [S for S in colex_order if sum((X.values[i] for i in S), Fraction(0)) >= 0]
+        assert sorted(expected) == sorted(brute_family(X.values, k))
+        assert nonnegative_family(X, k) == expected, (n, k)
+        sums = subset_sums(X, k).entries
+        assert list(sums) == [sum((X.values[i] for i in S), Fraction(0)) for S in colex_order]
+
+
+def test_family_refuses_near_n_fast():
+    # C(67,62) is within the subset budget, but its listing is refused as
+    # before: the colex levels would hold C(68,62) entries, the output about 2.4 GB
+    X = gen_random_zero_sum(67, 10, seed=1)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="enumeration budget"):
+        nonnegative_family(X, 62)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_restricted_sum_matches_brute():

@@ -1,10 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from mmsverify.combinat import KSubset, binomial
 from mmsverify.scheme import (
-    BoseMesnerOperator,
+    PAIR_BUDGET,
     DenseBudgetError,
     StructureMatrix,
     bose_mesner_eigenvalue,
@@ -23,8 +24,8 @@ from _oracles import brute_inclusion_matrix, brute_kneser_matrix, matmul, transp
 
 def test_subsets_colex_ordering():
     got = subsets_colex(4, 2)
-    assert got == ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
-    assert subsets_colex(5, 0) == ((),)
+    assert got == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    assert subsets_colex(5, 0) == [()]
 
 
 def test_structure_matrices_match_brute():
@@ -85,7 +86,6 @@ def _dense_apply(n, k, j, values):
     """Multiply the dense operator by the subset-sum vector directly."""
     subsets = subsets_colex(n, k)
     b = [sum((values[i] for i in S), Fraction(0)) for S in subsets]
-    op = BoseMesnerOperator(n, k, j)
     out = []
     for S in subsets:
         acc = Fraction(0)
@@ -127,7 +127,8 @@ def test_eigenvector_rejects_zero_vector_and_bad_j():
 
 
 def test_wilson_identities_verified_on_randoms():
-    for n, j, k in ((6, 1, 2), (6, 2, 3), (7, 2, 2), (8, 3, 3)):
+    # j = 0 packs one all-ones row, for the empty set
+    for n, j, k in ((6, 1, 2), (6, 2, 3), (7, 2, 2), (8, 3, 3), (6, 0, 3), (5, 0, 5)):
         X = gen_random_zero_sum(n, 8, seed=n * 10 + j)
         report = verify_wilson_identities(X, j, k)
         assert report.verdict == "verified", (n, j, k)
@@ -151,3 +152,22 @@ def test_wilson_identity_b_against_brute_matrices():
 def test_star_is_genuine_eigenvector_case():
     report = verify_eigenvector_all(gen_star(9), 2)
     assert report.verdict == "verified"
+
+
+def test_pair_loops_refuse_over_budget_fast():
+    # C(24,12)^2 and C(30,5)^2 pairs: far over the pair budget, although the
+    # factorization's C(24,0) x C(24,12) entries fit the dense budget
+    X = gen_random_zero_sum(30, 10, seed=1)
+    for check in (
+        lambda: verify_factorization(24, 0, 12),
+        lambda: verify_eigenvector(X, 2, 5),
+        lambda: verify_eigenvector_all(X, 5),
+    ):
+        started = time.perf_counter()
+        with pytest.raises(DenseBudgetError, match="pair budget"):
+            check()
+        assert time.perf_counter() - started < 1.0
+
+
+def test_pair_budget_admits_eigenvector_all_at_16_5():
+    assert binomial(16, 5) ** 2 <= PAIR_BUDGET
