@@ -248,6 +248,8 @@ def run(argv: Sequence[str]) -> tuple[str, str, int]:
         return "", f"{exc}\n", 2
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return "", f"mmsverify: error: {exc}\n", 2
+    except Exception as exc:  # a fault of the tool, never a verdict on the claim
+        return "", f"mmsverify: internal error: {type(exc).__name__}: {exc}\n", 3
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     doc = {
         "command": _echo(argv),

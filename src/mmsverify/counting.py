@@ -406,8 +406,14 @@ def restricted_sum(X: WeightVector, k: int, restriction: Restriction) -> Fractio
     return Fraction(sum(s for s, h in zip(sums, hits) if all(d == 1 for d in h)), scale)
 
 
+def _overlap_pass(y: Sequence[int], k: int, block: frozenset[int]) -> list[int]:
+    """Entry t: the sum of y-sums over k-subsets S of range(len(y)) with |S & block| = t."""
+    # The hit count never exceeds min(k, |block|), so that cap is exact.
+    return _pair_pass(y, k, range(len(y)), [(block, min(k, len(block)))])[0]
+
+
 def overlap_sums(X: WeightVector, k: int, block: Sequence[int]) -> tuple[Fraction, ...]:
-    """Sums of b_S grouped by the overlap |S intersect block| = t."""
+    """Sums of b_S grouped by the overlap |S intersect block| = t, by one state pass."""
     n = X.n
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -415,9 +421,7 @@ def overlap_sums(X: WeightVector, k: int, block: Sequence[int]) -> tuple[Fractio
     if any(not 0 <= i < n for i in fs):
         raise ValueError("block indices out of range")
     y, scale = X.scaled_ints()
-    # The hit count never exceeds min(k, |block|), so that cap is exact.
-    sums, _ = _pair_pass(y, k, range(n), [(fs, min(k, len(fs)))])
-    return tuple(Fraction(s, scale) for s in sums)
+    return tuple(Fraction(s, scale) for s in _overlap_pass(y, k, fs))
 
 
 @dataclass(frozen=True)

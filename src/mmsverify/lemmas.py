@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import KSubset, binomial
+from .combinat import ENUM_BUDGET, KSubset, binomial
 from .counting import Restriction, count_nonnegative, nonnegative_family, overlap_sums, star_family_size
 from .report import LemmaReport, Precondition, claim, vacuous
 from .weights import WeightVector
@@ -260,7 +260,9 @@ def simulate_partition(
     into m-1 consecutive blocks; Z counts blocks with nonnegative sum. Z >= 1
     must hold in every trial, and the empirical mean is held against the
     exact expectation (m-1) |F| / C((m-1)k, k) within five standard errors
-    (exact equality when the sample variance is zero).
+    (exact equality when the sample variance is zero). Before any count or
+    trial, the trials * (m-1) * k indices shuffled in all are checked
+    against ENUM_BUDGET.
     """
     n = X.n
     if T.n != n or T.k != k:
@@ -273,6 +275,12 @@ def simulate_partition(
     m, r = divmod(n, k)
     if m < 2:
         raise ValueError(f"need n >= 2k for at least one leftover block, got n={n}, k={k}")
+    shuffled = trials * (m - 1) * k
+    if shuffled > ENUM_BUDGET:
+        raise ValueError(
+            f"trials={trials} shuffle {(m - 1) * k} indices each, {shuffled} in all, "
+            f"over the enumeration budget of {ENUM_BUDGET}"
+        )
     in_T = set(T.indices)
     tail: list[int] = []
     if r:

@@ -6,8 +6,9 @@ integer product Wbar^T W depends only on intersection sizes, and the vector
 of k-subset sums of a zero-sum weight vector is an eigenvector of it.
 Subsets are indexed in combinat.colex order. The checks pack each 0/1 row
 into one int straight from the subset bitmasks, so an inner product is an
-AND and a popcount. DEFAULT_DENSE_BUDGET caps the entries built or packed
-and PAIR_BUDGET the pairs of k-subsets visited, both before any work.
+AND and a popcount; sums of b by overlap with a block come from counting's
+state pass. Before any work, DEFAULT_DENSE_BUDGET caps the entries built or
+packed, ENUM_BUDGET the pass steps and PAIR_BUDGET the factorization's pairs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .combinat import KSubset, binomial, colex
+from .combinat import ENUM_BUDGET, KSubset, binomial, colex
+from .counting import _overlap_pass
 from .report import Claim, LemmaReport, Precondition, claim
 from .weights import WeightVector
 
@@ -34,13 +36,13 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_BUDGET = 10_000_000
-# Most (S, T) pairs of k-subsets an operator check visits. It admits
-# verify_eigenvector_all at (n, k) = (16, 5), 19.1M pairs in about 2 s.
+# Most (S, T) pairs of k-subsets verify_factorization visits, the only
+# check that still walks pairs; near this limit it takes several seconds.
 PAIR_BUDGET = 40_000_000
 
 
 class DenseBudgetError(ValueError):
-    """Raised when a dense matrix or a pair loop would exceed its budget."""
+    """Raised when a dense matrix, a pair loop or the state passes would exceed a budget."""
 
 
 def subsets_colex(n: int, m: int) -> list[tuple[int, ...]]:
@@ -113,12 +115,9 @@ def _check_budget(rows: int, n: int, k: int) -> None:
         )
 
 
-def _check_pairs(n: int, k: int) -> None:
-    pairs = binomial(n, k) ** 2
-    if pairs > PAIR_BUDGET:
-        raise DenseBudgetError(
-            f"C({n},{k})^2 = {pairs} pairs of k-subsets, over the pair budget of {PAIR_BUDGET}"
-        )
+def _check_work(what: str, work: int, budget: str, limit: int) -> None:
+    if work > limit:
+        raise DenseBudgetError(f"{what} = {work}, over the {budget} of {limit}")
 
 
 def build_structure_matrix(kind: str, n: int, j: int, k: int) -> StructureMatrix:
@@ -163,7 +162,7 @@ def verify_factorization(n: int, j: int, k: int) -> LemmaReport:
     if not (0 <= j <= k <= n):
         raise ValueError(f"need 0 <= j <= k <= n, got j={j}, k={k}, n={n}")
     _check_budget(binomial(n, j), n, k)
-    _check_pairs(n, k)
+    _check_work(f"C({n},{k})^2 pairs of k-subsets", binomial(n, k) ** 2, "pair budget", PAIR_BUDGET)
     jm = masks_colex(n, j)
     km = masks_colex(n, k)
     incl_cols = [_pack([ym & sm == ym for ym in jm]) for sm in km]
@@ -204,30 +203,30 @@ def _eigen_claims(X: WeightVector, k: int, js: Sequence[int]) -> tuple[list[Clai
     n = X.n
     if X.is_zero():
         raise ValueError("eigenvector check needs a nonzero weight vector")
-    _check_pairs(n, k)
+    if k == n:
+        raise ValueError(
+            f"eigenvector check needs k < n, got k = n = {n}: the only k-subset is the whole "
+            "ground set, whose sum is 0, so b is the zero vector"
+        )
+    steps = binomial(n, k) * n * (k + 1) ** 2
+    _check_work(f"C({n},{k}) passes of {n}*{k + 1}^2 steps", steps, "enumeration budget", ENUM_BUDGET)
     y, _ = X.scaled_ints()
-    km = masks_colex(n, k)
     b = colex(y, k)
     coeffs = {j: [binomial(k - m, j) for m in range(k + 1)] for j in js}
     eigs = {j: bose_mesner_eigenvalue(n, k, j) for j in js}
     mism = {j: 0 for j in js}
     witness: dict = {}
-    for s, smask in enumerate(km):
-        prof = [0] * (k + 1)
-        for tmask, bt in zip(km, b):
-            prof[(smask & tmask).bit_count()] += bt
+    for S, bs in zip(subsets_colex(n, k), b):
+        prof = _overlap_pass(y, k, frozenset(S))
         for j in js:
-            cj = coeffs[j]
-            lhs = 0
-            for m in range(k + 1):
-                lhs += cj[m] * prof[m]
-            if lhs != eigs[j] * b[s]:
+            lhs = sum(c * p for c, p in zip(coeffs[j], prof))
+            if lhs != eigs[j] * bs:
                 mism[j] += 1
                 if j not in witness:
                     witness[j] = {
-                        "S": list(subsets_colex(n, k)[s]),
+                        "S": list(S),
                         "lhs": lhs,
-                        "rhs": eigs[j] * b[s],
+                        "rhs": eigs[j] * bs,
                     }
     claims = [
         claim(
@@ -246,8 +245,8 @@ def _eigen_claims(X: WeightVector, k: int, js: Sequence[int]) -> tuple[list[Clai
 def verify_eigenvector(X: WeightVector, j: int, k: int) -> LemmaReport:
     """Check the j-th product matrix maps b to eigenvalue * b, exactly.
 
-    Matrix-free: for each row the intersection-size profile of b is
-    accumulated once and contracted against the closed-form coefficients.
+    Matrix-free: for each row the intersection-size profile of b comes from
+    one state pass and is contracted against the closed-form coefficients.
     """
     n = X.n
     if not (1 <= k <= n and 0 <= j <= k):
@@ -291,6 +290,8 @@ def verify_wilson_identities(X: WeightVector, j: int, k: int) -> LemmaReport:
     if not (1 <= k <= n and 0 <= j <= k):
         raise ValueError(f"need 1 <= k <= n and 0 <= j <= k, got n={n}, k={k}, j={j}")
     _check_budget(binomial(n, j) + n, n, k)
+    steps = binomial(n, j) * n * (k + 1) * (j + 1)
+    _check_work(f"C({n},{j}) passes of {n}*{k + 1}*{j + 1} steps", steps, "enumeration budget", ENUM_BUDGET)
     y, _ = X.scaled_ints()
     jm = masks_colex(n, j)
     km = masks_colex(n, k)
@@ -313,12 +314,11 @@ def verify_wilson_identities(X: WeightVector, j: int, k: int) -> LemmaReport:
                 if witness_a is None:
                     witness_a = {"S": list(subsets_colex(n, j)[s]), "t": t, "got": got, "want": want}
 
-    # (b) W_jk (W_1k^T x) against C(n-j-1, k-j) * (j-subset sums)
+    # (b) (W_jk b)_Y, the k-subsets meeting Y in j places, against C(n-j-1, k-j) * b_Y
     coef_b = binomial(n - j - 1, k - j)
     mism_b = 0
-    for s, smask in enumerate(jm):
-        lhs = sum(bv for kmask, bv in zip(km, b) if smask & kmask == smask)
-        if lhs != coef_b * bj[s]:
+    for Y, bY in zip(subsets_colex(n, j), bj):
+        if _overlap_pass(y, k, frozenset(Y))[j] != coef_b * bY:
             mism_b += 1
 
     # (c) Wbar_jk^T (W_1j^T x) against -C(n-k-1, j-1) * (k-subset sums)

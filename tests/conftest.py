@@ -10,11 +10,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture(scope="session")
 def cli_runner():
-    """Run the CLI in a subprocess against the in-tree sources."""
+    """Run the CLI in a subprocess against the in-tree sources.
 
-    def run(*argv: str) -> subprocess.CompletedProcess:
+    extra_path, when given, is appended to PYTHONPATH (a test may put a
+    sitecustomize module there to inject a fault into the process).
+    """
+
+    def run(*argv: str, extra_path: Path | None = None) -> subprocess.CompletedProcess:
         env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        paths = [REPO_ROOT / "src"] + ([extra_path] if extra_path else [])
+        env["PYTHONPATH"] = os.pathsep.join(str(p) for p in paths)
         return subprocess.run(
             [sys.executable, "-m", "mmsverify", *argv],
             capture_output=True,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mmsverify import lemmas, search
 from mmsverify.cli import run
 from mmsverify.weights import load_weights
 
@@ -61,7 +62,7 @@ def test_eigenvector_over_pair_budget_exits_2_with_a_message():
         assert time.perf_counter() - started < 1.0
         assert code == 2
         assert out == ""
-        assert "pair budget" in err
+        assert "enumeration budget" in err
 
 
 @pytest.mark.parametrize("k", [4, 5, 6, 7])
@@ -213,6 +214,58 @@ def test_input_errors_exit_2(tmp_path):
     out, err, code = run(["count", "--weights", str(bad_sum), "-k", "1"])
     assert code == 2
     assert "residual" in err
+
+
+def test_eigenvector_at_k_equal_n_exits_2_with_a_message():
+    # at k = n the only k-subset is the whole ground set, so b is zero
+    for extra in ([], ["-j", "0"]):
+        out, err, code = run(["verify", "--lemma", "eigenvector", "--star", "--n", "5", "-k", "5", *extra])
+        assert code == 2, extra
+        assert out == ""
+        assert "needs k < n" in err and "zero vector" in err
+
+
+def test_partition_trials_over_budget_exits_2_fast():
+    # 3,000,000 trials at n = 12, k = 2 shuffle 30M indices in all
+    started = time.perf_counter()
+    out, err, code = run(["verify", "--lemma", "partition", "--star", "--n", "12", "-k", "2",
+                          "--trials", "3000000"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert "trials=3000000" in err and "enumeration budget" in err
+
+
+def _raise(exc):
+    def boom(*args, **kwargs):
+        raise exc
+
+    return boom
+
+
+def test_internal_errors_exit_3(monkeypatch):
+    # an internal fault is neither a violation (1) nor a refusal (2)
+    monkeypatch.setattr(search, "count_nonnegative_dp", _raise(RuntimeError("count disagreement")))
+    out, err, code = run(["search", "--n", "8", "-k", "2", "--format", "json"])
+    assert (out, code) == ("", 3)
+    assert err == "mmsverify: internal error: RuntimeError: count disagreement\n"
+    monkeypatch.setattr(lemmas, "count_nonnegative", _raise(AssertionError("U must keep a negative sum")))
+    out, err, code = run(["verify", "--lemma", "partition", "--star", "--n", "8", "-k", "2"])
+    assert (out, code) == ("", 3)
+    assert err == "mmsverify: internal error: AssertionError: U must keep a negative sum\n"
+
+
+def test_internal_error_process_exit_status_is_3(cli_runner, tmp_path):
+    (tmp_path / "sitecustomize.py").write_text(
+        "from mmsverify import search\n"
+        "def boom(*args, **kwargs):\n"
+        "    raise RuntimeError('injected')\n"
+        "search.count_nonnegative_dp = boom\n"
+    )
+    done = cli_runner("search", "--n", "8", "-k", "2", extra_path=tmp_path)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "mmsverify: internal error: RuntimeError: injected\n"
 
 
 def test_preconditions_not_met_exits_2():

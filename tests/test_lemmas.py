@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from mmsverify import lemmas
 from mmsverify.combinat import KSubset, binomial
 from mmsverify.counting import Restriction, count_nonnegative
 from mmsverify.lemmas import (
@@ -194,6 +195,23 @@ def test_simulate_partition_input_errors():
     tiny = gen_star(3)
     with pytest.raises(ValueError, match="n >= 2k"):
         simulate_partition(tiny, 2, KSubset((1, 2), 3))
+
+
+class _Admitted(Exception):
+    pass
+
+
+def test_simulate_partition_cap_admits_the_benchmark_runs(monkeypatch):
+    # the count runs right after the trials cap, so reaching it means
+    # admitted; (12, 2) with 10^6 trials shuffles exactly ENUM_BUDGET indices
+    def reached(*args, **kwargs):
+        raise _Admitted
+
+    monkeypatch.setattr(lemmas, "count_nonnegative", reached)
+    for n, k, trials in ((26, 5, 30_000), (34, 4, 12_000), (24, 4, 10_000), (12, 2, 1_000_000)):
+        X = gen_random_zero_sum(n, 100, seed=0)
+        with pytest.raises(_Admitted):
+            simulate_partition(X, k, KSubset(tuple(range(n - k, n)), n), trials=trials)
 
 
 def test_scalar_inequalities_exactness():

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from mmsverify import scheme
 from mmsverify.combinat import KSubset, binomial
 from mmsverify.scheme import (
-    PAIR_BUDGET,
     DenseBudgetError,
     StructureMatrix,
     bose_mesner_eigenvalue,
@@ -155,19 +155,69 @@ def test_star_is_genuine_eigenvector_case():
 
 
 def test_pair_loops_refuse_over_budget_fast():
-    # C(24,12)^2 and C(30,5)^2 pairs: far over the pair budget, although the
-    # factorization's C(24,0) x C(24,12) entries fit the dense budget
+    # C(24,12)^2 pairs are far over the pair budget, although the
+    # factorization's C(24,0) x C(24,12) entries fit the dense budget; the
+    # eigenvector checks' C(30,5) passes of 30 * 6^2 steps (1.5e8) are far
+    # over the enumeration budget
     X = gen_random_zero_sum(30, 10, seed=1)
-    for check in (
-        lambda: verify_factorization(24, 0, 12),
-        lambda: verify_eigenvector(X, 2, 5),
-        lambda: verify_eigenvector_all(X, 5),
+    for check, budget in (
+        (lambda: verify_factorization(24, 0, 12), "pair budget"),
+        (lambda: verify_eigenvector(X, 2, 5), "enumeration budget"),
+        (lambda: verify_eigenvector_all(X, 5), "enumeration budget"),
     ):
         started = time.perf_counter()
-        with pytest.raises(DenseBudgetError, match="pair budget"):
+        with pytest.raises(DenseBudgetError, match=budget):
             check()
         assert time.perf_counter() - started < 1.0
 
 
-def test_pair_budget_admits_eigenvector_all_at_16_5():
-    assert binomial(16, 5) ** 2 <= PAIR_BUDGET
+class _Admitted(Exception):
+    pass
+
+
+def test_step_rule_admits_eigenvector_all_at_16_5_and_18_5(monkeypatch):
+    # the step rule is checked before the first pass, so reaching a pass
+    # means admitted; no check runs here
+    def reached(*args, **kwargs):
+        raise _Admitted
+
+    monkeypatch.setattr(scheme, "_overlap_pass", reached)
+    for n in (16, 18):
+        with pytest.raises(_Admitted):
+            verify_eigenvector_all(gen_random_zero_sum(n, 10, seed=1), 5)
+
+
+def test_eigenvector_answers_where_pairs_were_refused():
+    # C(16,6)^2 and C(18,5)^2 pairs were over the old pair budget
+    assert verify_eigenvector_all(gen_random_zero_sum(16, 50, seed=2), 6).verdict == "verified"
+    assert verify_eigenvector(gen_random_zero_sum(18, 50, seed=3), 2, 5).verdict == "verified"
+
+
+def test_planted_eigenvalue_error_is_caught_with_the_same_witness(monkeypatch):
+    # eigenvalue + 1 breaks row S wherever b_S != 0 (83 rows here); the
+    # witnesses were computed pair by pair over all C(9,3)^2 (S, T)
+    true_value = scheme.bose_mesner_eigenvalue
+    monkeypatch.setattr(scheme, "bose_mesner_eigenvalue", lambda n, k, j: true_value(n, k, j) + 1)
+    X = gen_random_zero_sum(9, 20, seed=4)
+    one = verify_eigenvector(X, 2, 3)
+    assert one.verdict == "violated"
+    assert one.witness == {"S": [0, 1, 2], "lhs": -1860, "rhs": -1798}
+    assert [c.lhs for c in one.claims] == [83, 83]
+    every = verify_eigenvector_all(X, 3)
+    assert every.verdict == "violated"
+    assert every.witness == {
+        0: {"S": [0, 1, 2], "lhs": 0, "rhs": 62},
+        1: {"S": [0, 1, 2], "lhs": -1302, "rhs": -1240},
+        2: {"S": [0, 1, 2], "lhs": -1860, "rhs": -1798},
+        3: {"S": [0, 1, 2], "lhs": -620, "rhs": -558},
+    }
+    assert [c.lhs for c in every.claims] == [83] * 5
+
+
+def test_wilson_refuses_passes_over_budget_fast():
+    # C(20,10) passes of 20 * 20 * 11 steps for identity (b), although the
+    # packed rows fit the dense budget
+    started = time.perf_counter()
+    with pytest.raises(DenseBudgetError, match="enumeration budget"):
+        verify_wilson_identities(gen_random_zero_sum(20, 10, seed=1), 10, 19)
+    assert time.perf_counter() - started < 1.0
