@@ -203,30 +203,36 @@ def _split_atoms(n: int, atoms: Sequence[Atom]) -> tuple[list[int], list[Atom]]:
 
 
 def _hit_machine(
-    live: Sequence[int], blocks: Sequence[tuple[frozenset[int], int]]
+    n: int, blocks: Sequence[tuple[frozenset[int], int]]
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """Hit codes over blocks (index set, cap): a next-code table per live index.
+    """Hit codes over blocks (index set, cap): a next-code table per index of range(n).
 
     A code packs one counter per block, each capped at the block's cap, in
-    mixed radix. Adding live[t] moves code c to tables[t][c]. Returns
+    mixed radix. Adding index i moves code c to tables[i][c]. Membership is
+    read once per block, and indices that lie in the same blocks share one
+    table, so a single block needs two: in the block and out of it. Returns
     (tables, hits), where hits[c] lists the counters code c stands for.
     """
     hits: list[list[int]] = [[]]
     for _, cap in blocks:  # the first block is the lowest digit
         hits = [h + [d] for d in range(cap + 1) for h in hits]
-    code = {tuple(h): c for c, h in enumerate(hits)}
-    by_key: dict[tuple[bool, ...], list[int]] = {}
-    tables = []
-    for i in live:
-        key = tuple(i in fs for fs, _ in blocks)
+    member: dict[int, int] = {}
+    for b, (fs, _) in enumerate(blocks):
+        for i in fs:
+            member[i] = member.get(i, 0) | 1 << b
+    stay = list(range(len(hits)))
+    tables = [stay] * n
+    by_key: dict[int, list[int]] = {}
+    for i, key in member.items():
         table = by_key.get(key)
         if table is None:
-            table = [
-                code[tuple(min(cap, d + inc) for d, inc, (_, cap) in zip(h, key, blocks))]
-                for h in hits
-            ]
+            table, place = stay, 1
+            for b, (_, cap) in enumerate(blocks):
+                if key >> b & 1:
+                    table = [t + place if h[b] < cap else t for t, h in zip(table, hits)]
+                place *= cap + 1
             by_key[key] = table
-        tables.append(table)
+        tables[i] = table
     return tables, hits
 
 
@@ -261,14 +267,14 @@ def _gf_count(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[
     m = len(live)
     if m < k:
         return 0, 0
-    tables, hits = _hit_machine(live, [(a.indices, _HIT_CAP[a.kind]) for a in kept])
+    tables, hits = _hit_machine(n, [(a.indices, _HIT_CAP[a.kind]) for a in kept])
     lo = min(y[i] for i in live)
     w = _slot_width(m, k)
     P = [[0] * len(hits) for _ in range(k + 1)]
     P[0][0] = 1
-    for seen, (i, nxt) in enumerate(zip(live, tables)):
-        shift = (y[i] - lo) * w
-        for j in range(min(seen, k - 1), -1, -1):
+    for seen, i in enumerate(live):
+        shift, nxt = (y[i] - lo) * w, tables[i]
+        for j in range(seen if seen < k else k - 1, -1, -1):
             dst = P[j + 1]
             for c, poly in enumerate(P[j]):
                 if poly:
@@ -319,13 +325,13 @@ def _pair_pass(
         raise ValueError(
             f"the (count, sum) pass needs {steps} steps, over the enumeration budget of {ENUM_BUDGET}"
         )
-    tables, hits = _hit_machine(live, blocks)
+    tables, hits = _hit_machine(len(y), blocks)
     counts = [[0] * len(hits) for _ in range(k + 1)]
     sums = [[0] * len(hits) for _ in range(k + 1)]
     counts[0][0] = 1
-    for seen, (i, nxt) in enumerate(zip(live, tables)):
-        v = y[i]
-        for j in range(min(seen, k - 1), -1, -1):
+    for seen, i in enumerate(live):
+        v, nxt = y[i], tables[i]
+        for j in range(seen if seen < k else k - 1, -1, -1):
             c_src, s_src, c_dst, s_dst = counts[j], sums[j], counts[j + 1], sums[j + 1]
             for c, cnt in enumerate(c_src):
                 if cnt:

@@ -262,7 +262,7 @@ def simulate_partition(
     exact expectation (m-1) |F| / C((m-1)k, k) within five standard errors
     (exact equality when the sample variance is zero). Before any count or
     trial, the trials * (m-1) * k indices shuffled in all are checked
-    against ENUM_BUDGET.
+    against ENUM_BUDGET, and a refusal names the largest trials that fit.
     """
     n = X.n
     if T.n != n or T.k != k:
@@ -279,7 +279,8 @@ def simulate_partition(
     if shuffled > ENUM_BUDGET:
         raise ValueError(
             f"trials={trials} shuffle {(m - 1) * k} indices each, {shuffled} in all, "
-            f"over the enumeration budget of {ENUM_BUDGET}"
+            f"over the enumeration budget of {ENUM_BUDGET}; at most "
+            f"{ENUM_BUDGET // ((m - 1) * k)} trials fit at n={n}, k={k}"
         )
     in_T = set(T.indices)
     tail: list[int] = []

@@ -5,6 +5,15 @@ pattern of composition sums matters), so an integer grid on all but the last
 value, with the last solved exactly for zero sum, covers every sign pattern
 reachable at a given number of distinct values. Exhaustiveness makes negative
 results reproducible rather than anecdotal.
+
+Each candidate is counted by one integer threshold kernel for every d >= 2.
+Fix the first d-2 parts of a composition of k; because the values strictly
+decrease, its sum is then linear and increasing in part d-1, so the
+nonnegative compositions with that prefix are those whose part d-1 reaches
+one threshold, found by a floor division. A table built once per
+multiplicity tuple holds each prefix's binomial weight and the suffix sums
+of the last two binomial factors, so a candidate costs one floor division
+and one lookup per prefix: O(k^(d-2)) work instead of O(k^(d-1)).
 """
 
 from __future__ import annotations
@@ -12,12 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterator, Mapping
 
 from .combinat import binomial
 from .counting import (
     MultiplicityPattern,
-    _dp_count_scaled,
     _walk_count,
     count_nonnegative_dp,
     star_family_size,
@@ -138,49 +147,68 @@ class SearchReport:
         }
 
 
-def _count_scaled_fast(
-    mults: tuple[int, ...],
+def _threshold_table(
+    mults: tuple[int, ...], k: int
+) -> tuple[list[range], list[tuple[int, int, int, int, list[int]]]]:
+    """(box, entries) for the prefixes (c_1..c_{d-2}) of compositions of k, d >= 2.
+
+    box holds the range of each prefix part; entries has one (g, weight,
+    lo, hi, suffix) per feasible prefix, where g is the prefix's position
+    in the box in lexicographic order, weight the product of C(m_i, c_i)
+    over it, the rest rem = k - sum(prefix) splits as c_{d-1} + c_d with
+    lo <= c_{d-1} <= hi, and suffix[t - lo] is the sum of
+    C(m_{d-1}, c) * C(m_d, rem - c) over t <= c <= hi.
+    """
+    rows = [[binomial(m, c) for c in range(min(m, k) + 1)] for m in mults]
+    *head, last, final = rows
+    box = [range(len(row)) for row in head]
+    entries = []
+    for g, prefix in enumerate(itertools.product(*box)):
+        rem = k - sum(prefix)
+        lo, hi = max(0, rem - mults[-1]), min(mults[-2], rem)
+        if lo <= hi:
+            pairs = [last[c] * final[rem - c] for c in range(hi, lo - 1, -1)]
+            suffix = list(itertools.accumulate(pairs))[::-1]
+            entries.append((g, prod(row[c] for row, c in zip(head, prefix)), lo, hi, suffix))
+    return box, entries
+
+
+def _threshold_count(
+    table: tuple[list[range], list[tuple[int, int, int, int, list[int]]]],
     scaled: tuple[int, ...],
     k: int,
-    rows: tuple[tuple[int, ...], ...],
 ) -> int:
-    """Composition-sum count specialized for d <= 3; integer-only hot path."""
-    d = len(mults)
-    if d == 1:
-        return rows[0][k] if k * scaled[0] >= 0 else 0
-    if d == 2:
-        m1, m2 = mults
-        w1, w2 = scaled
-        r1, r2 = rows
-        total = 0
-        for c1 in range(max(0, k - m2), min(m1, k) + 1):
-            if c1 * w1 + (k - c1) * w2 >= 0:
-                total += r1[c1] * r2[k - c1]
-        return total
-    if d == 3:
-        m1, m2, m3 = mults
-        w1, w2, w3 = scaled
-        r1, r2, r3 = rows
-        dw = w2 - w3
-        total = 0
-        for c1 in range(max(0, k - m2 - m3), min(m1, k) + 1):
-            rem = k - c1
-            base = c1 * w1 + rem * w3
-            b1 = r1[c1]
-            for c2 in range(max(0, rem - m3), min(m2, rem) + 1):
-                if base + c2 * dw >= 0:
-                    total += b1 * r2[c2] * r3[rem - c2]
-        return total
-    return _dp_count_scaled(mults, scaled, k, rows)
+    """Compositions of k with a nonnegative sum against scaled, weighted by binomials.
+
+    With the prefix fixed, the sum is base + c_{d-1} * dw, where dw =
+    w_{d-1} - w_d > 0 and base = sum c_i * (w_i - w_d) + k * w_d, so it is
+    nonnegative exactly for c_{d-1} >= -(base // dw). Integers only.
+    """
+    box, entries = table
+    w_d = scaled[-1]
+    dw = scaled[-2] - w_d
+    bases = [k * w_d]  # base at every prefix of the box, in lexicographic order
+    for parts, w in zip(box, scaled):
+        lift = w - w_d
+        bases = [b + c * lift for b in bases for c in parts]
+    total = 0
+    for g, weight, lo, hi, suffix in entries:
+        t = -(bases[g] // dw)
+        if t <= hi:
+            total += weight * suffix[t - lo if t > lo else 0]
+    return total
 
 
 def sweep_patterns(space: SearchSpace) -> SearchReport:
     """Minimize the nonnegative k-subset count over the whole grid.
 
-    Ties break toward the lexicographically smallest (multiplicities,
-    values). The winner is re-verified through the shared DP in both
-    composition orders, and additionally by direct enumeration when
-    n <= 16, before the report is emitted.
+    Candidates come grouped by multiplicity tuple, so the threshold table
+    (see _threshold_table) is rebuilt only when the tuple changes, and each
+    candidate is counted by _threshold_count in exact integers. Ties break
+    toward the lexicographically smallest (multiplicities, values). The
+    winner is re-verified by count_nonnegative_dp, which shares no code with
+    the kernel, in both composition orders, and additionally by direct
+    enumeration when n <= 16, before the report is emitted.
     """
     total = space.size()
     if total > DEFAULT_CANDIDATE_BUDGET:
@@ -190,21 +218,17 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
         )
     n, k = space.n, space.k
     bound = star_family_size(n, k)
-    rows_cache: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-    best: tuple[int, tuple[int, ...], tuple[int, ...], int] | None = None
-    examined = 0
-    for mults, scaled, den in space.candidates():
-        rows = rows_cache.get(mults)
-        if rows is None:
-            rows = tuple(
-                tuple(binomial(m, c) for c in range(min(m, k) + 1)) for m in mults
-            )
-            rows_cache[mults] = rows
-        count = _count_scaled_fast(mults, scaled, k, rows)
+    candidates = space.candidates()
+    # The first candidate is the single value 0: every k-subset sums to 0.
+    mults, scaled, den = next(candidates)
+    best = (binomial(n, k), mults, scaled, den)
+    examined = 1
+    table_mults: tuple[int, ...] = ()
+    for mults, scaled, den in candidates:
+        if mults != table_mults:
+            table_mults, table = mults, _threshold_table(mults, k)
+        count = _threshold_count(table, scaled, k)
         examined += 1
-        if best is None:
-            best = (count, mults, scaled, den)
-            continue
         b_count, b_mults, b_scaled, b_den = best
         if count != b_count:
             if count < b_count:
@@ -219,7 +243,6 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
         if values < b_values:
             best = (count, mults, scaled, den)
 
-    assert best is not None  # space always contains the d=1 candidate
     b_count, b_mults, b_scaled, b_den = best
     pattern = MultiplicityPattern(
         tuple((Fraction(s, b_den), m) for s, m in zip(b_scaled, b_mults))

@@ -234,6 +234,8 @@ def test_partition_trials_over_budget_exits_2_fast():
     assert code == 2
     assert out == ""
     assert "trials=3000000" in err and "enumeration budget" in err
+    # the largest admitted count is ENUM_BUDGET // ((m - 1) * k) = 10^7 // 10
+    assert "at most 1000000 trials fit at n=12, k=2" in err
 
 
 def _raise(exc):
