@@ -32,7 +32,7 @@ def main():
     star = gen_star(n)
     sums = subset_sums(star, k)
     print(f"star vector on n={n}: one entry n-1, the rest -1")
-    print(f"  k={k} subset sums: {sorted(str(b) for b in sums.entries)}")
+    print(f"  k={k} subset sums: {sorted(str(b) for b in sums)}")
     print()
 
     show(star, k, "star")

@@ -43,7 +43,6 @@ from .scheme import (
 )
 from .search import SearchReport, SearchSpace, find_counterexample, sweep_patterns
 from .weights import (
-    SubsetSumVector,
     WeightVector,
     gen_random_zero_sum,
     gen_star,
@@ -66,7 +65,6 @@ __all__ = [
     "SearchReport",
     "SearchSpace",
     "StructureMatrix",
-    "SubsetSumVector",
     "WeightVector",
     "binomial",
     "bose_mesner_eigenvalue",

@@ -9,7 +9,6 @@ deterministic, and the colex unranking can cross-check them.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from math import comb
 from typing import Any, Iterator, Sequence
 
@@ -29,6 +28,71 @@ __all__ = [
 ENUM_BUDGET = 10_000_000
 
 
+class _Record:
+    """Base of the package's frozen value records, in place of dataclass(frozen=True).
+
+    A subclass lists its fields as class annotations, in order, and gives
+    defaults as class attributes. __init__ takes the fields positionally or
+    by keyword, raises TypeError on a missing, surplus or unknown argument,
+    then runs __post_init__. Instances refuse assignment and deletion, and
+    compare, hash and print by their tuple of fields. The dataclasses
+    import and its per-class code generation cost each process about 25 ms
+    of start-up (2-core x86_64, Python 3.11).
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls.__qualname__}() takes {len(fields)} arguments but {len(args)} were given"
+            )
+        given = dict(zip(fields, args))
+        for f in kwargs:
+            if f not in fields or f in given:
+                raise TypeError(f"{cls.__qualname__}() got an unexpected or repeated argument {f!r}")
+        given.update(kwargs)
+        missing = [f for f in fields if f not in given and f not in cls._defaults]
+        if missing:
+            raise TypeError(f"{cls.__qualname__}() missing required arguments: {', '.join(missing)}")
+        state = self.__dict__
+        for f in fields:
+            state[f] = given[f] if f in given else cls._defaults[f]
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Checks run once every field is set; subclasses override it."""
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__qualname__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__qualname__} is frozen: cannot delete {name!r}")
+
+    def _values(self) -> tuple[Any, ...]:
+        return tuple(self.__dict__[f] for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({inner})"
+
+
 def binomial(a: int, b: int) -> int:
     """C(a, b), extended to 0 whenever a < 0, b < 0, or b > a."""
     if a < 0 or b < 0 or b > a:
@@ -36,8 +100,7 @@ def binomial(a: int, b: int) -> int:
     return comb(a, b)
 
 
-@dataclass(frozen=True)
-class KSubset:
+class KSubset(_Record):
     """A k-element subset of {0, ..., n-1}, indices strictly increasing."""
 
     indices: tuple[int, ...]

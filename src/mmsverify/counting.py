@@ -12,13 +12,12 @@ never allowed to share a code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 from typing import Iterator, Sequence
 
-from .combinat import ENUM_BUDGET, binomial, colex, door_deltas, enum_budget_error
+from .combinat import ENUM_BUDGET, _Record, binomial, colex, door_deltas, enum_budget_error
 from .weights import WeightVector
 
 __all__ = [
@@ -54,8 +53,7 @@ def star_family_size(n: int, k: int) -> int:
     return binomial(n - 1, k - 1)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(_Record):
     kind: str  # contains | intersects | disjoint
     indices: frozenset[int]
 
@@ -64,8 +62,7 @@ class Atom:
         return f"{self.kind}({inner})"
 
 
-@dataclass(frozen=True)
-class Restriction:
+class Restriction(_Record):
     """Conjunction of membership constraints on the counted subsets."""
 
     atoms: tuple[Atom, ...] = ()
@@ -111,8 +108,7 @@ def _atom_ok(kind: str, hits: int) -> bool:
     return hits == 0  # disjoint
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(_Record):
     """Result of one counting run."""
 
     n: int
@@ -430,8 +426,7 @@ def overlap_sums(X: WeightVector, k: int, block: Sequence[int]) -> tuple[Fractio
     return tuple(Fraction(s, scale) for s in _overlap_pass(y, k, fs))
 
 
-@dataclass(frozen=True)
-class MultiplicityPattern:
+class MultiplicityPattern(_Record):
     """Distinct values with multiplicities: ((v_1, m_1), ..., (v_d, m_d)).
 
     Values strictly decreasing, multiplicities positive, weighted sum zero.

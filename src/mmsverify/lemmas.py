@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import ENUM_BUDGET, KSubset, binomial
+from .combinat import ENUM_BUDGET, KSubset, _Record, binomial
 from .counting import Restriction, count_nonnegative, nonnegative_family, overlap_sums, star_family_size
 from .report import LemmaReport, Precondition, claim, vacuous
 from .weights import WeightVector
@@ -231,8 +230,7 @@ def verify_disjoint_bound(X: WeightVector, k: int, T: KSubset) -> LemmaReport:
     )
 
 
-@dataclass(frozen=True)
-class PartitionTrial:
+class PartitionTrial(_Record):
     """One sampled partition of the leftover indices into k-blocks."""
 
     trial: int

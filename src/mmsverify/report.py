@@ -8,9 +8,10 @@ output never loses precision.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
+
+from .combinat import _Record
 
 __all__ = [
     "Claim",
@@ -55,8 +56,7 @@ def exact_str(value: Any) -> Any:
     return str(value) if not isinstance(value, (str, float)) else value
 
 
-@dataclass(frozen=True)
-class Precondition:
+class Precondition(_Record):
     name: str
     value: Any
     satisfied: bool
@@ -65,8 +65,7 @@ class Precondition:
         return {"name": self.name, "value": exact_str(self.value), "satisfied": self.satisfied}
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(_Record):
     description: str
     lhs: Any
     relation: str
@@ -101,15 +100,21 @@ def vacuous(description: str, note: str) -> Claim:
     return Claim(description, None, "==", None, True, note)
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    """Outcome of one verification: parameter echo, claims, verdict."""
+class LemmaReport(_Record):
+    """Outcome of one verification: parameter echo, claims, verdict.
+
+    extra defaults to a fresh empty dict per report.
+    """
 
     name: str
     preconditions: tuple[Precondition, ...]
     claims: tuple[Claim, ...]
     witness: Any = None
-    extra: dict = field(default_factory=dict)
+    extra: dict | None = None
+
+    def __post_init__(self) -> None:
+        if self.extra is None:
+            object.__setattr__(self, "extra", {})
 
     @property
     def verdict(self) -> str:

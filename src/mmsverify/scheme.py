@@ -13,10 +13,9 @@ packed, ENUM_BUDGET the pass steps and PAIR_BUDGET the factorization's pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .combinat import ENUM_BUDGET, KSubset, binomial, colex
+from .combinat import ENUM_BUDGET, KSubset, _Record, binomial, colex
 from .counting import _overlap_pass
 from .report import Claim, LemmaReport, Precondition, claim
 from .weights import WeightVector
@@ -63,8 +62,7 @@ def _pack(bits: list[int]) -> int:
     return int(bytes(bits[::-1]).translate(_DIGITS), 2)
 
 
-@dataclass(frozen=True)
-class StructureMatrix:
+class StructureMatrix(_Record):
     """Dense 0/1 matrix over (j-subsets) x (k-subsets), colex indexed."""
 
     kind: str  # inclusion | kneser

@@ -19,12 +19,11 @@ and one lookup per prefix: O(k^(d-2)) work instead of O(k^(d-1)).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Iterator, Mapping
 
-from .combinat import binomial
+from .combinat import _Record, binomial
 from .counting import (
     MultiplicityPattern,
     _walk_count,
@@ -50,16 +49,15 @@ def _positive_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
 
 
-@dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(_Record):
     """Grid of candidate multiplicity patterns for one (n, k).
 
     Candidates range over d = 1..max_distinct distinct values. The
     multiplicities run over all ordered positive compositions of n, the first
     d-1 values over strictly decreasing integers in [-value_range,
     value_range], and the last value is solved exactly from the zero-sum
-    constraint (the candidate is dropped if the solved value does not stay
-    strictly below its predecessor). Scaling by the last multiplicity keeps
+    constraint (a candidate exists only where the solved value stays strictly
+    below its predecessor). Scaling by the last multiplicity keeps
     every candidate in plain integers.
     """
 
@@ -91,23 +89,31 @@ class SearchSpace:
         """Yield (multiplicities, scaled integer values, denominator).
 
         The true values are scaled[i] / denominator; they are strictly
-        decreasing with exact weighted sum zero.
+        decreasing with exact weighted sum zero. The heads come in
+        lexicographic order (each from high to low), and the last head runs
+        only over the values whose solved last value stays below it, so no
+        head is built and then dropped.
         """
         yield (self.n,), (0,), 1
-        grid = range(self.value_range, -self.value_range - 1, -1)
+        top = self.value_range
+        grid = range(top, -top - 1, -1)
         for d in range(2, self.max_distinct + 1):
             for mults in _positive_compositions(self.n, d):
-                den = mults[-1]
-                for heads in itertools.combinations(grid, d - 1):
-                    num = 0
-                    for m, v in zip(mults, heads):
-                        num -= m * v
-                    if num < heads[-1] * den:
-                        yield mults, tuple(v * den for v in heads) + (num,), den
+                *prefix_mults, m_head, den = mults
+                for prefix in itertools.combinations(grid[:-1], d - 2):
+                    base = 0
+                    for m, v in zip(prefix_mults, prefix):
+                        base -= m * v
+                    # The last value (base - m_head * v) / den stays below the
+                    # last head v exactly when v * (m_head + den) > base.
+                    hi = prefix[-1] - 1 if prefix else top
+                    lo = max(base // (m_head + den) + 1, -top)
+                    scaled_prefix = tuple(v * den for v in prefix)
+                    for v in range(hi, lo - 1, -1):
+                        yield mults, scaled_prefix + (v * den, base - m_head * v), den
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(_Record):
     """Outcome of a sweep: the minimizing pattern and its cross-checks."""
 
     n: int

@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 # ENUM_BUDGET lives in combinat; it stays importable from here.
-from .combinat import ENUM_BUDGET, KSubset, binomial, colex, rank_colex
+from .combinat import ENUM_BUDGET, _Record, colex
 
 __all__ = [
-    "SubsetSumVector",
     "WeightVector",
     "gen_random_zero_sum",
     "gen_star",
@@ -31,17 +29,18 @@ __all__ = [
 
 MODES = ("require-zero-sum", "shift-to-zero")
 
-@dataclass(frozen=True)
-class WeightVector:
+
+class WeightVector(_Record):
     """Sorted non-increasing exact rationals with zero sum.
 
     shift records the per-entry amount subtracted by shift-to-zero
-    normalization (zero when the input already summed to zero).
+    normalization (zero when the input already summed to zero). provenance
+    is metadata: equality and hashing ignore it.
     """
 
     values: tuple[Fraction, ...]
     shift: Fraction = Fraction(0)
-    provenance: Mapping | None = field(default=None, compare=False)
+    provenance: Mapping | None = None
 
     def __post_init__(self) -> None:
         if len(self.values) < 1:
@@ -55,6 +54,14 @@ class WeightVector:
         total = sum(self.values)
         if total != 0:
             raise ValueError(f"entries must sum to zero exactly, got {total}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.values, self.shift) == (other.values, other.shift)  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.shift))
 
     @property
     def n(self) -> int:
@@ -182,33 +189,10 @@ def gen_random_zero_sum(n: int, magnitude: int, seed: int) -> WeightVector:
     )
 
 
-@dataclass(frozen=True)
-class SubsetSumVector:
-    """All k-subset sums of a weight vector, indexed by colex rank."""
-
-    n: int
-    k: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != binomial(self.n, self.k):
-            raise ValueError("entry count must be C(n, k)")
-        if sum(self.entries) != 0:
-            # Every element occurs in C(n-1, k-1) subsets, so the grand
-            # total is C(n-1, k-1) * sum(x) = 0.
-            raise ValueError("subset sums must total zero")
-
-    def entry(self, subset: KSubset | Sequence[int]) -> Fraction:
-        return self.entries[rank_colex(subset)]
-
-    def max_entry(self) -> Fraction:
-        return max(self.entries)
-
-
-def subset_sums(X: WeightVector, k: int) -> SubsetSumVector:
-    """Materialize every k-subset sum, in colex order."""
+def subset_sums(X: WeightVector, k: int) -> list[Fraction]:
+    """Every k-subset sum, as a list in colex order."""
     n = X.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     y, scale = X.scaled_ints()
-    return SubsetSumVector(n, k, tuple(Fraction(v, scale) for v in colex(y, k)))
+    return [Fraction(v, scale) for v in colex(y, k)]

@@ -166,3 +166,24 @@ def matmul(A, B):
 
 def transpose(A):
     return [list(col) for col in zip(*A)]
+
+
+def filtered_candidates(n, max_distinct, value_range):
+    """The search grid's candidates, built head by head and filtered after.
+
+    Every strictly decreasing head tuple in [-value_range, value_range] is
+    taken from itertools.combinations; the zero-sum last value is solved
+    from it and the candidate kept only when that value stays below the
+    last head. Yields (multiplicities, values scaled by the last
+    multiplicity, that multiplicity), in the search's order.
+    """
+    yield (n,), (0,), 1
+    grid = range(value_range, -value_range - 1, -1)
+    for d in range(2, max_distinct + 1):
+        for cuts in combinations(range(1, n), d - 1):
+            mults = tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+            den = mults[-1]
+            for heads in combinations(grid, d - 1):
+                num = -sum(m * v for m, v in zip(mults, heads))
+                if num < heads[-1] * den:
+                    yield mults, tuple(v * den for v in heads) + (num,), den

@@ -15,7 +15,7 @@ from mmsverify.search import (
     sweep_patterns,
 )
 
-from _oracles import brute_count
+from _oracles import brute_count, filtered_candidates
 
 
 def _subset_count(mults, scaled, k):
@@ -52,6 +52,15 @@ def test_candidates_are_zero_sum_and_decreasing():
         assert all(a > b for a, b in zip(scaled, scaled[1:]))
         seen += 1
     assert 0 < seen <= space.size()
+
+
+@pytest.mark.parametrize(
+    "n,k,d,v",
+    [(22, 7, 3, 10), (14, 4, 4, 4), (10, 3, 4, 3), (9, 4, 2, 5), (8, 2, 4, 1), (7, 3, 3, 1), (6, 2, 4, 2)],
+)
+def test_candidates_match_the_filter_after_oracle(n, k, d, v):
+    space = SearchSpace(n=n, k=k, max_distinct=d, value_range=v)
+    assert list(space.candidates()) == list(filtered_candidates(n, d, v))
 
 
 def test_single_value_space_is_all_zero():

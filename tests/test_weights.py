@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from mmsverify.combinat import binomial, rank_colex
 from mmsverify.weights import (
-    SubsetSumVector,
     WeightVector,
     gen_random_zero_sum,
     gen_star,
@@ -127,26 +127,33 @@ def test_gen_random_zero_sum_deterministic():
 def test_subset_sums_against_brute():
     X = gen_random_zero_sum(8, 9, seed=13)
     ss = subset_sums(X, 3)
-    nonneg = [s for s in ss.entries if s >= 0]
+    nonneg = [s for s in ss if s >= 0]
     assert len(nonneg) == len(brute_family(X.values, 3))
-    assert sum(ss.entries) == 0
+    assert sum(ss) == 0
 
 
 def test_subset_sums_star_frozen_multiset():
     # star on 6 points: C(5,1)=5 pairs through the top sum to 4, the other
     # C(5,2)=10 pairs sum to -2
     ss = subset_sums(gen_star(6), 2)
-    assert sorted(ss.entries).count(F(-2)) == 10
-    assert sorted(ss.entries).count(F(4)) == 5
+    assert sorted(ss).count(F(-2)) == 10
+    assert sorted(ss).count(F(4)) == 5
 
 
 def test_subset_sum_vector_entry_lookup():
     X = gen_random_zero_sum(7, 6, seed=2)
     ss = subset_sums(X, 2)
-    assert ss.entry((0, 3)) == X.values[0] + X.values[3]
-    assert ss.max_entry() == X.values[0] + X.values[1]
+    assert ss[rank_colex((0, 3))] == X.values[0] + X.values[3]
+    assert max(ss) == X.values[0] + X.values[1]
 
 
 def test_subset_sum_vector_validation():
-    with pytest.raises(ValueError):
-        SubsetSumVector(4, 2, (F(1), F(-1)))  # wrong length
+    # the list has C(n, k) entries totalling zero (each element lies in
+    # C(n-1, k-1) subsets); k outside 1..n is refused
+    X = gen_random_zero_sum(7, 6, seed=2)
+    for k in range(1, 8):
+        ss = subset_sums(X, k)
+        assert isinstance(ss, list) and len(ss) == binomial(7, k) and sum(ss) == 0
+    for k in (0, 8):
+        with pytest.raises(ValueError):
+            subset_sums(X, k)
