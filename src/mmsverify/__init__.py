@@ -7,7 +7,7 @@ verifiers for the bound lemmas, and an exhaustive pattern search, plus a
 CLI wrapping all of it.
 """
 
-from .combinat import KSubset, binomial, rank_colex, unrank_colex
+from .combinat import KSubset, binomial, rank_colex
 from .counting import (
     CountReport,
     MultiplicityPattern,
@@ -86,7 +86,6 @@ __all__ = [
     "star_family_size",
     "subset_sums",
     "sweep_patterns",
-    "unrank_colex",
     "verify_contains_top_bound",
     "verify_disjoint_bound",
     "verify_eigenvector",

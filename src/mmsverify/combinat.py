@@ -1,26 +1,23 @@
-"""Exact combinatorics kernel: binomials, colex order and the revolving-door stream.
+"""Exact combinatorics kernel: binomials, budgets, colex order and value records.
 
-Everything here is arbitrary-precision integer arithmetic. colex() builds
-colex-ordered lists of subset sums, bitmasks and index tuples; the
-revolving-door delta stream serves the two counting walks. Both are
-deterministic, and the colex unranking can cross-check them.
+Everything here is arbitrary-precision integer arithmetic. colex() is the
+one subset-list builder: every list of subset sums, bitmasks or index
+tuples in the package, the counting walk's included, comes from it in
+colex order. rank_colex gives a subset's place in that order.
 """
 
 from __future__ import annotations
 
-from array import array
 from math import comb
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 __all__ = [
     "ENUM_BUDGET",
     "KSubset",
     "binomial",
     "colex",
-    "door_deltas",
     "enum_budget_error",
     "rank_colex",
-    "unrank_colex",
 ]
 
 # Largest C(n, k) the enumeration paths will walk; larger instances go
@@ -152,27 +149,8 @@ def rank_colex(subset: KSubset | Sequence[int]) -> int:
     return r
 
 
-def unrank_colex(r: int, k: int, n: int) -> KSubset:
-    """Inverse of rank_colex over k-subsets of {0..n-1}."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    total = binomial(n, k)
-    if not 0 <= r < total:
-        raise ValueError(f"rank {r} outside [0, {total}) for (n={n}, k={k})")
-    out = [0] * k
-    rem = r
-    c = n
-    for pos in range(k, 0, -1):
-        c -= 1
-        while binomial(c, pos) > rem:
-            c -= 1
-        rem -= binomial(c, pos)
-        out[pos - 1] = c
-    return KSubset(tuple(out), n)
-
-
 def enum_budget_error(n: int, k: int) -> str | None:
-    """Why colex or door_deltas would refuse (n, k), or None when it fits."""
+    """Why colex or the enumeration walk would refuse (n, k), or None when it fits."""
     if not 0 <= k <= n:
         return f"need 0 <= k <= n, got k={k}, n={n}"
     size, built = binomial(n, k), binomial(n + 1, k)
@@ -206,48 +184,3 @@ def colex(items: Sequence[Any], k: int, empty: Any = 0) -> list[Any]:
         level = nxt
     return level
 
-
-def door_deltas(n: int, k: int) -> Iterator[tuple[int, int]]:
-    """(removed, added) transitions of the revolving-door k-subset list R(n, k).
-
-    R(n, k) = R(n-1, k) ++ [S + {n-1} for S in reversed(R(n-1, k-1))], with
-    singleton lists at k == 0 and k == n. The list starts at {0..k-1};
-    applying the deltas in order visits every k-subset of {0..n-1} once.
-
-    The whole table is built eagerly, level j = 1..k at a time, into two
-    arrays. Unrolled, the transitions of R(N, j) are, for m = j+1..N, a seam
-    (m-2, m-1) if j == 1, else (j-2, m-1), into the subsets with top element
-    m-1, followed by the transitions of reversed(R(m-1, j-1)). R(m-1, j-1)
-    is a prefix of the previous level, so that block is a reversed slice
-    with removed and added swapped.
-
-    The levels hold about C(n+1, k) entries in all, which is at most twice
-    C(n, k) unless k > (n+1)/2. They are capped at 10 * ENUM_BUDGET
-    entries: copying one costs a small fraction of walking one subset, so
-    a build at the cap costs about as much as a walk at full budget.
-    ValueError is raised before anything is allocated when k is outside
-    0..n, C(n, k) is over ENUM_BUDGET or the levels are over their cap.
-    """
-    reason = enum_budget_error(n, k)
-    if reason is not None:
-        if 0 <= k <= n:
-            reason += (
-                "; count_nonnegative uses the generating-function counter where it "
-                "fits, and count_nonnegative_dp counts from a multiplicity pattern"
-            )
-        raise ValueError(reason)
-    if k == 0 or k == n:
-        return iter(())
-    r = n - k
-    rems = array("i", range(r))  # level 1: {0}, {1}, ..., {r}
-    adds = array("i", range(1, r + 1))
-    for j in range(2, k + 1):
-        next_rems, next_adds = array("i"), array("i")
-        for m in range(j + 1, r + j + 1):
-            last = binomial(m - 1, j - 1) - 2  # final transition of R(m-1, j-1)
-            next_rems.append(j - 2)
-            next_adds.append(m - 1)
-            next_rems += adds[last::-1]
-            next_adds += rems[last::-1]
-        rems, adds = next_rems, next_adds
-    return zip(rems, adds)

@@ -3,8 +3,9 @@
 count_nonnegative picks one of two engines from its input alone. The
 generating-function counter packs, per state (subset size, capped atom
 hits), the polynomial sum of x^(subset sum) into one Python int and adds
-one element at a time. The enumeration walks the revolving-door subset
-stream with O(1) running-sum updates. count_nonnegative_dp sums products
+one element at a time. The enumeration walk reads one colex level of
+subset sums and adds each choice of top elements to a prefix of it, or
+walks the complements when k > n/2. count_nonnegative_dp sums products
 of binomials over compositions of k against a multiplicity pattern.
 Tests and the search engine hold the three against each other; they are
 never allowed to share a code path.
@@ -17,7 +18,7 @@ from itertools import combinations
 from math import lcm, prod
 from typing import Iterator, Sequence
 
-from .combinat import ENUM_BUDGET, _Record, binomial, colex, door_deltas, enum_budget_error
+from .combinat import ENUM_BUDGET, _Record, binomial, colex, enum_budget_error
 from .weights import WeightVector
 
 __all__ = [
@@ -39,10 +40,13 @@ ENGINE_WALK = "enumeration"
 
 # Most bits of packed polynomials the generating-function counter may hold.
 GF_BIT_BUDGET = 1 << 30
-# Engine costs in steps of the plain subset walk (about 120 ns each on a
-# 2-core x86_64 under Python 3.11): shifting and adding _STEP_BITS bits of
-# packed polynomial is one step, updating one state for one element costs
-# _STATE_STEPS more, and a walk step that tracks atoms costs _ATOM_STEPS.
+# Engine costs in walk steps. The unit was calibrated on the earlier
+# revolving-door walk, at about 120 ns per plain subset on a 2-core x86_64
+# under Python 3.11; the colex walk takes less per subset, and the unit is
+# kept so that every input picks the same engine. Shifting and adding
+# _STEP_BITS bits of packed polynomial is one step, updating one state for
+# one element costs _STATE_STEPS more, and a walk step that tracks atoms
+# costs _ATOM_STEPS.
 _STEP_BITS = 4096
 _STATE_STEPS = 4
 _ATOM_STEPS = 12
@@ -100,14 +104,6 @@ class Restriction(_Record):
         return " & ".join(a.describe() for a in self.atoms)
 
 
-def _atom_ok(kind: str, hits: int) -> bool:
-    if kind == "contains":
-        return hits == 1
-    if kind == "intersects":
-        return hits >= 1
-    return hits == 0  # disjoint
-
-
 class CountReport(_Record):
     """Result of one counting run."""
 
@@ -139,48 +135,49 @@ class CountReport(_Record):
         }
 
 
-def _count_plain(y: Sequence[int], n: int, k: int) -> int:
-    """Nonnegative k-subset sums of integer weights, revolving-door route."""
-    deltas = door_deltas(n, k)
-    s = sum(y[:k])
-    count = 1 if s >= 0 else 0
-    for rem, add in deltas:
-        s += y[add] - y[rem]
-        if s >= 0:
-            count += 1
-    return count
-
-
-def _walk_atoms(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[int, int]:
-    """(total satisfying the atoms, nonnegative among those), revolving-door route."""
-    deltas = door_deltas(n, k)
-    kinds = [a.kind for a in atoms]
-    sets = [a.indices for a in atoms]
-    s = sum(y[:k])
-    hits = [sum(1 for i in range(k) if i in fs) for fs in sets]
-    total = nn = 0
-    if all(_atom_ok(kd, h) for kd, h in zip(kinds, hits)):
-        total = 1
-        nn = 1 if s >= 0 else 0
-    for rem, add in deltas:
-        s += y[add] - y[rem]
-        for idx, fs in enumerate(sets):
-            if rem in fs:
-                hits[idx] -= 1
-            if add in fs:
-                hits[idx] += 1
-        if all(_atom_ok(kd, h) for kd, h in zip(kinds, hits)):
-            total += 1
-            if s >= 0:
-                nn += 1
-    return total, nn
-
-
 def _walk_count(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[int, int]:
-    """(total, nonnegative) by enumeration."""
-    if atoms:
-        return _walk_atoms(y, n, k, atoms)
-    return binomial(n, k), _count_plain(y, n, k)
+    """(total satisfying the atoms, nonnegative among those), by enumeration.
+
+    The walk visits the j-subsets for j = k, or their (n-k)-subset
+    complements, j = n - k, when 2k > n: then it sums negated items offset
+    by their total. With s = min(2, j-1), or 0 at j = 0, every j-subset is
+    its top s elements, the least of them t, plus a (j-s)-subset of
+    {0..t-1}: one of the first C(t, j-s) entries of a single colex level.
+    With atoms, item i is packed as y_i << n | 1 << i, so a packed sum
+    keeps its subset's bitmask in the low n bits and is >= 0 exactly when
+    the subset sum is. enum_budget_error refuses before anything is built.
+    """
+    reason = enum_budget_error(n, k)
+    if reason is not None:
+        raise ValueError(reason)
+    items = [v << n | 1 << i for i, v in enumerate(y)] if atoms else y
+    offset, j = 0, k
+    if 2 * k > n:
+        offset, items, j = sum(items), [-v for v in items], n - k
+    s = max(0, min(2, j - 1))
+    level = items if j - s == 1 else colex(items[: n - s], j - s)  # singletons: no copy
+    full = (1 << n) - 1
+    wanted = {"contains": (1, 1), "intersects": (1, n), "disjoint": (0, 0)}  # hits allowed
+    rules = [(sum(1 << i for i in a.indices), *wanted[a.kind]) for a in atoms]
+    total = nn = 0
+    # combinations copies its range into a pool, which s = 0 does not need
+    for tops in combinations(range(j - s, n if s else j), s):
+        base = offset + sum(items[t] for t in tops)
+        block = level[: binomial(tops[0], j - s)] if tops else level
+        if not atoms:
+            low = -base
+            nn += len([v for v in block if v >= low])
+            continue
+        for v in block:
+            v += base
+            m = v & full
+            for a, lo, hi in rules:  # a loop, not all(): no generator per subset
+                if not lo <= (m & a).bit_count() <= hi:
+                    break
+            else:
+                total += 1
+                nn += v >= 0
+    return (total if atoms else binomial(n, k)), nn
 
 
 # Caps on the hit counters of the state passes. A capped counter reads 1

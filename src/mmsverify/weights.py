@@ -14,8 +14,7 @@ from math import lcm
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-# ENUM_BUDGET lives in combinat; it stays importable from here.
-from .combinat import ENUM_BUDGET, _Record, colex
+from .combinat import _Record, colex
 
 __all__ = [
     "WeightVector",

@@ -7,6 +7,7 @@ behind itself.
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 
 class BinomialTable:
@@ -33,30 +34,6 @@ class BinomialTable:
         if a > self.n_max:
             raise ValueError(f"a={a} exceeds table bound n_max={self.n_max}")
         return self._rows[a][b]
-
-
-def revolving_door(n, k):
-    """The revolving-door list R(n, k) by its recursive definition.
-
-    R(n, k) = R(n-1, k) ++ [S + {n-1} for S in reversed(R(n-1, k-1))], with
-    singleton lists at k == 0 and k == n (Knuth, TAOCP 4A, 7.2.1.3).
-    """
-    if k == 0 or k == n:
-        return [tuple(range(k))]
-    head = revolving_door(n - 1, k)
-    tail = [S + (n - 1,) for S in reversed(revolving_door(n - 1, k - 1))]
-    return head + tail
-
-
-def revolving_door_deltas(n, k):
-    """(removed, added) transitions between consecutive subsets of R(n, k)."""
-    order = revolving_door(n, k)
-    out = []
-    for prev, cur in zip(order, order[1:]):
-        (rem,) = set(prev) - set(cur)
-        (add,) = set(cur) - set(prev)
-        out.append((rem, add))
-    return out
 
 
 _ATOM_WANTS = {
@@ -106,6 +83,28 @@ def brute_colex_rank(indices, n):
     k = len(indices)
     ordered = sorted(combinations(range(n), k), key=lambda t: t[::-1])
     return ordered.index(tuple(indices))
+
+
+def unrank_colex(r, k, n):
+    """The k-subset of {0..n-1} with colex rank r, as an increasing tuple.
+
+    Greedy from the top position down: the largest c with C(c, pos) <= the
+    remaining rank is the element at pos.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if not 0 <= r < comb(n, k):
+        raise ValueError(f"rank {r} outside [0, {comb(n, k)}) for (n={n}, k={k})")
+    out = [0] * k
+    rem = r
+    c = n
+    for pos in range(k, 0, -1):
+        c -= 1
+        while comb(c, pos) > rem:
+            c -= 1
+        rem -= comb(c, pos)
+        out[pos - 1] = c
+    return tuple(out)
 
 
 def brute_counts_all_k(int_values):

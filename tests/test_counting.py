@@ -27,7 +27,7 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67
 
 
 def walk_nonnegative(X, k):
-    """Nonnegative count by the revolving-door enumeration alone."""
+    """Nonnegative count by the colex enumeration walk alone."""
     y, _ = X.scaled_ints()
     return _walk_count(y, X.n, k, ())[1]
 
@@ -234,9 +234,11 @@ def test_every_walker_rejects_k_outside_the_ground_set():
 
 def test_every_walker_refuses_over_budget_fast():
     X = gen_random_zero_sum(60, 10, seed=1)  # C(60,10) is about 7.5e10
+    y, _ = X.scaled_ints()
     walkers = [
         lambda: nonnegative_family(X, 10),
         lambda: subset_sums(X, 10),
+        lambda: _walk_count(y, 60, 10, ()),
     ]
     for walk in walkers:
         started = time.perf_counter()
@@ -329,3 +331,26 @@ def test_engines_agree_on_corner_cases():
         subsets = [s for s in combinations(range(7), k) if satisfies(atoms, s)]
         expected = (len(subsets), brute_count(X.values, k, lambda s: s in subsets))
         assert _gf_count(y, 7, k, atoms) == _walk_count(y, 7, k, atoms) == expected, restriction.describe()
+
+
+def test_walk_matches_brute_at_every_k_and_reaches_large_n():
+    # n <= 9 and every k: s = 0, 1 and 2 top elements, the complement branch and k = n
+    for n in range(1, 10):
+        X = gen_random_zero_sum(n, 4, seed=n) if n > 1 else normalize([0])
+        y, _ = X.scaled_ints()
+        mixed = (
+            Restriction.contains(n // 2)
+            & Restriction.intersects(0, n - 1)
+            & Restriction.disjoint(n // 4)
+        ).atoms
+        for atoms in ((), mixed):
+            for k in range(1, n + 1):
+                subsets = [S for S in combinations(range(n), k) if satisfies(atoms, S)]
+                expected = (len(subsets), brute_count(X.values, k, lambda S: satisfies(atoms, S)))
+                assert _walk_count(y, n, k, atoms) == expected, (n, k, atoms)
+    # one item, or all but one: a single colex level of n entries, no recursion
+    started = time.perf_counter()
+    y, _ = gen_random_zero_sum(5000, 50, seed=3).scaled_ints()
+    assert _walk_count(y, 5000, 1, ()) == (5000, sum(1 for v in y if v >= 0))
+    assert _walk_count(y, 5000, 4999, ()) == (5000, sum(1 for v in y if v <= 0))
+    assert time.perf_counter() - started < 1.0
