@@ -220,9 +220,40 @@ def _text_block(value, indent: int, lines: list[str]) -> None:
         lines.append(f"{pad}{value}")
 
 
+_ARRAY_OR_OBJECT = (dict, list, tuple)
+
+
+def _json(value, pad: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for a value nested at indent pad.
+
+    Any indent selects the pure-Python encoder for the whole document, so
+    instead each container whose items are all scalars is one call of the C
+    encoder, with the newline and the next indent in its item separator.
+    Only nested containers recurse. Report keys are strings, so a key is
+    encoded on its own as a JSON string.
+    """
+    if not isinstance(value, _ARRAY_OR_OBJECT):
+        return json.dumps(value)
+    is_dict = isinstance(value, dict)
+    if not value:
+        return "{}" if is_dict else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    items = value.values() if is_dict else value
+    # the types of a 4,000-entry matrix row are one set, built without a Python-level loop
+    if not any(issubclass(t, _ARRAY_OR_OBJECT) for t in set(map(type, items))):
+        body = json.dumps(value, sort_keys=True, separators=(sep, ": "))[1:-1]
+    elif is_dict:
+        body = sep.join(f"{json.dumps(key)}: {_json(v, inner)}" for key, v in sorted(value.items()))
+    else:
+        body = sep.join(_json(v, inner) for v in value)
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}\n{inner}{body}\n{pad}{closing}"
+
+
 def _render(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _json(doc) + "\n"
     lines: list[str] = []
     for key in ("command", "verdict", "runtime_ms"):
         lines.append(f"{key}: {doc[key]}")

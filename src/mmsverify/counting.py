@@ -18,7 +18,7 @@ from itertools import combinations
 from math import lcm, prod
 from typing import Iterator, Sequence
 
-from .combinat import ENUM_BUDGET, _Record, binomial, colex, enum_budget_error
+from .combinat import ENUM_BUDGET, _Record, binomial, colex
 from .weights import WeightVector
 
 __all__ = [
@@ -135,49 +135,72 @@ class CountReport(_Record):
         }
 
 
+def _walk_budget_error(m: int, k: int) -> str | None:
+    """Why the walk would refuse k-subsets of m live items, or None when it fits.
+
+    The walk visits C(m, k) subsets. The colex level it builds holds
+    C(m-s+1, j-s) entries with j <= m/2, never more than that, and colex
+    checks it again.
+    """
+    size = binomial(m, k)
+    if size <= ENUM_BUDGET:
+        return None
+    return f"C({m},{k}) = {size} subsets exceed the enumeration budget of {ENUM_BUDGET}"
+
+
 def _walk_count(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[int, int]:
     """(total satisfying the atoms, nonnegative among those), by enumeration.
 
-    The walk visits the j-subsets for j = k, or their (n-k)-subset
-    complements, j = n - k, when 2k > n: then it sums negated items offset
-    by their total. With s = min(2, j-1), or 0 at j = 0, every j-subset is
-    its top s elements, the least of them t, plus a (j-s)-subset of
-    {0..t-1}: one of the first C(t, j-s) entries of a single colex level.
-    With atoms, item i is packed as y_i << n | 1 << i, so a packed sum
-    keeps its subset's bitmask in the low n bits and is >= 0 exactly when
-    the subset sum is. enum_budget_error refuses before anything is built.
+    Indices a disjoint atom excludes are dropped first, and the other atoms
+    re-indexed over the m items left. The walk visits the j-subsets for
+    j = k, or their (m-k)-subset complements, j = m - k, when 2k > m: then
+    it sums negated items offset by their total. With s = min(2, j-1), or 0
+    at j = 0, every j-subset is its top s elements, the least of them t,
+    plus a (j-s)-subset of {0..t-1}: one of the first C(t, j-s) entries of
+    a single colex level. With atoms left, item r is packed as
+    y_r << m | 1 << r, so a packed sum keeps its subset's bitmask in the
+    low m bits and is >= 0 exactly when the subset sum is.
+    _walk_budget_error refuses before anything is built.
     """
-    reason = enum_budget_error(n, k)
+    live, kept = _split_atoms(n, atoms)
+    m = len(live)
+    reason = _walk_budget_error(m, k)
     if reason is not None:
         raise ValueError(reason)
-    items = [v << n | 1 << i for i, v in enumerate(y)] if atoms else y
+    if m < k:
+        return 0, 0
+    at = {i: r for r, i in enumerate(live)}
+    items = [y[i] for i in live]
+    if kept:
+        items = [v << m | 1 << r for r, v in enumerate(items)]
     offset, j = 0, k
-    if 2 * k > n:
-        offset, items, j = sum(items), [-v for v in items], n - k
+    if 2 * k > m:
+        offset, items, j = sum(items), [-v for v in items], m - k
     s = max(0, min(2, j - 1))
-    level = items if j - s == 1 else colex(items[: n - s], j - s)  # singletons: no copy
-    full = (1 << n) - 1
-    wanted = {"contains": (1, 1), "intersects": (1, n), "disjoint": (0, 0)}  # hits allowed
-    rules = [(sum(1 << i for i in a.indices), *wanted[a.kind]) for a in atoms]
+    level = items if j - s == 1 else colex(items[: m - s], j - s)  # singletons: no copy
+    full = (1 << m) - 1
+    wanted = {"contains": (1, 1), "intersects": (1, m)}  # hits allowed
+    # an index a disjoint atom dropped can never be hit
+    rules = [(sum(1 << at[i] for i in a.indices if i in at), *wanted[a.kind]) for a in kept]
     total = nn = 0
     # combinations copies its range into a pool, which s = 0 does not need
-    for tops in combinations(range(j - s, n if s else j), s):
+    for tops in combinations(range(j - s, m if s else j), s):
         base = offset + sum(items[t] for t in tops)
         block = level[: binomial(tops[0], j - s)] if tops else level
-        if not atoms:
+        if not kept:
             low = -base
             nn += len([v for v in block if v >= low])
             continue
         for v in block:
             v += base
-            m = v & full
+            hit = v & full
             for a, lo, hi in rules:  # a loop, not all(): no generator per subset
-                if not lo <= (m & a).bit_count() <= hi:
+                if not lo <= (hit & a).bit_count() <= hi:
                     break
             else:
                 total += 1
                 nn += v >= 0
-    return (total if atoms else binomial(n, k)), nn
+    return (total if kept else binomial(m, k)), nn
 
 
 # Caps on the hit counters of the state passes. A capped counter reads 1
@@ -295,7 +318,7 @@ def _count(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[str
     walk_steps = min(binomial(n, k), ENUM_BUDGET) * (_ATOM_STEPS if atoms else 1)
     if held <= GF_BIT_BUDGET and steps <= walk_steps:
         return (ENGINE_GF, *_gf_count(y, n, k, atoms))
-    reason = enum_budget_error(n, k)
+    reason = _walk_budget_error(len(live), k)
     if reason is None:
         return (ENGINE_WALK, *_walk_count(y, n, k, atoms))
     raise ValueError(

@@ -254,9 +254,11 @@ def simulate_partition(
 
     With n = mk + r, the set U is T plus the r smallest leftover weights
     (value ties resolved toward larger indices). Each trial shuffles the
-    remaining (m-1)k indices with a seeded Fisher-Yates pass and splits them
-    into m-1 consecutive blocks; Z counts blocks with nonnegative sum. Z >= 1
-    must hold in every trial, and the empirical mean is held against the
+    remaining (m-1)k indices in place and splits the order into m-1
+    consecutive blocks; Z counts blocks with nonnegative sum. All trials
+    draw from one random.Random(seed): they are consecutive Fisher-Yates
+    passes over the same list, each uniform whatever order it starts from.
+    Z >= 1 must hold in every trial, and the empirical mean is held against the
     exact expectation (m-1) |F| / C((m-1)k, k) within five standard errors
     (exact equality when the sample variance is zero). Before any count or
     trial, the trials * (m-1) * k indices shuffled in all are checked
@@ -298,27 +300,26 @@ def simulate_partition(
     blocks = m - 1
     exact_e = Fraction(blocks * fam, binomial(blocks * k, k))
 
+    rng = random.Random(seed)
+    perm = rest[:]
+    at = y.__getitem__
+    cuts = range(0, blocks * k, k)
     sum_z = 0
     sum_z2 = 0
-    min_z = None
+    min_z = blocks
     samples: list[PartitionTrial] = []
     for t in range(trials):
-        rng = random.Random(f"{seed}:{t}")
-        perm = rest[:]
         rng.shuffle(perm)
         z = 0
-        for i in range(blocks):
-            s = 0
-            for idx in perm[i * k : (i + 1) * k]:
-                s += y[idx]
-            if s >= 0:
+        for a in cuts:
+            if sum(map(at, perm[a : a + k])) >= 0:
                 z += 1
         sum_z += z
         sum_z2 += z * z
-        if min_z is None or z < min_z:
+        if z < min_z:
             min_z = z
         if t < 3:
-            parts = tuple(tuple(sorted(perm[i * k : (i + 1) * k])) for i in range(blocks))
+            parts = tuple(tuple(sorted(perm[a : a + k])) for a in cuts)
             samples.append(PartitionTrial(t, tuple(perm), parts, z))
 
     mean = Fraction(sum_z, trials)

@@ -186,3 +186,23 @@ def filtered_candidates(n, max_distinct, value_range):
                 num = -sum(m * v for m, v in zip(mults, heads))
                 if num < heads[-1] * den:
                     yield mults, tuple(v * den for v in heads) + (num,), den
+
+
+def replay_partition(values, k, rest, rng, trials):
+    """Z over consecutive shuffles of one list by one generator, recomputed directly.
+
+    Each trial shuffles the same list (a copy of rest) in place with rng,
+    splits the order into consecutive k-blocks and counts the blocks whose
+    Fraction sum is >= 0. Returns (least Z, mean Z as a Fraction, the
+    first three orders as tuples).
+    """
+    perm = list(rest)
+    zs = []
+    firsts = []
+    for t in range(trials):
+        rng.shuffle(perm)
+        blocks = [perm[a : a + k] for a in range(0, len(perm), k)]
+        zs.append(sum(1 for b in blocks if sum((values[i] for i in b), Fraction(0)) >= 0))
+        if t < 3:
+            firsts.append(tuple(perm))
+    return min(zs), Fraction(sum(zs), trials), firsts

@@ -6,7 +6,7 @@ import pytest
 
 from mmsverify import lemmas, search
 from mmsverify.cli import run
-from mmsverify.weights import load_weights
+from mmsverify.weights import gen_random_zero_sum, load_weights
 
 
 def run_json(*argv):
@@ -89,8 +89,8 @@ def test_count_star_at_n_8k_squared_reports_star_equality():
 
 
 def test_count_with_k_near_n_answers():
-    # C(67,62) is within the walk's subset budget but its table is not; the
-    # count (4457891, the number of 5-subsets with sum <= 0 by brute force)
+    # C(67,62) is within the walk's subset budget, and the generating function
+    # costs less; the count (4457891, the number of 5-subsets with sum <= 0 by brute force)
     # is below C(66,61), which is no contradiction for k > n/2
     doc, code = run_json("count", "--random", "--n", "67", "-k", "62")
     assert code == 1
@@ -98,6 +98,22 @@ def test_count_with_k_near_n_answers():
     assert doc["report"]["engine"] == "generating-function"
     assert doc["report"]["nonnegative_count"] == "4457891"
     assert doc["report"]["bound_comparisons"][0]["value"] == "8936928"
+
+
+def test_count_with_k_one_below_a_large_n_walks_single_items():
+    # C(15000,14999) = 15,000 subsets: the walk sums each negated item once,
+    # so it is charged those, not the C(15001,14999) entries of a level table.
+    # A 14999-subset is nonnegative exactly when the index it leaves out is <= 0.
+    started = time.perf_counter()
+    doc, code = run_json("count", "--random", "--n", "15000", "-k", "14999", "--seed", "1")
+    assert time.perf_counter() - started < 1.0
+    left_out = gen_random_zero_sum(15000, 100, seed=1).values
+    assert code == 1
+    assert doc["verdict"] == "violated"
+    assert doc["report"]["engine"] == "enumeration"
+    assert doc["report"]["total_checked"] == "15000"
+    assert doc["report"]["nonnegative_count"] == str(sum(1 for v in left_out if v <= 0)) == "7594"
+    assert doc["report"]["bound_comparisons"][0]["value"] == "14999"
 
 
 def test_count_with_restrictions():

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from mmsverify import counting
 from mmsverify.combinat import binomial
 from mmsverify.counting import (
     GF_BIT_BUDGET,
@@ -354,3 +355,30 @@ def test_walk_matches_brute_at_every_k_and_reaches_large_n():
     assert _walk_count(y, 5000, 1, ()) == (5000, sum(1 for v in y if v >= 0))
     assert _walk_count(y, 5000, 4999, ()) == (5000, sum(1 for v in y if v <= 0))
     assert time.perf_counter() - started < 1.0
+
+
+def test_walk_visits_only_the_items_a_disjoint_atom_leaves(monkeypatch):
+    # (22, 6) with disjoint(0,3,5): the 19 items left give C(19,6) = 27,132
+    # subsets to visit, not C(22,6) = 74,613. Every visited subset is one
+    # entry of a slice of the colex level, so the slices add up to the visits.
+    visited = []
+
+    class Level(list):
+        def __getitem__(self, key):
+            part = list.__getitem__(self, key)
+            visited.append(len(part))
+            return part
+
+    build = counting.colex
+    monkeypatch.setattr(counting, "colex", lambda items, k: Level(build(items, k)))
+    X = gen_random_zero_sum(22, 100, seed=3)
+    y, _ = X.scaled_ints()
+    disjoint = Restriction.disjoint(0, 3, 5)
+    for restriction in (Restriction.contains(1) & disjoint, disjoint):
+        atoms = restriction.atoms
+        subsets = [S for S in combinations(range(22), 6) if satisfies(atoms, S)]
+        expected = (len(subsets), brute_count(X.values, 6, lambda S: satisfies(atoms, S)))
+        visited.clear()
+        assert _walk_count(y, 22, 6, atoms) == expected, restriction.describe()
+        assert sum(visited) == binomial(19, 6), restriction.describe()
+    assert expected[0] == binomial(19, 6)  # disjoint alone: the plain walk, every subset counts

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -20,7 +21,7 @@ from mmsverify.lemmas import (
 )
 from mmsverify.weights import gen_random_zero_sum, gen_star, normalize
 
-from _oracles import brute_restricted_sum
+from _oracles import brute_restricted_sum, replay_partition
 
 
 def test_blocks():
@@ -184,6 +185,28 @@ def test_simulate_partition_expectation_identity_brute():
     assert Fraction(total_z, count) == expected
     report = simulate_partition(X, 2, T, trials=400, seed=3)
     assert report.extra["exact_expectation"] == expected
+
+
+def test_simulate_partition_is_one_stream_of_consecutive_shuffles():
+    # (13, 3) and (26, 5) leave r = 1 index to U besides T, (12, 3) none
+    for n, k, seed, trials in ((13, 3, 1, 700), (12, 3, 9, 500), (26, 5, 4, 300)):
+        X = gen_random_zero_sum(n, 20, seed=seed)
+        T = tuple(range(n - k, n))
+        m, r = divmod(n, k)
+        U = sorted(T + tuple(i for i in range(n - 1, -1, -1) if i not in T)[:r])
+        rest = [i for i in range(n) if i not in U]
+        report = simulate_partition(X, k, KSubset(T, n), trials=trials, seed=seed)
+        assert report.extra["U"] == U and len(rest) == (m - 1) * k
+        min_z, mean, firsts = replay_partition(X.values, k, rest, random.Random(seed), trials)
+        assert report.extra["min_Z"] == min_z, (n, k)
+        assert report.extra["empirical_mean"] == mean, (n, k)
+        assert [tuple(w["permutation"]) for w in report.witness] == firsts, (n, k)
+        for w in report.witness:
+            parts = [sorted(w["permutation"][a : a + k]) for a in range(0, len(rest), k)]
+            assert w["parts"] == parts
+            assert w["Z"] == sum(1 for p in parts if sum(X.values[i] for i in p) >= 0)
+    other = simulate_partition(X, k, KSubset(T, n), trials=trials, seed=seed + 1)
+    assert other.witness != report.witness
 
 
 def test_simulate_partition_input_errors():
