@@ -14,7 +14,7 @@ import time
 from typing import Sequence
 
 from .combinat import KSubset
-from .counting import CountReport, Restriction, count_nonnegative
+from .counting import Atom, CountReport, Restriction, count_nonnegative
 from .lemmas import (
     simulate_partition,
     verify_contains_top_bound,
@@ -133,16 +133,9 @@ def _parse_restriction(tokens: Sequence[str], parser: _Parser) -> Restriction | 
             indices = tuple(int(part) for part in rest.split(","))
         except ValueError:
             parser.error(f"bad --restrict indices in {token!r}")
-        if kind == "contains":
-            if len(indices) != 1:
-                parser.error("contains: takes exactly one index")
-            atom = Restriction.contains(indices[0])
-        elif kind == "intersects":
-            atom = Restriction.intersects(*indices)
-        elif kind == "disjoint":
-            atom = Restriction.disjoint(*indices)
-        else:
-            parser.error(f"unknown restriction kind {kind!r}")
+        if kind == "contains" and len(indices) != 1:
+            parser.error("contains: takes exactly one index")
+        atom = Restriction((Atom(kind, frozenset(indices)),))  # Atom refuses an unknown kind
         combined = atom if combined is None else combined & atom
     return combined
 

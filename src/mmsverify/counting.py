@@ -1,20 +1,25 @@
 """Counting nonnegative k-subset sums: three independent exact engines.
 
+A restriction, a conjunction of contains, intersects and disjoint atoms,
+reaches the engines only through _terms: a short list of signed plain
+counts, each over the k-subsets made of a fixed set plus a subset of the
+live items. Tests hold both engines, and so _terms, against
+tests/_oracles.satisfies.
 count_nonnegative picks one of two engines from its input alone. The
-generating-function counter packs, per state (subset size, capped atom
-hits), the polynomial sum of x^(subset sum) into one Python int and adds
-one element at a time. The enumeration walk reads one colex level of
-subset sums and adds each choice of top elements to a prefix of it, or
-walks the complements when k > n/2. count_nonnegative_dp sums products
-of binomials over compositions of k against a multiplicity pattern.
-Tests and the search engine hold the three against each other; they are
-never allowed to share a code path.
+generating-function counter packs, per subset size, the polynomial sum
+of x^(subset sum) into one Python int and adds one element at a time.
+The enumeration walk reads one colex level of subset sums and adds each
+choice of top elements to a prefix of it, or walks the complements when
+k > n/2. count_nonnegative_dp sums products of binomials over
+compositions of k against a multiplicity pattern. Tests and the search
+engine hold the three against each other; apart from _terms they never
+share a code path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm, prod
 from typing import Iterator, Sequence
 
@@ -40,16 +45,15 @@ ENGINE_WALK = "enumeration"
 
 # Most bits of packed polynomials the generating-function counter may hold.
 GF_BIT_BUDGET = 1 << 30
-# Engine costs in walk steps. The unit was calibrated on the earlier
-# revolving-door walk, at about 120 ns per plain subset on a 2-core x86_64
-# under Python 3.11; the colex walk takes less per subset, and the unit is
-# kept so that every input picks the same engine. Shifting and adding
-# _STEP_BITS bits of packed polynomial is one step, updating one state for
-# one element costs _STATE_STEPS more, and a walk step that tracks atoms
-# costs _ATOM_STEPS.
+# Engine costs in walk steps, one per subset the walk visits. The unit was
+# calibrated on the earlier revolving-door walk, at about 120 ns per subset
+# on a 2-core x86_64 under Python 3.11; the colex walk takes less per
+# subset, and the unit is kept so that every unrestricted count picks the
+# same engine. Shifting and adding _STEP_BITS bits of packed polynomial is
+# one step, and updating one subset size for one element costs
+# _STATE_STEPS more.
 _STEP_BITS = 4096
 _STATE_STEPS = 4
-_ATOM_STEPS = 12
 
 
 def star_family_size(n: int, k: int) -> int:
@@ -58,8 +62,18 @@ def star_family_size(n: int, k: int) -> int:
 
 
 class Atom(_Record):
+    """One membership constraint: the subset holds exactly one of the
+    indices (contains; with one index, that index), at least one
+    (intersects) or none (disjoint)."""
+
     kind: str  # contains | intersects | disjoint
     indices: frozenset[int]
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("contains", "intersects", "disjoint"):
+            raise ValueError(f"unknown atom kind {self.kind!r}: expected contains, intersects or disjoint")
+        if not self.indices:
+            raise ValueError(f"{self.kind} needs at least one index")
 
     def describe(self) -> str:
         inner = ",".join(str(i) for i in sorted(self.indices))
@@ -77,14 +91,10 @@ class Restriction(_Record):
 
     @staticmethod
     def intersects(*indices: int) -> "Restriction":
-        if not indices:
-            raise ValueError("intersects needs at least one index")
         return Restriction((Atom("intersects", frozenset(indices)),))
 
     @staticmethod
     def disjoint(*indices: int) -> "Restriction":
-        if not indices:
-            raise ValueError("disjoint needs at least one index")
         return Restriction((Atom("disjoint", frozenset(indices)),))
 
     def __and__(self, other: "Restriction") -> "Restriction":
@@ -92,8 +102,6 @@ class Restriction(_Record):
 
     def validate(self, n: int) -> None:
         for atom in self.atoms:
-            if not atom.indices:
-                raise ValueError(f"empty index set in {atom.kind}")
             bad = [i for i in atom.indices if not 0 <= i < n]
             if bad:
                 raise ValueError(f"{atom.describe()}: indices {sorted(bad)} out of range for n={n}")
@@ -135,121 +143,86 @@ class CountReport(_Record):
         }
 
 
-def _walk_budget_error(m: int, k: int) -> str | None:
-    """Why the walk would refuse k-subsets of m live items, or None when it fits.
+def _terms(n: int, atoms: Sequence[Atom]) -> list[tuple[int, frozenset[int], list[int]]]:
+    """The atoms as signed plain counts (sign, fixed, live) over range(n).
 
-    The walk visits C(m, k) subsets. The colex level it builds holds
-    C(m-s+1, j-s) entries with j <= m/2, never more than that, and colex
-    checks it again.
+    Term (sign, fixed, live) counts, with that sign, the k-subsets made of
+    fixed and a (k - |fixed|)-subset of live. Each contains atom picks the
+    index the subset holds in its block; the rest of the block joins the
+    excluded set, and so does every disjoint index. A set Q of intersects
+    atoms adds a term of sign (-1)^|Q| that excludes their blocks too
+    (inclusion-exclusion). Picks that another contains block or an excluded
+    index rules out give no term. Before any term is built, their number,
+    the product of the contains block sizes times 2^(intersects atoms),
+    times n is charged to ENUM_BUDGET.
     """
-    size = binomial(m, k)
-    if size <= ENUM_BUDGET:
-        return None
-    return f"C({m},{k}) = {size} subsets exceed the enumeration budget of {ENUM_BUDGET}"
+    blocks: dict[str, list[frozenset[int]]] = {"contains": [], "intersects": [], "disjoint": []}
+    for a in atoms:
+        blocks[a.kind].append(a.indices)
+    held, meets = blocks["contains"], blocks["intersects"]
+    count = prod(map(len, held)) << len(meets)
+    if count * n > ENUM_BUDGET:
+        raise ValueError(
+            f"the restriction expands to {count} plain counts over {n} items, "
+            f"over the enumeration budget of {ENUM_BUDGET}"
+        )
+    dropped = frozenset().union(*blocks["disjoint"])
+    gone = dropped.union(*held)
+    terms = []
+    for picks in product(*map(sorted, held)):
+        fixed = frozenset(picks)
+        if any(len(fixed & b) != 1 for b in held):
+            continue
+        for q in range(1 << len(meets)):
+            missed = frozenset().union(*(b for t, b in enumerate(meets) if q >> t & 1))
+            if not fixed & (dropped | missed):
+                out = gone | missed
+                terms.append(((-1) ** q.bit_count(), fixed, [i for i in range(n) if i not in out]))
+    return terms
+
+
+def _walked(terms: Sequence[tuple[int, frozenset[int], list[int]]], k: int) -> int:
+    """Subsets the walk visits, C(|live|, k - |fixed|) per term; no colex level it builds is larger."""
+    return sum(binomial(len(live), k - len(fixed)) for _, fixed, live in terms)
 
 
 def _walk_count(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[int, int]:
     """(total satisfying the atoms, nonnegative among those), by enumeration.
 
-    Indices a disjoint atom excludes are dropped first, and the other atoms
-    re-indexed over the m items left. The walk visits the j-subsets for
-    j = k, or their (m-k)-subset complements, j = m - k, when 2k > m: then
-    it sums negated items offset by their total. With s = min(2, j-1), or 0
-    at j = 0, every j-subset is its top s elements, the least of them t,
-    plus a (j-s)-subset of {0..t-1}: one of the first C(t, j-s) entries of
-    a single colex level. With atoms left, item r is packed as
-    y_r << m | 1 << r, so a packed sum keeps its subset's bitmask in the
-    low m bits and is >= 0 exactly when the subset sum is.
-    _walk_budget_error refuses before anything is built.
+    Per term of _terms, with j = k - |fixed| and the fixed sum as offset,
+    the walk visits the j-subsets of the m live items, or their
+    (m-j)-subset complements, j = m - j, when 2j > m: then it sums negated
+    items, offset by their total too. With s = min(2, j-1), or 0 at j = 0,
+    every j-subset is its top s elements, the least of them t, plus a
+    (j-s)-subset of {0..t-1}: one of the first C(t, j-s) entries of a
+    single colex level, counted when it is at least minus the offset and
+    the top sum. The walk refuses, before anything is built, when the
+    terms hold more than ENUM_BUDGET subsets in all.
     """
-    live, kept = _split_atoms(n, atoms)
-    m = len(live)
-    reason = _walk_budget_error(m, k)
-    if reason is not None:
-        raise ValueError(reason)
-    if m < k:
-        return 0, 0
-    at = {i: r for r, i in enumerate(live)}
-    items = [y[i] for i in live]
-    if kept:
-        items = [v << m | 1 << r for r, v in enumerate(items)]
-    offset, j = 0, k
-    if 2 * k > m:
-        offset, items, j = sum(items), [-v for v in items], m - k
-    s = max(0, min(2, j - 1))
-    level = items if j - s == 1 else colex(items[: m - s], j - s)  # singletons: no copy
-    full = (1 << m) - 1
-    wanted = {"contains": (1, 1), "intersects": (1, m)}  # hits allowed
-    # an index a disjoint atom dropped can never be hit
-    rules = [(sum(1 << at[i] for i in a.indices if i in at), *wanted[a.kind]) for a in kept]
+    terms = _terms(n, atoms)
+    walked = _walked(terms, k)
+    if walked > ENUM_BUDGET:
+        raise ValueError(f"{walked} subsets to walk exceed the enumeration budget of {ENUM_BUDGET}")
     total = nn = 0
-    # combinations copies its range into a pool, which s = 0 does not need
-    for tops in combinations(range(j - s, m if s else j), s):
-        base = offset + sum(items[t] for t in tops)
-        block = level[: binomial(tops[0], j - s)] if tops else level
-        if not kept:
-            low = -base
-            nn += len([v for v in block if v >= low])
+    for sign, fixed, live in terms:
+        j, items = k - len(fixed), [y[i] for i in live]
+        m = len(items)
+        if not 0 <= j <= m:
             continue
-        for v in block:
-            v += base
-            hit = v & full
-            for a, lo, hi in rules:  # a loop, not all(): no generator per subset
-                if not lo <= (hit & a).bit_count() <= hi:
-                    break
-            else:
-                total += 1
-                nn += v >= 0
-    return (total if kept else binomial(m, k)), nn
-
-
-# Caps on the hit counters of the state passes. A capped counter reads 1
-# exactly when its atom holds: contains needs one hit (2 stands for two or
-# more), intersects at least one.
-_HIT_CAP = {"contains": 2, "intersects": 1}
-
-
-def _split_atoms(n: int, atoms: Sequence[Atom]) -> tuple[list[int], list[Atom]]:
-    """(indices no disjoint atom excludes, the contains and intersects atoms)."""
-    dropped: set[int] = set()
-    for a in atoms:
-        if a.kind == "disjoint":
-            dropped |= a.indices
-    return [i for i in range(n) if i not in dropped], [a for a in atoms if a.kind != "disjoint"]
-
-
-def _hit_machine(
-    n: int, blocks: Sequence[tuple[frozenset[int], int]]
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Hit codes over blocks (index set, cap): a next-code table per index of range(n).
-
-    A code packs one counter per block, each capped at the block's cap, in
-    mixed radix. Adding index i moves code c to tables[i][c]. Membership is
-    read once per block, and indices that lie in the same blocks share one
-    table, so a single block needs two: in the block and out of it. Returns
-    (tables, hits), where hits[c] lists the counters code c stands for.
-    """
-    hits: list[list[int]] = [[]]
-    for _, cap in blocks:  # the first block is the lowest digit
-        hits = [h + [d] for d in range(cap + 1) for h in hits]
-    member: dict[int, int] = {}
-    for b, (fs, _) in enumerate(blocks):
-        for i in fs:
-            member[i] = member.get(i, 0) | 1 << b
-    stay = list(range(len(hits)))
-    tables = [stay] * n
-    by_key: dict[int, list[int]] = {}
-    for i, key in member.items():
-        table = by_key.get(key)
-        if table is None:
-            table, place = stay, 1
-            for b, (_, cap) in enumerate(blocks):
-                if key >> b & 1:
-                    table = [t + place if h[b] < cap else t for t, h in zip(table, hits)]
-                place *= cap + 1
-            by_key[key] = table
-        tables[i] = table
-    return tables, hits
+        offset = sum(y[i] for i in fixed)
+        if 2 * j > m:
+            offset, items, j = offset + sum(items), [-v for v in items], m - j
+        s = max(0, min(2, j - 1))
+        level = items if j - s == 1 else colex(items[: m - s], j - s)  # singletons: no copy
+        count = 0
+        # combinations copies its range into a pool, which s = 0 does not need
+        for tops in combinations(range(j - s, m if s else j), s):
+            low = -offset - sum(items[t] for t in tops)
+            block = level[: binomial(tops[0], j - s)] if tops else level
+            count += len([v for v in block if v >= low])
+        total += sign * binomial(m, j)
+        nn += sign * count
+    return total, nn
 
 
 def _slot_width(m: int, k: int) -> int:
@@ -257,104 +230,92 @@ def _slot_width(m: int, k: int) -> int:
     return binomial(m, min(k, m // 2)).bit_length() + 1
 
 
-def _gf_size(y: Sequence[int], live: Sequence[int], k: int, codes: int) -> tuple[int, int]:
-    """(bits held, cost in walk steps) of the generating-function counter."""
-    m = len(live)
-    if m < k:
+def _gf_size(items: Sequence[int], k: int) -> tuple[int, int]:
+    """(bits held, cost in walk steps) of the generating function over k-subsets of items."""
+    m = len(items)
+    if not 0 <= k <= m:
         return 0, 0
-    span = max(y[i] for i in live) - min(y[i] for i in live)
-    states = (k + 1) * codes
-    poly_bits = (k * span + 1) * _slot_width(m, k)
-    return states * poly_bits, m * states * (_STATE_STEPS + poly_bits // _STEP_BITS)
+    poly_bits = (k * (max(items, default=0) - min(items, default=0)) + 1) * _slot_width(m, k)
+    return (k + 1) * poly_bits, m * (k + 1) * (_STATE_STEPS + poly_bits // _STEP_BITS)
 
 
 def _gf_count(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[int, int]:
     """(total satisfying the atoms, nonnegative among those), generating-function route.
 
-    P[j][c] holds sum over j-subsets S of the elements added so far, with
-    hit code c, of x^(sum of y_i - y_min over S), in slots of w bits. No
-    slot overflows, because every slot sum of P[j][c] is at most C(m, j)
-    < 2^(w-1). Adding element i runs P[j+1][c'] += P[j][c] << (y_i - y_min)*w
-    over j in descending order. A polynomial mod 2^w - 1 is the sum of its
-    slots, so shifting out the slots below -k*y_min first leaves the
-    nonnegative count.
+    Per term of _terms, with j = k - |fixed|, f the fixed sum and lo the
+    least of the m live items: P[s] holds the sum over s-subsets S of the
+    items added so far of x^(sum of y_i - lo over S), in slots of w bits.
+    No slot overflows, because every slot sum of P[s] is at most C(m, s)
+    < 2^(w-1). Adding item v runs P[s+1] += P[s] << (v - lo)*w over s in
+    descending order. A polynomial mod 2^w - 1 is the sum of its slots, so
+    shifting out the slots below -j*lo - f first leaves the count of
+    subsets whose sum with the fixed items is nonnegative.
     """
-    live, kept = _split_atoms(n, atoms)
-    m = len(live)
-    if m < k:
-        return 0, 0
-    tables, hits = _hit_machine(n, [(a.indices, _HIT_CAP[a.kind]) for a in kept])
-    lo = min(y[i] for i in live)
-    w = _slot_width(m, k)
-    P = [[0] * len(hits) for _ in range(k + 1)]
-    P[0][0] = 1
-    for seen, i in enumerate(live):
-        shift, nxt = (y[i] - lo) * w, tables[i]
-        for j in range(seen if seen < k else k - 1, -1, -1):
-            dst = P[j + 1]
-            for c, poly in enumerate(P[j]):
-                if poly:
-                    dst[nxt[c]] += poly << shift
-    ones = (1 << w) - 1
-    cut = max(0, -k * lo) * w
     total = nn = 0
-    for poly, h in zip(P[k], hits):
-        if poly and all(d == 1 for d in h):
-            total += poly % ones
-            nn += (poly >> cut) % ones
+    for sign, fixed, live in _terms(n, atoms):
+        j, items = k - len(fixed), [y[i] for i in live]
+        m = len(items)
+        if not 0 <= j <= m:
+            continue
+        lo = min(items, default=0)
+        w = _slot_width(m, j)
+        P = [1] + [0] * j
+        for seen, v in enumerate(items):
+            shift = (v - lo) * w
+            for s in range(min(seen, j - 1), -1, -1):
+                P[s + 1] += P[s] << shift
+        ones = (1 << w) - 1
+        cut = max(0, -j * lo - sum(y[i] for i in fixed)) * w
+        total += sign * (P[j] % ones)
+        nn += sign * ((P[j] >> cut) % ones)
     return total, nn
 
 
 def _count(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[str, int, int]:
     """(engine, total, nonnegative) by the cheaper engine that fits its budget.
 
-    The generating function runs when it holds at most GF_BIT_BUDGET bits
-    and its estimated cost is no more than that of walking min(C(n, k),
-    ENUM_BUDGET) subsets. Otherwise the walk runs under its own budget,
-    and when that is exceeded too, ValueError names both budgets.
+    The generating function runs when no term of _terms makes it hold more
+    than GF_BIT_BUDGET bits and its estimated cost, summed over the terms,
+    is no more than that of walking their subsets, capped at ENUM_BUDGET.
+    Otherwise the walk runs under its own budget, and when that is exceeded
+    too, ValueError names both budgets.
     """
-    live, kept = _split_atoms(n, atoms)
-    held, steps = _gf_size(y, live, k, prod(_HIT_CAP[a.kind] + 1 for a in kept))
-    walk_steps = min(binomial(n, k), ENUM_BUDGET) * (_ATOM_STEPS if atoms else 1)
-    if held <= GF_BIT_BUDGET and steps <= walk_steps:
+    terms = _terms(n, atoms)
+    held = steps = 0
+    for _, fixed, live in terms:
+        bits, cost = _gf_size([y[i] for i in live], k - len(fixed))
+        held, steps = max(held, bits), steps + cost
+    walked = _walked(terms, k)
+    if held <= GF_BIT_BUDGET and steps <= min(walked, ENUM_BUDGET):
         return (ENGINE_GF, *_gf_count(y, n, k, atoms))
-    reason = _walk_budget_error(len(live), k)
-    if reason is None:
+    if walked <= ENUM_BUDGET:
         return (ENGINE_WALK, *_walk_count(y, n, k, atoms))
     raise ValueError(
-        f"{reason}; the generating-function counter would hold about {held} bits "
-        f"against its budget of {GF_BIT_BUDGET} and cost about {steps} steps against "
-        f"the budget of {ENUM_BUDGET}; count_nonnegative_dp counts from a multiplicity pattern"
+        f"{walked} subsets to walk exceed the enumeration budget of {ENUM_BUDGET}; the "
+        f"generating-function counter would hold about {held} bits against its budget of "
+        f"{GF_BIT_BUDGET} and cost about {steps} steps against the budget of {ENUM_BUDGET}; "
+        f"count_nonnegative_dp counts from a multiplicity pattern"
     )
 
 
-def _pair_pass(
-    y: Sequence[int], k: int, live: Sequence[int], blocks: Sequence[tuple[frozenset[int], int]]
-) -> tuple[list[int], list[list[int]]]:
-    """Per hit code over blocks: the sum of y-sums over k-subsets of live, and the code's hits.
+def _size_pass(items: Sequence[int], k: int) -> tuple[list[int], list[int]]:
+    """(counts, sums): entry j <= k is the number of j-subsets of items and the sum of their sums.
 
-    The same state pass as the generating function, on (count, sum) pairs:
-    adding y_i to each j-subset raises the sum by count * y_i.
+    Adding item v to each j-subset makes a (j+1)-subset with sum raised by v.
     """
-    steps = len(live) * (k + 1) * prod(cap + 1 for _, cap in blocks)
+    counts, sums = [1] + [0] * k, [0] * (k + 1)
+    for seen, v in enumerate(items):
+        for j in range(min(seen, k - 1), -1, -1):
+            counts[j + 1] += counts[j]
+            sums[j + 1] += sums[j] + counts[j] * v
+    return counts, sums
+
+
+def _pass_budget(steps: int) -> None:
     if steps > ENUM_BUDGET:
         raise ValueError(
             f"the (count, sum) pass needs {steps} steps, over the enumeration budget of {ENUM_BUDGET}"
         )
-    tables, hits = _hit_machine(len(y), blocks)
-    counts = [[0] * len(hits) for _ in range(k + 1)]
-    sums = [[0] * len(hits) for _ in range(k + 1)]
-    counts[0][0] = 1
-    for seen, i in enumerate(live):
-        v, nxt = y[i], tables[i]
-        for j in range(seen if seen < k else k - 1, -1, -1):
-            c_src, s_src, c_dst, s_dst = counts[j], sums[j], counts[j + 1], sums[j + 1]
-            for c, cnt in enumerate(c_src):
-                if cnt:
-                    t = nxt[c]
-                    c_dst[t] += cnt
-                    s_dst[t] += s_src[c] + cnt * v
-    return sums[k], hits
 
 
 def count_nonnegative(
@@ -417,21 +378,36 @@ def nonnegative_family(X: WeightVector, k: int) -> list[tuple[int, ...]]:
 
 
 def restricted_sum(X: WeightVector, k: int, restriction: Restriction) -> Fraction:
-    """Exact sum of b_S over subsets satisfying the restriction."""
+    """Exact sum of b_S over subsets satisfying the restriction.
+
+    Per term of _terms, the j = k - |fixed| subsets of live add their own
+    sums, from one (count, sum) pass, and the fixed sum once each.
+    """
     n = X.n
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     restriction.validate(n)
     y, scale = X.scaled_ints()
-    live, kept = _split_atoms(n, restriction.atoms)
-    sums, hits = _pair_pass(y, k, live, [(a.indices, _HIT_CAP[a.kind]) for a in kept])
-    return Fraction(sum(s for s, h in zip(sums, hits) if all(d == 1 for d in h)), scale)
+    terms = _terms(n, restriction.atoms)
+    _pass_budget(len(terms) * n * (k + 1))
+    total = 0
+    for sign, fixed, live in terms:
+        j = k - len(fixed)
+        if j >= 0:
+            counts, sums = _size_pass([y[i] for i in live], j)
+            total += sign * (sums[j] + sum(y[i] for i in fixed) * counts[j])
+    return Fraction(total, scale)
 
 
 def _overlap_pass(y: Sequence[int], k: int, block: frozenset[int]) -> list[int]:
-    """Entry t: the sum of y-sums over k-subsets S of range(len(y)) with |S & block| = t."""
-    # The hit count never exceeds min(k, |block|), so that cap is exact.
-    return _pair_pass(y, k, range(len(y)), [(block, min(k, len(block)))])[0]
+    """Entry t: the sum of y-sums over k-subsets S of range(len(y)) with |S & block| = t.
+
+    Such an S is a t-subset of the block joined to a (k-t)-subset of the
+    rest, so one (count, sum) pass over each side gives every t.
+    """
+    c_in, s_in = _size_pass([y[i] for i in block], k)
+    c_out, s_out = _size_pass([v for i, v in enumerate(y) if i not in block], k)
+    return [s_in[t] * c_out[k - t] + c_in[t] * s_out[k - t] for t in range(min(k, len(block)) + 1)]
 
 
 def overlap_sums(X: WeightVector, k: int, block: Sequence[int]) -> tuple[Fraction, ...]:
@@ -442,6 +418,7 @@ def overlap_sums(X: WeightVector, k: int, block: Sequence[int]) -> tuple[Fractio
     fs = frozenset(block)
     if any(not 0 <= i < n for i in fs):
         raise ValueError("block indices out of range")
+    _pass_budget(n * (k + 1))
     y, scale = X.scaled_ints()
     return tuple(Fraction(s, scale) for s in _overlap_pass(y, k, fs))
 

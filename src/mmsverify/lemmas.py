@@ -269,6 +269,8 @@ def simulate_partition(
         raise ValueError(f"T must be a {k}-subset of the same ground set (n={n})")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:  # random.Random(-s) draws the stream of random.Random(s)
+        raise ValueError(f"seed must be >= 0, got {seed}")
     b_T = _b_at(X, T.indices)
     if b_T >= 0:
         raise ValueError(f"T must have negative sum, got b_T = {b_T}")

@@ -178,6 +178,8 @@ def gen_random_zero_sum(n: int, magnitude: int, seed: int) -> WeightVector:
         raise ValueError("random zero-sum vector needs n >= 2")
     if magnitude < 1:
         raise ValueError("magnitude must be >= 1")
+    if seed < 0:  # random.Random(-s) draws the stream of random.Random(s)
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)
     draws = [rng.randint(-magnitude, magnitude) for _ in range(n - 1)]
     draws.append(-sum(draws))

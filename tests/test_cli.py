@@ -220,6 +220,29 @@ def test_usage_errors_exit_2():
         assert not out
 
 
+def test_many_intersects_atoms_exit_2_fast():
+    restrict = [arg for i in range(20) for arg in ("--restrict", f"intersects:{i},{i + 5}")]
+    started = time.perf_counter()
+    out, err, code = run(["count", "--random", "--n", "30", "-k", "8", *restrict])
+    assert (out, code) == ("", 2)
+    assert "enumeration budget" in err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_negative_seed_exits_2():
+    # random.Random(-3) draws the stream of random.Random(3), so -3 would repeat seed 3
+    out, err, code = run(["count", "--random", "--n", "6", "-k", "2", "--seed", "-3"])
+    assert (out, code) == ("", 2)
+    assert "seed must be >= 0" in err
+
+
+def test_partition_negative_seed_exits_2():
+    argv = ["verify", "--lemma", "partition", "--star", "--n", "12", "-k", "2", "--trials", "50", "--seed", "-3"]
+    out, err, code = run(argv)
+    assert (out, code) == ("", 2)
+    assert "seed must be >= 0" in err
+
+
 def test_input_errors_exit_2(tmp_path):
     missing = tmp_path / "nope.json"
     out, err, code = run(["count", "--weights", str(missing), "-k", "2"])

@@ -8,6 +8,7 @@ from mmsverify import counting
 from mmsverify.combinat import binomial
 from mmsverify.counting import (
     GF_BIT_BUDGET,
+    Atom,
     MultiplicityPattern,
     Restriction,
     count_nonnegative,
@@ -101,6 +102,12 @@ def test_restriction_validation():
     with pytest.raises(ValueError):
         Restriction.intersects()
     Restriction.disjoint(0, 1).validate(5)
+
+
+def test_unknown_atom_kind_is_refused():
+    # the engines read kinds only through the term list, which would skip an unknown one
+    with pytest.raises(ValueError, match="unknown atom kind 'contans'"):
+        Atom("contans", frozenset({1}))
 
 
 def test_restriction_describe():
@@ -326,6 +333,11 @@ def test_engines_agree_on_corner_cases():
         (2, disjoint(0, 1, 2, 3, 4, 5, 6)),  # nothing left
         (2, contains(3) & disjoint(3)),  # the only allowed hit is dropped
         (4, intersects(0, 6) & contains(5) & disjoint(2)),
+        (3, Restriction((Atom("contains", frozenset({0, 2, 5})),))),  # exactly one of three
+        # overlapping blocks: index 2 answers both, or 0 or 5 with 6
+        (3, Restriction((Atom("contains", frozenset({0, 2, 5})), Atom("contains", frozenset({2, 6}))))),
+        (4, Restriction((Atom("contains", frozenset({1, 3})), Atom("contains", frozenset({3, 4}))))
+            & intersects(0, 6) & disjoint(5)),
     ]
     for k, restriction in cases:
         atoms = restriction.atoms
@@ -357,10 +369,36 @@ def test_walk_matches_brute_at_every_k_and_reaches_large_n():
     assert time.perf_counter() - started < 1.0
 
 
+def test_ten_contains_atoms_answer():
+    # every contains(i) fixes index i: the 40 items left fill the other k - 10 places
+    X = gen_random_zero_sum(50, 100, seed=8)
+    ten = Restriction(tuple(Atom("contains", frozenset({i})) for i in range(10)))
+    report = count_nonnegative(X, 3, ten)
+    assert (report.total_checked, report.nonnegative_count) == (0, 0)
+    assert restricted_sum(X, 3, ten) == 0
+    fixed = sum(X.values[:10])
+    pairs = [fixed + X.values[a] + X.values[b] for a, b in combinations(range(10, 50), 2)]
+    report = count_nonnegative(X, 12, ten)
+    assert (report.total_checked, report.nonnegative_count) == (780, sum(1 for v in pairs if v >= 0))
+    assert restricted_sum(X, 12, ten) == sum(pairs)
+
+
+def test_many_intersects_atoms_refuse_fast():
+    # 2^20 inclusion-exclusion terms over 30 items are over the enumeration budget
+    X = gen_random_zero_sum(30, 100, seed=2)
+    many = Restriction(tuple(Atom("intersects", frozenset({i, i + 5})) for i in range(20)))
+    for call in (lambda: count_nonnegative(X, 8, many), lambda: restricted_sum(X, 8, many)):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="enumeration budget"):
+            call()
+        assert time.perf_counter() - started < 1.0
+
+
 def test_walk_visits_only_the_items_a_disjoint_atom_leaves(monkeypatch):
     # (22, 6) with disjoint(0,3,5): the 19 items left give C(19,6) = 27,132
-    # subsets to visit, not C(22,6) = 74,613. Every visited subset is one
-    # entry of a slice of the colex level, so the slices add up to the visits.
+    # subsets to visit, not C(22,6) = 74,613; contains(1) fixes index 1 too,
+    # leaving C(18,5) = 8,568. Every visited subset is one entry of a slice
+    # of the colex level, so the slices add up to the visits.
     visited = []
 
     class Level(list):
@@ -374,11 +412,11 @@ def test_walk_visits_only_the_items_a_disjoint_atom_leaves(monkeypatch):
     X = gen_random_zero_sum(22, 100, seed=3)
     y, _ = X.scaled_ints()
     disjoint = Restriction.disjoint(0, 3, 5)
-    for restriction in (Restriction.contains(1) & disjoint, disjoint):
+    for restriction, visits in ((Restriction.contains(1) & disjoint, binomial(18, 5)), (disjoint, binomial(19, 6))):
         atoms = restriction.atoms
         subsets = [S for S in combinations(range(22), 6) if satisfies(atoms, S)]
         expected = (len(subsets), brute_count(X.values, 6, lambda S: satisfies(atoms, S)))
         visited.clear()
         assert _walk_count(y, 22, 6, atoms) == expected, restriction.describe()
-        assert sum(visited) == binomial(19, 6), restriction.describe()
+        assert sum(visited) == visits, restriction.describe()
     assert expected[0] == binomial(19, 6)  # disjoint alone: the plain walk, every subset counts
