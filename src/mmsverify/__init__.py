@@ -7,7 +7,7 @@ verifiers for the bound lemmas, and an exhaustive pattern search, plus a
 CLI wrapping all of it.
 """
 
-from .combinat import KSubset, binomial, rank_colex
+from .combinat import KSubset, binomial
 from .counting import (
     CountReport,
     MultiplicityPattern,
@@ -79,7 +79,6 @@ __all__ = [
     "nonnegative_family",
     "normalize",
     "overlap_sums",
-    "rank_colex",
     "restricted_sum",
     "simulate_partition",
     "single_overlap_coefficient",

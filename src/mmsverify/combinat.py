@@ -2,8 +2,8 @@
 
 Everything here is arbitrary-precision integer arithmetic. colex() is the
 one subset-list builder: every list of subset sums, bitmasks or index
-tuples in the package, the counting walk's included, comes from it in
-colex order. rank_colex gives a subset's place in that order.
+tuples in the package, the two-list counter's included, comes from it in
+colex order.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ __all__ = [
     "KSubset",
     "binomial",
     "colex",
-    "enum_budget_error",
-    "rank_colex",
 ]
 
-# Largest C(n, k) the enumeration paths will walk; larger instances go
-# through the generating-function or the multiplicity-pattern counter.
+# Most subsets, sums or steps an enumeration path may list or take; larger
+# instances go through the generating-function or the multiplicity-pattern counter.
 ENUM_BUDGET = 10_000_000
 
 
@@ -132,36 +130,6 @@ class KSubset(_Record):
         return cls(tuple(sorted(indices)), n)
 
 
-def rank_colex(subset: KSubset | Sequence[int]) -> int:
-    """Colex rank of a k-subset: sum over positions i of C(s_i, i+1).
-
-    The rank does not depend on the ambient n, so streams over different
-    ground sets agree on shared prefixes.
-    """
-    indices = subset.indices if isinstance(subset, KSubset) else tuple(subset)
-    prev = -1
-    r = 0
-    for pos, s in enumerate(indices):
-        if s <= prev:
-            raise ValueError("indices must be strictly increasing")
-        prev = s
-        r += binomial(s, pos + 1)
-    return r
-
-
-def enum_budget_error(n: int, k: int) -> str | None:
-    """Why colex or the enumeration walk would refuse (n, k), or None when it fits."""
-    if not 0 <= k <= n:
-        return f"need 0 <= k <= n, got k={k}, n={n}"
-    size, built = binomial(n, k), binomial(n + 1, k)
-    if size <= ENUM_BUDGET and built <= 10 * ENUM_BUDGET:
-        return None
-    return (
-        f"C({n},{k}) = {size} subsets ({built} table entries) exceed the enumeration "
-        f"budget of {ENUM_BUDGET} subsets and {10 * ENUM_BUDGET} entries"
-    )
-
-
 def colex(items: Sequence[Any], k: int, empty: Any = 0) -> list[Any]:
     """empty + items[i1] + ... + items[ik] over all k-subsets i1 < ... < ik, in colex order.
 
@@ -169,12 +137,18 @@ def colex(items: Sequence[Any], k: int, empty: Any = 0) -> list[Any]:
     index tuples. The colex list of the j-subsets of {0..t-1} is a prefix of
     the list for any longer prefix, so level j is, over each top element t,
     the first C(t, j-1) entries of level j-1 plus items[t]. The levels hold
-    C(n+1, k) entries in all, and enum_budget_error refuses before any.
+    C(n+1, k) entries in all. It refuses, before building any, when the
+    C(n, k) subsets exceed ENUM_BUDGET or the entries 10 * ENUM_BUDGET.
     """
     n = len(items)
-    reason = enum_budget_error(n, k)
-    if reason is not None:
-        raise ValueError(reason)
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    size, built = binomial(n, k), binomial(n + 1, k)
+    if size > ENUM_BUDGET or built > 10 * ENUM_BUDGET:
+        raise ValueError(
+            f"C({n},{k}) = {size} subsets ({built} table entries) exceed the enumeration "
+            f"budget of {ENUM_BUDGET} subsets and {10 * ENUM_BUDGET} entries"
+        )
     level = [empty]
     for j in range(1, k + 1):
         nxt: list[Any] = []

@@ -8,16 +8,17 @@ tests/_oracles.satisfies.
 count_nonnegative picks one of two engines from its input alone. The
 generating-function counter packs, per subset size, the polynomial sum
 of x^(subset sum) into one Python int and adds one element at a time.
-The enumeration walk reads one colex level of subset sums and adds each
-choice of top elements to a prefix of it, or walks the complements when
-k > n/2. count_nonnegative_dp sums products of binomials over
-compositions of k against a multiplicity pattern. Tests and the search
-engine hold the three against each other; apart from _terms they never
-share a code path.
+The two-list counter splits the items in halves, lists each half's
+subset sums for every split of the subset size, and counts the pairs
+with a nonnegative total by bisection. count_nonnegative_dp sums
+products of binomials over compositions of k against a multiplicity
+pattern. Tests and the search engine hold the three against each other;
+apart from _terms they never share a code path.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm, prod
@@ -41,19 +42,16 @@ __all__ = [
 ]
 
 ENGINE_GF = "generating-function"
-ENGINE_WALK = "enumeration"
+ENGINE_ENUM = "enumeration"
 
 # Most bits of packed polynomials the generating-function counter may hold.
 GF_BIT_BUDGET = 1 << 30
-# Engine costs in walk steps, one per subset the walk visits. The unit was
-# calibrated on the earlier revolving-door walk, at about 120 ns per subset
-# on a 2-core x86_64 under Python 3.11; the colex walk takes less per
-# subset, and the unit is kept so that every unrestricted count picks the
-# same engine. Shifting and adding _STEP_BITS bits of packed polynomial is
-# one step, and updating one subset size for one element costs
-# _STATE_STEPS more.
-_STEP_BITS = 4096
-_STATE_STEPS = 4
+# Engine costs in steps, one per subset sum the two-list counter lists: about
+# 220 ns each, sort and bisection included, on a 2-core x86_64 under Python
+# 3.11. Shifting and adding _STEP_BITS bits of packed polynomial is one step,
+# and updating one subset size for one element costs _STATE_STEPS more.
+_STEP_BITS = 16384
+_STATE_STEPS = 1
 
 
 def star_family_size(n: int, k: int) -> int:
@@ -120,7 +118,7 @@ class CountReport(_Record):
     restriction: Restriction
     total_checked: int
     nonnegative_count: int
-    engine: str  # ENGINE_GF or ENGINE_WALK: the engine behind nonnegative_count
+    engine: str  # ENGINE_GF or ENGINE_ENUM: the engine behind nonnegative_count
     bound_comparisons: tuple[tuple[str, int, bool], ...] = ()
     star_equality: bool | None = None
     witness: str | None = None
@@ -181,46 +179,58 @@ def _terms(n: int, atoms: Sequence[Atom]) -> list[tuple[int, frozenset[int], lis
     return terms
 
 
-def _walked(terms: Sequence[tuple[int, frozenset[int], list[int]]], k: int) -> int:
-    """Subsets the walk visits, C(|live|, k - |fixed|) per term; no colex level it builds is larger."""
-    return sum(binomial(len(live), k - len(fixed)) for _, fixed, live in terms)
+def _listed(terms: Sequence[tuple[int, frozenset[int], list[int]]], k: int) -> int:
+    """Subset sums the counter lists: per term, with j = k - |fixed| and the m
+    live items split into L, the first m // 2, and R, the rest, C(|L|, a) +
+    C(|R|, j - a) over every split a in [max(0, j - |R|), min(j, |L|)].
+
+    The sum stops, and is returned, once it passes ENUM_BUDGET, so that a
+    refusal at large m costs a few binomials rather than one per split.
+    """
+    listed = 0
+    for _, fixed, live in terms:
+        j, h = k - len(fixed), len(live) // 2
+        r = len(live) - h
+        for a in range(max(0, j - r), min(j, h) + 1):
+            listed += binomial(h, a) + binomial(r, j - a)
+            if listed > ENUM_BUDGET:
+                return listed
+    return listed
 
 
-def _walk_count(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[int, int]:
-    """(total satisfying the atoms, nonnegative among those), by enumeration.
+def _side(items: Sequence[int], c: int) -> list[int]:
+    """The c-subset sums of items, each the total less the sum of a complement when 2c > len(items)."""
+    if 2 * c <= len(items):
+        return colex(items, c)
+    total = sum(items)
+    return [total - s for s in colex(items, len(items) - c)]
 
-    Per term of _terms, with j = k - |fixed| and the fixed sum as offset,
-    the walk visits the j-subsets of the m live items, or their
-    (m-j)-subset complements, j = m - j, when 2j > m: then it sums negated
-    items, offset by their total too. With s = min(2, j-1), or 0 at j = 0,
-    every j-subset is its top s elements, the least of them t, plus a
-    (j-s)-subset of {0..t-1}: one of the first C(t, j-s) entries of a
-    single colex level, counted when it is at least minus the offset and
-    the top sum. The walk refuses, before anything is built, when the
-    terms hold more than ENUM_BUDGET subsets in all.
+
+def _split_count(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[int, int]:
+    """(total satisfying the atoms, nonnegative among those), by two lists.
+
+    Per term of _terms, with j = k - |fixed| and f the fixed sum, a
+    j-subset of the live items is an a-subset of L joined to a
+    (j-a)-subset of R (Horowitz and Sahni, J. ACM 1974). For each split a
+    the counter lists both sides' subset sums, sorts R's, and counts the
+    pairs with v + w >= -f by one bisection per sum v of L. It refuses,
+    before anything is built, when the lists hold more than ENUM_BUDGET
+    sums in all.
     """
     terms = _terms(n, atoms)
-    walked = _walked(terms, k)
-    if walked > ENUM_BUDGET:
-        raise ValueError(f"{walked} subsets to walk exceed the enumeration budget of {ENUM_BUDGET}")
+    listed = _listed(terms, k)
+    if listed > ENUM_BUDGET:
+        raise ValueError(f"more subset sums to list than the enumeration budget of {ENUM_BUDGET}")
     total = nn = 0
     for sign, fixed, live in terms:
         j, items = k - len(fixed), [y[i] for i in live]
-        m = len(items)
-        if not 0 <= j <= m:
-            continue
-        offset = sum(y[i] for i in fixed)
-        if 2 * j > m:
-            offset, items, j = offset + sum(items), [-v for v in items], m - j
-        s = max(0, min(2, j - 1))
-        level = items if j - s == 1 else colex(items[: m - s], j - s)  # singletons: no copy
+        h, floor = len(items) // 2, -sum(y[i] for i in fixed)
+        left, right = items[:h], items[h:]
         count = 0
-        # combinations copies its range into a pool, which s = 0 does not need
-        for tops in combinations(range(j - s, m if s else j), s):
-            low = -offset - sum(items[t] for t in tops)
-            block = level[: binomial(tops[0], j - s)] if tops else level
-            count += len([v for v in block if v >= low])
-        total += sign * binomial(m, j)
+        for a in range(max(0, j - len(right)), min(j, h) + 1):
+            sums, ws = _side(left, a), sorted(_side(right, j - a))
+            count += len(sums) * len(ws) - sum(bisect_left(ws, floor - v) for v in sums)
+        total += sign * binomial(len(items), j)
         nn += sign * count
     return total, nn
 
@@ -231,7 +241,7 @@ def _slot_width(m: int, k: int) -> int:
 
 
 def _gf_size(items: Sequence[int], k: int) -> tuple[int, int]:
-    """(bits held, cost in walk steps) of the generating function over k-subsets of items."""
+    """(bits held, cost in steps) of the generating function over k-subsets of items."""
     m = len(items)
     if not 0 <= k <= m:
         return 0, 0
@@ -276,22 +286,22 @@ def _count(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[str
 
     The generating function runs when no term of _terms makes it hold more
     than GF_BIT_BUDGET bits and its estimated cost, summed over the terms,
-    is no more than that of walking their subsets, capped at ENUM_BUDGET.
-    Otherwise the walk runs under its own budget, and when that is exceeded
-    too, ValueError names both budgets.
+    is no more than the sums the two-list counter would list, capped at
+    ENUM_BUDGET. Otherwise the two-list counter runs under its own budget,
+    and when that is exceeded too, ValueError names both budgets.
     """
     terms = _terms(n, atoms)
     held = steps = 0
     for _, fixed, live in terms:
         bits, cost = _gf_size([y[i] for i in live], k - len(fixed))
         held, steps = max(held, bits), steps + cost
-    walked = _walked(terms, k)
-    if held <= GF_BIT_BUDGET and steps <= min(walked, ENUM_BUDGET):
+    listed = _listed(terms, k)
+    if held <= GF_BIT_BUDGET and steps <= min(listed, ENUM_BUDGET):
         return (ENGINE_GF, *_gf_count(y, n, k, atoms))
-    if walked <= ENUM_BUDGET:
-        return (ENGINE_WALK, *_walk_count(y, n, k, atoms))
+    if listed <= ENUM_BUDGET:
+        return (ENGINE_ENUM, *_split_count(y, n, k, atoms))
     raise ValueError(
-        f"{walked} subsets to walk exceed the enumeration budget of {ENUM_BUDGET}; the "
+        f"more subset sums to list than the enumeration budget of {ENUM_BUDGET}; the "
         f"generating-function counter would hold about {held} bits against its budget of "
         f"{GF_BIT_BUDGET} and cost about {steps} steps against the budget of {ENUM_BUDGET}; "
         f"count_nonnegative_dp counts from a multiplicity pattern"
@@ -515,24 +525,6 @@ def _compositions(mults: Sequence[int], k: int, reverse: bool) -> Iterator[tuple
             stack.pop()
 
 
-def _dp_count_scaled(
-    mults: Sequence[int], scaled_values: Sequence[int], k: int,
-    binom_rows: Sequence[Sequence[int]], reverse: bool = False,
-) -> int:
-    """Composition-sum count on integer-scaled values; shared DP core."""
-    total = 0
-    for comp in _compositions(mults, k, reverse):
-        s = 0
-        for c, w in zip(comp, scaled_values):
-            s += c * w
-        if s >= 0:
-            prod = 1
-            for c, row in zip(comp, binom_rows):
-                prod *= row[c]
-            total += prod
-    return total
-
-
 def count_nonnegative_dp(pattern: MultiplicityPattern, k: int, reverse: bool = False) -> int:
     """Count nonnegative k-subset sums from the multiplicity pattern alone.
 
@@ -547,7 +539,17 @@ def count_nonnegative_dp(pattern: MultiplicityPattern, k: int, reverse: bool = F
     scale = lcm(*(v.denominator for v, _ in pattern.pairs))
     scaled = [int(v * scale) for v, _ in pattern.pairs]
     rows = [[binomial(m, c) for c in range(min(m, k) + 1)] for m in mults]
-    return _dp_count_scaled(mults, scaled, k, rows, reverse)
+    total = 0
+    for comp in _compositions(mults, k, reverse):
+        s = 0
+        for c, w in zip(comp, scaled):
+            s += c * w
+        if s >= 0:
+            ways = 1
+            for c, row in zip(comp, rows):
+                ways *= row[c]
+            total += ways
+    return total
 
 
 def family_size(n: int, k: int, i: int) -> int:

@@ -26,7 +26,9 @@ from typing import Iterator, Mapping
 from .combinat import _Record, binomial
 from .counting import (
     MultiplicityPattern,
-    _walk_count,
+    _listed,
+    _split_count,
+    _terms,
     count_nonnegative_dp,
     star_family_size,
 )
@@ -35,7 +37,6 @@ from .report import VERDICT_VERIFIED, VERDICT_VIOLATED, exact_str
 __all__ = ["SearchReport", "SearchSpace", "find_counterexample", "sweep_patterns"]
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
-ENUM_RECHECK_LIMIT = 16
 MAX_DISTINCT_CAP = 4
 
 
@@ -213,8 +214,9 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
     candidate is counted by _threshold_count in exact integers. Ties break
     toward the lexicographically smallest (multiplicities, values). The
     winner is re-verified by count_nonnegative_dp, which shares no code with
-    the kernel, in both composition orders, and additionally by direct
-    enumeration when n <= 16, before the report is emitted.
+    the kernel, in both composition orders, and additionally by the
+    two-list counter when its lists hold no more sums than the candidates
+    examined, before the report is emitted.
     """
     total = space.size()
     if total > DEFAULT_CANDIDATE_BUDGET:
@@ -261,9 +263,9 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
             f"dp forward {forward}, dp reverse {backward}"
         )
     reverified_enum = None
-    if n <= ENUM_RECHECK_LIMIT:
+    if _listed(_terms(n, ()), k) <= examined:  # no dearer than the search itself
         y, _ = pattern.expand().scaled_ints()
-        _, enum_count = _walk_count(y, n, k, ())
+        _, enum_count = _split_count(y, n, k, ())
         if enum_count != b_count:
             raise RuntimeError(
                 f"count disagreement on the best pattern: sweep {b_count}, "

@@ -85,6 +85,18 @@ def brute_colex_rank(indices, n):
     return ordered.index(tuple(indices))
 
 
+def rank_colex(subset):
+    """Colex rank of a k-subset (a KSubset or increasing indices): sum over positions i of C(s_i, i+1).
+
+    The rank does not depend on the ambient n, so lists over different
+    ground sets agree on shared prefixes.
+    """
+    indices = tuple(getattr(subset, "indices", subset))
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise ValueError("indices must be strictly increasing")
+    return sum(comb(s, pos + 1) for pos, s in enumerate(indices))
+
+
 def unrank_colex(r, k, n):
     """The k-subset of {0..n-1} with colex rank r, as an increasing tuple.
 

@@ -15,7 +15,7 @@ import pytest
 from mmsverify.combinat import KSubset, binomial
 from mmsverify.counting import (
     MultiplicityPattern,
-    _walk_count,
+    _split_count,
     count_nonnegative,
     count_nonnegative_dp,
     family_size,
@@ -181,7 +181,7 @@ def test_criterion_08_dp_equals_enumeration_exhaustively():
             y, _ = pattern.expand().scaled_ints()
             patterns += 1
             for k in range(1, n + 1):
-                _, direct = _walk_count(y, n, k, ())
+                _, direct = _split_count(y, n, k, ())
                 assert count_nonnegative_dp(pattern, k) == direct, (n, k, pattern.pairs)
                 checks += 1
     print(f"criterion 08: PASS (DP == enumeration on {patterns} patterns, {checks} (pattern,k) checks)")

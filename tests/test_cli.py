@@ -41,7 +41,8 @@ def test_count_star_far_above_the_recursion_limit():
 
 def test_walk_over_budget_exits_2_with_a_message(tmp_path):
     # 1/p over 59 distinct primes: the LCM has about 400 bits, so the
-    # generating function is as far over its budget as C(60,10) is over the walk's
+    # generating function is as far over its budget as the 1.1e8 sums the two
+    # lists would hold at C(60,10) are over the enumeration budget
     primes = [p for p in range(2, 300) if all(p % q for q in range(2, p))][:59]
     head = [Fraction(1, p) for p in primes]
     path = tmp_path / "huge_lcm.json"
@@ -89,8 +90,8 @@ def test_count_star_at_n_8k_squared_reports_star_equality():
 
 
 def test_count_with_k_near_n_answers():
-    # C(67,62) is within the walk's subset budget, and the generating function
-    # costs less; the count (4457891, the number of 5-subsets with sum <= 0 by brute force)
+    # the two lists would hold 615,486 sums, within the enumeration budget, and
+    # the generating function costs less; the count (4457891, the number of 5-subsets with sum <= 0 by brute force)
     # is below C(66,61), which is no contradiction for k > n/2
     doc, code = run_json("count", "--random", "--n", "67", "-k", "62")
     assert code == 1
@@ -101,8 +102,8 @@ def test_count_with_k_near_n_answers():
 
 
 def test_count_with_k_one_below_a_large_n_walks_single_items():
-    # C(15000,14999) = 15,000 subsets: the walk sums each negated item once,
-    # so it is charged those, not the C(15001,14999) entries of a level table.
+    # C(15000,14999) = 15,000 subsets: each half lists its single items or
+    # their complements, about 15,000 sums, not a level of C(15001,14999) entries.
     # A 14999-subset is nonnegative exactly when the index it leaves out is <= 0.
     started = time.perf_counter()
     doc, code = run_json("count", "--random", "--n", "15000", "-k", "14999", "--seed", "1")
@@ -332,7 +333,7 @@ def test_text_format_has_runtime():
     assert out.startswith("command: count --star --n 8 -k 2\n")
     assert "runtime_ms: None" not in out
     assert "verdict: verified" in out
-    # 28 subsets: walking them is cheaper than setting up the generating function
+    # the two lists hold 22 sums, fewer steps than the generating function's 24
     assert "  engine: enumeration\n" in out
 
 

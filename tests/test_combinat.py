@@ -4,9 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from mmsverify.combinat import ENUM_BUDGET, KSubset, binomial, colex, rank_colex
+from mmsverify.combinat import ENUM_BUDGET, KSubset, binomial, colex
 
-from _oracles import BinomialTable, brute_colex_rank, unrank_colex
+from _oracles import BinomialTable, brute_colex_rank, rank_colex, unrank_colex
 
 
 def test_binomial_matches_math_comb():

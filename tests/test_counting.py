@@ -19,7 +19,7 @@ from mmsverify.counting import (
     restricted_sum,
     star_family_size,
     _gf_count,
-    _walk_count,
+    _split_count,
 )
 from mmsverify.weights import gen_random_zero_sum, gen_star, normalize, subset_sums
 
@@ -28,10 +28,10 @@ from _oracles import brute_count, brute_family, brute_restricted_sum, satisfies
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
-def walk_nonnegative(X, k):
-    """Nonnegative count by the colex enumeration walk alone."""
+def split_nonnegative(X, k):
+    """Nonnegative count by the two-list counter alone."""
     y, _ = X.scaled_ints()
-    return _walk_count(y, X.n, k, ())[1]
+    return _split_count(y, X.n, k, ())[1]
 
 
 def huge_lcm_vector(n):
@@ -190,7 +190,7 @@ def test_dp_matches_enumeration_small():
     assert count_nonnegative_dp(p, 2) == 12
     assert count_nonnegative_dp(p, 2, reverse=True) == 12
     X = p.expand()
-    assert walk_nonnegative(X, 2) == 12
+    assert split_nonnegative(X, 2) == 12
     assert count_nonnegative(X, 2).nonnegative_count == 12
 
 
@@ -246,7 +246,7 @@ def test_every_walker_refuses_over_budget_fast():
     walkers = [
         lambda: nonnegative_family(X, 10),
         lambda: subset_sums(X, 10),
-        lambda: _walk_count(y, 60, 10, ()),
+        lambda: _split_count(y, 60, 10, ()),
     ]
     for walk in walkers:
         started = time.perf_counter()
@@ -256,7 +256,8 @@ def test_every_walker_refuses_over_budget_fast():
 
 
 def test_counters_answer_beyond_the_walk_budget():
-    # C(60,10) is about 7.5e10 subsets, far over the walk's budget
+    # C(60,10) is about 7.5e10 subsets, and the two lists would hold 1.1e8
+    # sums, over the enumeration budget
     p = MultiplicityPattern(((Fraction(5), 12), (Fraction(-1, 2), 24), (Fraction(-2), 24)))
     X = p.expand()
     n, k = 60, 10
@@ -343,11 +344,12 @@ def test_engines_agree_on_corner_cases():
         atoms = restriction.atoms
         subsets = [s for s in combinations(range(7), k) if satisfies(atoms, s)]
         expected = (len(subsets), brute_count(X.values, k, lambda s: s in subsets))
-        assert _gf_count(y, 7, k, atoms) == _walk_count(y, 7, k, atoms) == expected, restriction.describe()
+        assert _gf_count(y, 7, k, atoms) == _split_count(y, 7, k, atoms) == expected, restriction.describe()
 
 
 def test_walk_matches_brute_at_every_k_and_reaches_large_n():
-    # n <= 9 and every k: s = 0, 1 and 2 top elements, the complement branch and k = n
+    # n <= 9 and every k: every split, sides listed directly and from the
+    # complement level, and k = n
     for n in range(1, 10):
         X = gen_random_zero_sum(n, 4, seed=n) if n > 1 else normalize([0])
         y, _ = X.scaled_ints()
@@ -360,12 +362,13 @@ def test_walk_matches_brute_at_every_k_and_reaches_large_n():
             for k in range(1, n + 1):
                 subsets = [S for S in combinations(range(n), k) if satisfies(atoms, S)]
                 expected = (len(subsets), brute_count(X.values, k, lambda S: satisfies(atoms, S)))
-                assert _walk_count(y, n, k, atoms) == expected, (n, k, atoms)
-    # one item, or all but one: a single colex level of n entries, no recursion
+                assert _split_count(y, n, k, atoms) == expected, (n, k, atoms)
+    # one item, or all but one: each split lists single items or their
+    # complements, about n sums, and no deeper colex level
     started = time.perf_counter()
     y, _ = gen_random_zero_sum(5000, 50, seed=3).scaled_ints()
-    assert _walk_count(y, 5000, 1, ()) == (5000, sum(1 for v in y if v >= 0))
-    assert _walk_count(y, 5000, 4999, ()) == (5000, sum(1 for v in y if v <= 0))
+    assert _split_count(y, 5000, 1, ()) == (5000, sum(1 for v in y if v >= 0))
+    assert _split_count(y, 5000, 4999, ()) == (5000, sum(1 for v in y if v <= 0))
     assert time.perf_counter() - started < 1.0
 
 
@@ -394,29 +397,59 @@ def test_many_intersects_atoms_refuse_fast():
         assert time.perf_counter() - started < 1.0
 
 
-def test_walk_visits_only_the_items_a_disjoint_atom_leaves(monkeypatch):
-    # (22, 6) with disjoint(0,3,5): the 19 items left give C(19,6) = 27,132
-    # subsets to visit, not C(22,6) = 74,613; contains(1) fixes index 1 too,
-    # leaving C(18,5) = 8,568. Every visited subset is one entry of a slice
-    # of the colex level, so the slices add up to the visits.
-    visited = []
-
-    class Level(list):
-        def __getitem__(self, key):
-            part = list.__getitem__(self, key)
-            visited.append(len(part))
-            return part
-
+def test_split_count_charges_exactly_the_sums_it_lists(monkeypatch):
+    # every list the counter builds comes from one colex call, complement
+    # levels included, so the lists' lengths add up to the budget charge
+    built = []
     build = counting.colex
-    monkeypatch.setattr(counting, "colex", lambda items, k: Level(build(items, k)))
-    X = gen_random_zero_sum(22, 100, seed=3)
+
+    def spy(items, k):
+        level = build(items, k)
+        built.append(len(level))
+        return level
+
+    monkeypatch.setattr(counting, "colex", spy)
+    X = gen_random_zero_sum(16, 100, seed=3)
     y, _ = X.scaled_ints()
-    disjoint = Restriction.disjoint(0, 3, 5)
-    for restriction, visits in ((Restriction.contains(1) & disjoint, binomial(18, 5)), (disjoint, binomial(19, 6))):
+    contains, intersects, disjoint = Restriction.contains, Restriction.intersects, Restriction.disjoint
+    restrictions = (
+        Restriction(),
+        disjoint(0, 3, 5),
+        contains(1) & disjoint(0, 3, 5),
+        contains(2) & intersects(4, 9, 13) & disjoint(0, 15),
+        Restriction((Atom("contains", frozenset({1, 6})),)) & intersects(0, 3) & intersects(7, 8),
+    )
+    for restriction in restrictions:
         atoms = restriction.atoms
-        subsets = [S for S in combinations(range(22), 6) if satisfies(atoms, S)]
-        expected = (len(subsets), brute_count(X.values, 6, lambda S: satisfies(atoms, S)))
-        visited.clear()
-        assert _walk_count(y, 22, 6, atoms) == expected, restriction.describe()
-        assert sum(visited) == visits, restriction.describe()
-    assert expected[0] == binomial(19, 6)  # disjoint alone: the plain walk, every subset counts
+        for k in (1, 5, 11, 15):
+            subsets = [S for S in combinations(range(16), k) if satisfies(atoms, S)]
+            expected = (len(subsets), brute_count(X.values, k, lambda S: satisfies(atoms, S)))
+            built.clear()
+            assert _split_count(y, 16, k, atoms) == expected, (k, restriction.describe())
+            assert sum(built) == counting._listed(counting._terms(16, atoms), k), (k, restriction.describe())
+
+
+def test_split_count_answers_at_n_2k_beyond_the_old_subset_budget():
+    # powers of two balanced by their negated total: no k-subset sums to 0
+    # for k < n, and at n = 2k a subset sums to minus its complement, so
+    # exactly one of the two is nonnegative: C(2k, k) / 2 of them. C(34,17)
+    # and C(40,20) are 2.3e9 and 1.4e11 subsets; the lists hold 2.6e5 and
+    # 2.1e6 sums.
+    for k in (17, 20):
+        n = 2 * k
+        y = [1 << i for i in range(n - 1)]
+        y.append(-sum(y))
+        assert _split_count(y, n, k, ()) == (binomial(n, k), binomial(n, k) // 2)
+    assert binomial(40, 20) // 2 == 68_923_264_410
+
+
+def test_many_denominators_count_at_26_12_is_fast():
+    # 1/p over 25 primes: the GF is far over its bit budget. 5,200,300 of the
+    # C(26,12) = 9,657,700 subsets are nonnegative, as the colex walk that
+    # visited every subset also found; the two lists hold 16,382 sums.
+    X = huge_lcm_vector(26)
+    started = time.perf_counter()
+    report = count_nonnegative(X, 12)
+    assert time.perf_counter() - started < 0.1
+    assert report.engine == "enumeration"
+    assert (report.total_checked, report.nonnegative_count) == (9_657_700, 5_200_300)

@@ -4,13 +4,13 @@ from itertools import combinations
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mmsverify.combinat import KSubset, binomial, rank_colex
+from mmsverify.combinat import KSubset, binomial
 from mmsverify.counting import (
     Atom,
     MultiplicityPattern,
     Restriction,
     _gf_count,
-    _walk_count,
+    _split_count,
     count_nonnegative,
     count_nonnegative_dp,
     overlap_sums,
@@ -20,7 +20,7 @@ from mmsverify.lemmas import single_overlap_coefficient
 from mmsverify.scheme import verify_eigenvector_all
 from mmsverify.weights import normalize, subset_sums
 
-from _oracles import brute_count, brute_restricted_sum, satisfies, unrank_colex
+from _oracles import brute_count, brute_restricted_sum, rank_colex, satisfies, unrank_colex
 
 
 @st.composite
@@ -109,7 +109,7 @@ def test_dp_agrees_with_enumeration_both_orders(X, data):
     k = data.draw(st.integers(min_value=1, max_value=X.n))
     pattern = MultiplicityPattern.from_weights(X)
     y, _ = X.scaled_ints()
-    _, direct = _walk_count(y, X.n, k, ())
+    _, direct = _split_count(y, X.n, k, ())
     assert count_nonnegative_dp(pattern, k) == direct
     assert count_nonnegative_dp(pattern, k, reverse=True) == direct
 
@@ -142,10 +142,10 @@ def test_generating_function_equals_walk_equals_brute(X, data):
     atoms = data.draw(conjunctions(n))
     y, _ = X.scaled_ints()
     gf = _gf_count(y, n, k, atoms)
-    walk = _walk_count(y, n, k, atoms)
+    split = _split_count(y, n, k, atoms)
     total = sum(1 for s in combinations(range(n), k) if satisfies(atoms, s))
     brute = brute_count(X.values, k, lambda s: satisfies(atoms, s))
-    assert gf == walk == (total, brute)
+    assert gf == split == (total, brute)
     restriction = Restriction(atoms)
     assert restricted_sum(X, k, restriction) == brute_restricted_sum(
         X.values, k, lambda s: satisfies(atoms, s)

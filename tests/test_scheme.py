@@ -157,8 +157,8 @@ def test_star_is_genuine_eigenvector_case():
 def test_pair_loops_refuse_over_budget_fast():
     # C(24,12)^2 pairs are far over the pair budget, although the
     # factorization's C(24,0) x C(24,12) entries fit the dense budget; the
-    # eigenvector checks' C(30,5) passes of 30 * 6^2 steps (1.5e8) are far
-    # over the enumeration budget
+    # eigenvector checks' C(30,5) passes of 30 * 6 steps (2.6e7) are over
+    # the enumeration budget
     X = gen_random_zero_sum(30, 10, seed=1)
     for check, budget in (
         (lambda: verify_factorization(24, 0, 12), "pair budget"),
@@ -177,12 +177,13 @@ class _Admitted(Exception):
 
 def test_step_rule_admits_eigenvector_all_at_16_5_and_18_5(monkeypatch):
     # the step rule is checked before the first pass, so reaching a pass
-    # means admitted; no check runs here
+    # means admitted; no check runs here. C(20,5) passes of 20 * 6 steps
+    # are 1.9e6.
     def reached(*args, **kwargs):
         raise _Admitted
 
     monkeypatch.setattr(scheme, "_overlap_pass", reached)
-    for n in (16, 18):
+    for n in (16, 18, 20):
         with pytest.raises(_Admitted):
             verify_eigenvector_all(gen_random_zero_sum(n, 10, seed=1), 5)
 
@@ -215,7 +216,7 @@ def test_planted_eigenvalue_error_is_caught_with_the_same_witness(monkeypatch):
 
 
 def test_wilson_refuses_passes_over_budget_fast():
-    # C(20,10) passes of 20 * 20 * 11 steps for identity (b), although the
+    # C(20,10) passes of 20 * 20 steps (7.4e7) for identity (b), although the
     # packed rows fit the dense budget
     started = time.perf_counter()
     with pytest.raises(DenseBudgetError, match="enumeration budget"):

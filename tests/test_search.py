@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmsverify.combinat import binomial
-from mmsverify.counting import _dp_count_scaled, count_nonnegative_dp
+from mmsverify.counting import MultiplicityPattern, count_nonnegative_dp
 from mmsverify.search import (
     SearchSpace,
     _threshold_count,
@@ -25,11 +25,8 @@ def _subset_count(mults, scaled, k):
 
 
 def _dp_both_orders(mults, scaled, k):
-    rows = [[binomial(m, c) for c in range(min(m, k) + 1)] for m in mults]
-    return (
-        _dp_count_scaled(mults, scaled, k, rows),
-        _dp_count_scaled(mults, scaled, k, rows, reverse=True),
-    )
+    pattern = MultiplicityPattern(tuple((Fraction(w), m) for w, m in zip(scaled, mults)))
+    return count_nonnegative_dp(pattern, k), count_nonnegative_dp(pattern, k, reverse=True)
 
 
 def test_space_validation():
@@ -149,16 +146,37 @@ def test_enumeration_recheck_walks_the_subsets(monkeypatch):
     import mmsverify.search as search
 
     walked = []
-    real = search._walk_count
+    real = search._split_count
 
     def spy(y, n, k, atoms):
         walked.append((n, k))
         return real(y, n, k, atoms)
 
-    monkeypatch.setattr(search, "_walk_count", spy)
+    monkeypatch.setattr(search, "_split_count", spy)
     report = sweep_patterns(SearchSpace(n=6, k=2, max_distinct=2, value_range=6))
     assert report.reverified_enum is True
     assert walked == [(6, 2)]
+
+
+def test_enumeration_recheck_runs_only_when_no_dearer_than_the_search(monkeypatch):
+    # the winner is re-counted when the two lists hold no more sums than
+    # the search examined candidates: 3,632 sums against 17,658 at (22, 7),
+    # but 61,654 against 30 at (30, 10)
+    import mmsverify.search as search
+
+    counted = []
+    real = search._split_count
+
+    def spy(y, n, k, atoms):
+        counted.append((n, k))
+        return real(y, n, k, atoms)
+
+    monkeypatch.setattr(search, "_split_count", spy)
+    report = sweep_patterns(SearchSpace(n=22, k=7, max_distinct=3, value_range=10))
+    assert (report.candidates_examined, report.reverified_enum) == (17658, True)
+    report = sweep_patterns(SearchSpace(n=30, k=10, max_distinct=2, value_range=1))
+    assert (report.candidates_examined, report.reverified_enum) == (30, None)
+    assert counted == [(22, 7)]
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mmsverify.combinat import binomial, rank_colex
+from mmsverify.combinat import binomial
 from mmsverify.weights import (
     WeightVector,
     gen_random_zero_sum,
@@ -14,7 +14,7 @@ from mmsverify.weights import (
     subset_sums,
 )
 
-from _oracles import brute_family
+from _oracles import brute_family, rank_colex
 
 
 def F(x):
