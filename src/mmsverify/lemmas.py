@@ -258,6 +258,10 @@ def simulate_partition(
     consecutive blocks; Z counts blocks with nonnegative sum. All trials
     draw from one random.Random(seed): they are consecutive Fisher-Yates
     passes over the same list, each uniform whatever order it starts from.
+    The passes make random.Random.shuffle's own draws, inlined, and swap
+    the leftover scaled values rather than their indices; only the three
+    witness trials shuffle the indices, so every report is the one that
+    shuffling the indices in every trial gives.
     Z >= 1 must hold in every trial, and the empirical mean is held against the
     exact expectation (m-1) |F| / C((m-1)k, k) within five standard errors
     (exact equality when the sample variance is zero). Before any count or
@@ -293,7 +297,8 @@ def simulate_partition(
                 if len(tail) == r:
                     break
     U = tuple(sorted(in_T | set(tail)))
-    rest = [i for i in range(n) if i not in set(U)]
+    in_U = set(U)
+    rest = [i for i in range(n) if i not in in_U]
     y, scale = X.scaled_ints()
     if sum(y[i] for i in U) >= 0:
         raise AssertionError("U = T + smallest leftovers must keep a negative sum")
@@ -303,26 +308,37 @@ def simulate_partition(
     exact_e = Fraction(blocks * fam, binomial(blocks * k, k))
 
     rng = random.Random(seed)
+    draw = rng.getrandbits
+    # random.Random.shuffle's own draws, inlined: from the last position i
+    # down to 1, j = getrandbits((i + 1).bit_length()), redrawn while j > i,
+    # then positions i and j swap
+    plan = [(i, i + 1, (i + 1).bit_length()) for i in range(len(rest) - 1, 0, -1)]
     perm = rest[:]
-    at = y.__getitem__
+    vals = [y[i] for i in perm]
     cuts = range(0, blocks * k, k)
-    sum_z = 0
-    sum_z2 = 0
-    min_z = blocks
+    tally = [0] * (blocks + 1)
     samples: list[PartitionTrial] = []
     for t in range(trials):
-        rng.shuffle(perm)
+        if t < 3:  # witness trials shuffle the indices themselves
+            rng.shuffle(perm)
+            vals = [y[i] for i in perm]
+        else:
+            for i, bound, width in plan:
+                j = draw(width)
+                while j >= bound:
+                    j = draw(width)
+                vals[i], vals[j] = vals[j], vals[i]
         z = 0
         for a in cuts:
-            if sum(map(at, perm[a : a + k])) >= 0:
+            if sum(vals[a : a + k]) >= 0:
                 z += 1
-        sum_z += z
-        sum_z2 += z * z
-        if z < min_z:
-            min_z = z
+        tally[z] += 1
         if t < 3:
             parts = tuple(tuple(sorted(perm[a : a + k])) for a in cuts)
             samples.append(PartitionTrial(t, tuple(perm), parts, z))
+    sum_z = sum(z * c for z, c in enumerate(tally))
+    sum_z2 = sum(z * z * c for z, c in enumerate(tally))
+    min_z = next(z for z, c in enumerate(tally) if c)
 
     mean = Fraction(sum_z, trials)
     if trials > 1:

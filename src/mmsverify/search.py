@@ -215,8 +215,9 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
     toward the lexicographically smallest (multiplicities, values). The
     winner is re-verified by count_nonnegative_dp, which shares no code with
     the kernel, in both composition orders, and additionally by the
-    two-list counter when its lists hold no more sums than the candidates
-    examined, before the report is emitted.
+    two-list counter when its lists hold no more sums than k + 1 per
+    candidate examined (a d = 3 candidate walks up to k + 1 entries of its
+    threshold table), before the report is emitted.
     """
     total = space.size()
     if total > DEFAULT_CANDIDATE_BUDGET:
@@ -263,7 +264,7 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
             f"dp forward {forward}, dp reverse {backward}"
         )
     reverified_enum = None
-    if _listed(_terms(n, ()), k) <= examined:  # no dearer than the search itself
+    if _listed(_terms(n, ()), k) <= examined * (k + 1):  # no dearer than the search itself
         y, _ = pattern.expand().scaled_ints()
         _, enum_count = _split_count(y, n, k, ())
         if enum_count != b_count:

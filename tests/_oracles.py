@@ -119,6 +119,19 @@ def unrank_colex(r, k, n):
     return tuple(out)
 
 
+def size_pass_closed_form(items, k):
+    """(counts, sums) for j = 0..k: the number of j-subsets of items and the sum of their sums.
+
+    There are C(m, j) of them, and each of the m items lies in C(m-1, j-1),
+    so their sums total C(m-1, j-1) * sum(items); the sum is 0 at j = 0 or
+    m = 0, and both are 0 for j > m.
+    """
+    m, total = len(items), sum(items)
+    counts = [comb(m, j) for j in range(k + 1)]
+    sums = [comb(m - 1, j - 1) * total if j and m else 0 for j in range(k + 1)]
+    return counts, sums
+
+
 def brute_counts_all_k(int_values):
     """Nonnegative subset counts for every size at once, one sweep of 2^n."""
     n = len(int_values)

@@ -187,10 +187,24 @@ def test_simulate_partition_expectation_identity_brute():
     assert report.extra["exact_expectation"] == expected
 
 
+def _thirds(n, seed):
+    """Zero-sum rationals over the denominator 3, sorted non-increasing."""
+    rng = random.Random(seed)
+    head = [Fraction(rng.randint(-60, 60), 3) for _ in range(n - 1)]
+    return normalize(head + [-sum(head)])
+
+
 def test_simulate_partition_is_one_stream_of_consecutive_shuffles():
-    # (13, 3) and (26, 5) leave r = 1 index to U besides T, (12, 3) none
-    for n, k, seed, trials in ((13, 3, 1, 700), (12, 3, 9, 500), (26, 5, 4, 300)):
-        X = gen_random_zero_sum(n, 20, seed=seed)
+    # (13, 3) and (26, 5) leave r = 1 index to U besides T, (12, 3) none.
+    # Trials 1 to 4 straddle the three witness trials; (19, 2) and (18, 1)
+    # leave 16 and 17 indices, where the draw width steps from 5 bits to 4
+    # and the 5-bit draws are rejected about half the time; (26, 5) and (34, 4), the
+    # latter on rationals, are the benchmark's shapes.
+    cases = [(13, 3, 1, 700), (12, 3, 9, 500), (26, 5, 4, 300)]
+    cases += [(13, 3, seed, trials) for seed, trials in ((2, 1), (3, 2), (4, 3), (5, 4))]
+    cases += [(19, 2, 6, 400), (18, 1, 7, 400), (26, 5, 11, 3000), (34, 4, 12, 2000)]
+    for n, k, seed, trials in cases:
+        X = _thirds(n, seed) if n == 34 else gen_random_zero_sum(n, 20, seed=seed)
         T = tuple(range(n - k, n))
         m, r = divmod(n, k)
         U = sorted(T + tuple(i for i in range(n - 1, -1, -1) if i not in T)[:r])

@@ -10,6 +10,7 @@ from mmsverify.counting import (
     MultiplicityPattern,
     Restriction,
     _gf_count,
+    _size_pass,
     _split_count,
     count_nonnegative,
     count_nonnegative_dp,
@@ -20,7 +21,14 @@ from mmsverify.lemmas import single_overlap_coefficient
 from mmsverify.scheme import verify_eigenvector_all
 from mmsverify.weights import normalize, subset_sums
 
-from _oracles import brute_count, brute_restricted_sum, rank_colex, satisfies, unrank_colex
+from _oracles import (
+    brute_count,
+    brute_restricted_sum,
+    rank_colex,
+    satisfies,
+    size_pass_closed_form,
+    unrank_colex,
+)
 
 
 @st.composite
@@ -195,3 +203,11 @@ def test_colex_rank_is_ambient_independent(start, k):
     small = KSubset(indices, start + k)
     large = KSubset(indices, start + k + 7)
     assert rank_colex(small) == rank_colex(large)
+
+
+@given(st.lists(st.integers(min_value=-50, max_value=50), max_size=12), st.data())
+def test_size_pass_matches_its_closed_form(items, data):
+    # the pass adds item by item; the closed form counts C(m, j) subsets
+    # and C(m-1, j-1) * sum(items) in their sums
+    k = data.draw(st.integers(min_value=0, max_value=len(items) + 3))
+    assert _size_pass(items, k) == size_pass_closed_form(items, k)

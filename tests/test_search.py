@@ -160,8 +160,9 @@ def test_enumeration_recheck_walks_the_subsets(monkeypatch):
 
 def test_enumeration_recheck_runs_only_when_no_dearer_than_the_search(monkeypatch):
     # the winner is re-counted when the two lists hold no more sums than
-    # the search examined candidates: 3,632 sums against 17,658 at (22, 7),
-    # but 61,654 against 30 at (30, 10)
+    # k + 1 per candidate examined: 3,632 sums against 8 * 17,658 at
+    # (22, 7) and 114 against 5 * 67 at (12, 4), but 601 against 6 * 97 at
+    # (17, 5) and 61,654 against 11 * 30 at (30, 10)
     import mmsverify.search as search
 
     counted = []
@@ -174,9 +175,13 @@ def test_enumeration_recheck_runs_only_when_no_dearer_than_the_search(monkeypatc
     monkeypatch.setattr(search, "_split_count", spy)
     report = sweep_patterns(SearchSpace(n=22, k=7, max_distinct=3, value_range=10))
     assert (report.candidates_examined, report.reverified_enum) == (17658, True)
+    report = sweep_patterns(SearchSpace(n=12, k=4, max_distinct=2, value_range=6))
+    assert (report.candidates_examined, report.reverified_enum) == (67, True)
+    report = sweep_patterns(SearchSpace(n=17, k=5, max_distinct=2, value_range=6))
+    assert (report.candidates_examined, report.reverified_enum) == (97, None)
     report = sweep_patterns(SearchSpace(n=30, k=10, max_distinct=2, value_range=1))
     assert (report.candidates_examined, report.reverified_enum) == (30, None)
-    assert counted == [(22, 7)]
+    assert counted == [(22, 7), (12, 4)]
 
 
 @pytest.mark.parametrize(
