@@ -258,10 +258,13 @@ def simulate_partition(
     consecutive blocks; Z counts blocks with nonnegative sum. All trials
     draw from one random.Random(seed): they are consecutive Fisher-Yates
     passes over the same list, each uniform whatever order it starts from.
-    The passes make random.Random.shuffle's own draws, inlined, and swap
-    the leftover scaled values rather than their indices; only the three
-    witness trials shuffle the indices, so every report is the one that
-    shuffling the indices in every trial gives.
+    The passes make the draws of CPython's random.Random.shuffle (as 3.10
+    and 3.11 implement it), inlined, and swap the leftover scaled values
+    rather than their indices; only the three witness trials swap the
+    indices, so every report is the one that shuffling the indices in
+    every trial gives. Python does not promise shuffle's draws across
+    versions; test_simulate_partition_is_one_stream_of_consecutive_shuffles
+    replays random.Random.shuffle itself and guards the equivalence.
     Z >= 1 must hold in every trial, and the empirical mean is held against the
     exact expectation (m-1) |F| / C((m-1)k, k) within five standard errors
     (exact equality when the sample variance is zero). Before any count or
@@ -314,20 +317,18 @@ def simulate_partition(
     # then positions i and j swap
     plan = [(i, i + 1, (i + 1).bit_length()) for i in range(len(rest) - 1, 0, -1)]
     perm = rest[:]
-    vals = [y[i] for i in perm]
     cuts = range(0, blocks * k, k)
     tally = [0] * (blocks + 1)
     samples: list[PartitionTrial] = []
     for t in range(trials):
-        if t < 3:  # witness trials shuffle the indices themselves
-            rng.shuffle(perm)
-            vals = [y[i] for i in perm]
-        else:
-            for i, bound, width in plan:
+        lst = perm if t < 3 else vals  # witness trials swap the indices; trial 0 binds vals
+        for i, bound, width in plan:
+            j = draw(width)
+            while j >= bound:
                 j = draw(width)
-                while j >= bound:
-                    j = draw(width)
-                vals[i], vals[j] = vals[j], vals[i]
+            lst[i], lst[j] = lst[j], lst[i]
+        if t < 3:
+            vals = [y[i] for i in perm]
         z = 0
         for a in cuts:
             if sum(vals[a : a + k]) >= 0:

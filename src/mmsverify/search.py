@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterator, Mapping
 
-from .combinat import _Record, binomial
+from .combinat import ENUM_BUDGET, _Record, binomial
 from .counting import (
     MultiplicityPattern,
     _listed,
@@ -264,7 +264,10 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
             f"dp forward {forward}, dp reverse {backward}"
         )
     reverified_enum = None
-    if _listed(_terms(n, ()), k) <= examined * (k + 1):  # no dearer than the search itself
+    # k + 1 listed sums per candidate kept the re-check under the sweep's
+    # own time at every shape measured; _listed stops adding past
+    # ENUM_BUDGET, so the budget caps the gate too
+    if _listed(_terms(n, ()), k) <= min(ENUM_BUDGET, examined * (k + 1)):
         y, _ = pattern.expand().scaled_ints()
         _, enum_count = _split_count(y, n, k, ())
         if enum_count != b_count:

@@ -163,6 +163,7 @@ def test_enumeration_recheck_runs_only_when_no_dearer_than_the_search(monkeypatc
     # k + 1 per candidate examined: 3,632 sums against 8 * 17,658 at
     # (22, 7) and 114 against 5 * 67 at (12, 4), but 601 against 6 * 97 at
     # (17, 5) and 61,654 against 11 * 30 at (30, 10)
+    import mmsverify.counting as counting
     import mmsverify.search as search
 
     counted = []
@@ -181,6 +182,15 @@ def test_enumeration_recheck_runs_only_when_no_dearer_than_the_search(monkeypatc
     assert (report.candidates_examined, report.reverified_enum) == (97, None)
     report = sweep_patterns(SearchSpace(n=30, k=10, max_distinct=2, value_range=1))
     assert (report.candidates_examined, report.reverified_enum) == (30, None)
+    assert counted == [(22, 7), (12, 4)]
+    # with the budget at 100, _listed stops at its first total past 100,
+    # which is still under 5 * 67: the gate must skip on the budget rather
+    # than let _split_count refuse after the sweep
+    monkeypatch.setattr(counting, "ENUM_BUDGET", 100)
+    monkeypatch.setattr(search, "ENUM_BUDGET", 100)
+    assert 100 < counting._listed(counting._terms(12, ()), 4) <= 5 * 67
+    report = sweep_patterns(SearchSpace(n=12, k=4, max_distinct=2, value_range=6))
+    assert (report.candidates_examined, report.reverified_enum) == (67, None)
     assert counted == [(22, 7), (12, 4)]
 
 
