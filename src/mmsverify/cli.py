@@ -109,7 +109,7 @@ def _build_parser() -> _Parser:
     p_search = sub.add_parser("search", help="sweep patterns for minima")
     p_search.add_argument("--n", type=int)
     p_search.add_argument("-k", type=int, required=True)
-    p_search.add_argument("--max-distinct", type=int, default=2)
+    p_search.add_argument("--max-distinct", type=int, help="default 2; --counterexample uses 3")
     p_search.add_argument("--value-range", type=int, default=6)
     p_search.add_argument("--counterexample", action="store_true")
     p_search.add_argument("-r", type=int, help="remainder for --counterexample (n = 3k + r)")
@@ -304,24 +304,20 @@ def _dispatch(args: argparse.Namespace, parser: _Parser):
         if args.counterexample:
             if args.r is None:
                 parser.error("--counterexample needs -r")
+            for flag, value in (("--n", args.n), ("--max-distinct", args.max_distinct)):
+                if value is not None:
+                    parser.error(f"--counterexample sets n = 3k + r and 3 values; drop {flag}")
             report = find_counterexample(args.k, args.r, args.value_range)
             inputs = {"k": args.k, "r": args.r, "value_range": args.value_range}
         else:
             if args.n is None:
                 parser.error("search needs --n (or --counterexample with -r)")
-            space = SearchSpace(
-                n=args.n,
-                k=args.k,
-                max_distinct=args.max_distinct,
-                value_range=args.value_range,
-            )
+            if args.r is not None:
+                parser.error("-r applies only with --counterexample")
+            chosen = {} if args.max_distinct is None else {"max_distinct": args.max_distinct}
+            space = SearchSpace(n=args.n, k=args.k, value_range=args.value_range, **chosen)
             report = sweep_patterns(space)
-            inputs = {
-                "n": args.n,
-                "k": args.k,
-                "max_distinct": args.max_distinct,
-                "value_range": args.value_range,
-            }
+            inputs = dict(report.provenance)
         return inputs, report.to_dict(), report.verdict
 
     if args.subcommand == "gen":

@@ -6,14 +6,15 @@ value, with the last solved exactly for zero sum, covers every sign pattern
 reachable at a given number of distinct values. Exhaustiveness makes negative
 results reproducible rather than anecdotal.
 
-Each candidate is counted by one integer threshold kernel for every d >= 2.
+Every candidate with d >= 2 is counted by one integer threshold kernel.
 Fix the first d-2 parts of a composition of k; because the values strictly
 decrease, its sum is then linear and increasing in part d-1, so the
 nonnegative compositions with that prefix are those whose part d-1 reaches
-one threshold, found by a floor division. A table built once per
-multiplicity tuple holds each prefix's binomial weight and the suffix sums
-of the last two binomial factors, so a candidate costs one floor division
-and one lookup per prefix: O(k^(d-2)) work instead of O(k^(d-1)).
+one threshold, found by a floor division. The grid is counted a row at a
+time, a row being the candidates that differ only in the last head: with a
+table built once per multiplicity tuple and two coefficients per prefix
+built once per row, a candidate costs one multiply, one floor division and
+one lookup per prefix: O(k^(d-2)) work instead of O(k^(d-1)).
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ __all__ = ["SearchReport", "SearchSpace", "find_counterexample", "sweep_patterns
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 MAX_DISTINCT_CAP = 4
+Row = tuple[tuple[int, ...], tuple[int, ...], int, int, int]
+Table = tuple[list[range], list[tuple[int, int, int, int, list[int]]]]
 
 
 def _positive_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -86,16 +89,13 @@ class SearchSpace(_Record):
             total += binomial(self.n - 1, d - 1) * heads
         return total
 
-    def candidates(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-        """Yield (multiplicities, scaled integer values, denominator).
+    def rows(self) -> Iterator[Row]:
+        """Yield (multiplicities, prefix heads, base, hi, lo) for each nonempty d >= 2 row.
 
-        The true values are scaled[i] / denominator; they are strictly
-        decreasing with exact weighted sum zero. The heads come in
-        lexicographic order (each from high to low), and the last head runs
-        only over the values whose solved last value stays below it, so no
-        head is built and then dropped.
+        A row is the candidates that differ only in the last head v, run from
+        hi down to lo; the last value is (base - m_head * v) / den, with den
+        the last multiplicity. Prefixes are lexicographic, heads high to low.
         """
-        yield (self.n,), (0,), 1
         top = self.value_range
         grid = range(top, -top - 1, -1)
         for d in range(2, self.max_distinct + 1):
@@ -109,9 +109,21 @@ class SearchSpace(_Record):
                     # last head v exactly when v * (m_head + den) > base.
                     hi = prefix[-1] - 1 if prefix else top
                     lo = max(base // (m_head + den) + 1, -top)
-                    scaled_prefix = tuple(v * den for v in prefix)
-                    for v in range(hi, lo - 1, -1):
-                        yield mults, scaled_prefix + (v * den, base - m_head * v), den
+                    if lo <= hi:
+                        yield mults, prefix, base, hi, lo
+
+    def candidates(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+        """Yield (multiplicities, scaled integer values, denominator): 0, then rows() flattened.
+
+        The true values are scaled[i] / denominator; they are strictly
+        decreasing with exact weighted sum zero.
+        """
+        yield (self.n,), (0,), 1
+        for mults, prefix, base, hi, lo in self.rows():
+            m_head, den = mults[-2:]
+            scaled_prefix = tuple(v * den for v in prefix)
+            for v in range(hi, lo - 1, -1):
+                yield mults, scaled_prefix + (v * den, base - m_head * v), den
 
 
 class SearchReport(_Record):
@@ -154,17 +166,15 @@ class SearchReport(_Record):
         }
 
 
-def _threshold_table(
-    mults: tuple[int, ...], k: int
-) -> tuple[list[range], list[tuple[int, int, int, int, list[int]]]]:
+def _threshold_table(mults: tuple[int, ...], k: int) -> Table:
     """(box, entries) for the prefixes (c_1..c_{d-2}) of compositions of k, d >= 2.
 
-    box holds the range of each prefix part; entries has one (g, weight,
-    lo, hi, suffix) per feasible prefix, where g is the prefix's position
-    in the box in lexicographic order, weight the product of C(m_i, c_i)
-    over it, the rest rem = k - sum(prefix) splits as c_{d-1} + c_d with
-    lo <= c_{d-1} <= hi, and suffix[t - lo] is the sum of
-    C(m_{d-1}, c) * C(m_d, rem - c) over t <= c <= hi.
+    box holds the range of each prefix part; entries has one (g, rem, lo,
+    hi, suffix) per feasible prefix, where g is the prefix's position in
+    the box in lexicographic order, the rest rem = k - sum(prefix) splits
+    as c_{d-1} + c_d with lo <= c_{d-1} <= hi, and suffix[t - lo] is the
+    sum of C(m_{d-1}, c) * C(m_d, rem - c) over t <= c <= hi, times the
+    prefix's weight, the product of C(m_i, c_i) over it.
     """
     rows = [[binomial(m, c) for c in range(min(m, k) + 1)] for m in mults]
     *head, last, final = rows
@@ -174,50 +184,55 @@ def _threshold_table(
         rem = k - sum(prefix)
         lo, hi = max(0, rem - mults[-1]), min(mults[-2], rem)
         if lo <= hi:
-            pairs = [last[c] * final[rem - c] for c in range(hi, lo - 1, -1)]
-            suffix = list(itertools.accumulate(pairs))[::-1]
-            entries.append((g, prod(row[c] for row, c in zip(head, prefix)), lo, hi, suffix))
+            weight = prod(row[c] for row, c in zip(head, prefix))
+            pairs = [weight * last[c] * final[rem - c] for c in range(hi, lo - 1, -1)]
+            entries.append((g, rem, lo, hi, list(itertools.accumulate(pairs))[::-1]))
     return box, entries
 
 
-def _threshold_count(
-    table: tuple[list[range], list[tuple[int, int, int, int, list[int]]]],
-    scaled: tuple[int, ...],
-    k: int,
-) -> int:
-    """Compositions of k with a nonnegative sum against scaled, weighted by binomials.
+def _row_counts(table: Table, row: Row) -> list[int]:
+    """Weighted compositions of k with a nonnegative sum, per candidate of a row, v = hi..lo.
 
-    With the prefix fixed, the sum is base + c_{d-1} * dw, where dw =
-    w_{d-1} - w_d > 0 and base = sum c_i * (w_i - w_d) + k * w_d, so it is
-    nonnegative exactly for c_{d-1} >= -(base // dw). Integers only.
+    With the prefix (c_1..c_{d-2}) fixed, the sum is base_g + c_{d-1} * dw,
+    where dw = w_{d-1} - w_d > 0 and base_g = sum c_i * (w_i - w_d) + k * w_d,
+    so it is nonnegative exactly for c_{d-1} >= -(base_g // dw). Only v moves
+    along the row: w_d = base - m_head * v, so base_g = A_g - v * m_head * rem_g
+    and dw = v * (m_head + den) - base, with A_g fixed per row. Integers only.
     """
     box, entries = table
-    w_d = scaled[-1]
-    dw = scaled[-2] - w_d
-    bases = [k * w_d]  # base at every prefix of the box, in lexicographic order
-    for parts, w in zip(box, scaled):
-        lift = w - w_d
-        bases = [b + c * lift for b in bases for c in parts]
-    total = 0
-    for g, weight, lo, hi, suffix in entries:
-        t = -(bases[g] // dw)
-        if t <= hi:
-            total += weight * suffix[t - lo if t > lo else 0]
-    return total
+    mults, prefix, base, hi, lo = row
+    m_head, den = mults[-2:]
+    lifts = [0]  # den * sum of c_i * h_i at every prefix of the box, in order
+    for parts, h in zip(box, prefix):
+        lifts = [s + c * h * den for s in lifts for c in parts]
+    terms = [(rem * base + lifts[g], m_head * rem, c_lo, c_hi, suffix)
+             for g, rem, c_lo, c_hi, suffix in entries]
+    slope = m_head + den
+    counts = []
+    for v in range(hi, lo - 1, -1):
+        dw = v * slope - base
+        total = 0
+        for a, step, c_lo, c_hi, suffix in terms:
+            t = -((a - v * step) // dw)
+            if t <= c_hi:
+                total += suffix[t - c_lo if t > c_lo else 0]
+        counts.append(total)
+    return counts
 
 
 def sweep_patterns(space: SearchSpace) -> SearchReport:
     """Minimize the nonnegative k-subset count over the whole grid.
 
-    Candidates come grouped by multiplicity tuple, so the threshold table
-    (see _threshold_table) is rebuilt only when the tuple changes, and each
-    candidate is counted by _threshold_count in exact integers. Ties break
-    toward the lexicographically smallest (multiplicities, values). The
-    winner is re-verified by count_nonnegative_dp, which shares no code with
-    the kernel, in both composition orders, and additionally by the
-    two-list counter when its lists hold no more sums than k + 1 per
-    candidate examined (a d = 3 candidate walks up to k + 1 entries of its
-    threshold table), before the report is emitted.
+    The threshold table (see _threshold_table) is rebuilt only when the
+    multiplicity tuple changes, and _row_counts counts each row of
+    SearchSpace.rows in exact integers in one call. Ties break toward the
+    lexicographically smallest (multiplicities, values), which are built
+    only for a count that ties or beats the best so far. The winner is
+    re-verified by count_nonnegative_dp, which shares no code with the
+    kernel, in both composition orders, and additionally by the two-list
+    counter when its lists hold no more sums than k + 1 per candidate
+    examined (a d = 3 candidate walks up to k + 1 entries of its threshold
+    table), before the report is emitted.
     """
     total = space.size()
     if total > DEFAULT_CANDIDATE_BUDGET:
@@ -227,32 +242,27 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
         )
     n, k = space.n, space.k
     bound = star_family_size(n, k)
-    candidates = space.candidates()
-    # The first candidate is the single value 0: every k-subset sums to 0.
-    mults, scaled, den = next(candidates)
-    best = (binomial(n, k), mults, scaled, den)
+    # The single value 0 comes first: every k-subset sums to 0.
+    b_count, b_mults, b_scaled, b_den = binomial(n, k), (n,), (0,), 1
     examined = 1
     table_mults: tuple[int, ...] = ()
-    for mults, scaled, den in candidates:
+    for row in space.rows():
+        mults, prefix, base, hi, lo = row
         if mults != table_mults:
             table_mults, table = mults, _threshold_table(mults, k)
-        count = _threshold_count(table, scaled, k)
-        examined += 1
-        b_count, b_mults, b_scaled, b_den = best
-        if count != b_count:
-            if count < b_count:
-                best = (count, mults, scaled, den)
+        counts = _row_counts(table, row)
+        examined += len(counts)
+        least = min(counts)
+        if least > b_count:
             continue
-        if mults != b_mults:
-            if mults < b_mults:
-                best = (count, mults, scaled, den)
-            continue
-        values = tuple(Fraction(s, den) for s in scaled)
-        b_values = tuple(Fraction(s, b_den) for s in b_scaled)
-        if values < b_values:
-            best = (count, mults, scaled, den)
+        # Values fall with v along a row, so its argmin is its last least count;
+        # equal multiplicities share den, so scaled tuples compare as values.
+        v = lo + counts[::-1].index(least)
+        m_head, den = mults[-2:]
+        scaled = tuple(h * den for h in prefix) + (v * den, base - m_head * v)
+        if least < b_count or (mults, scaled) < (b_mults, b_scaled):
+            b_count, b_mults, b_scaled, b_den = least, mults, scaled, den
 
-    b_count, b_mults, b_scaled, b_den = best
     pattern = MultiplicityPattern(
         tuple((Fraction(s, b_den), m) for s, m in zip(b_scaled, b_mults))
     )
@@ -264,9 +274,9 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
             f"dp forward {forward}, dp reverse {backward}"
         )
     reverified_enum = None
-    # k + 1 listed sums per candidate kept the re-check under the sweep's
-    # own time at every shape measured; _listed stops adding past
-    # ENUM_BUDGET, so the budget caps the gate too
+    # k + 1 listed sums per candidate kept the re-check within 1.25 times
+    # the sweep's own time at every shape measured; _listed stops adding
+    # past ENUM_BUDGET, so the budget caps the gate too
     if _listed(_terms(n, ()), k) <= min(ENUM_BUDGET, examined * (k + 1)):
         y, _ = pattern.expand().scaled_ints()
         _, enum_count = _split_count(y, n, k, ())

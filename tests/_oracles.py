@@ -6,8 +6,8 @@ behind itself.
 """
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import combinations, product
+from math import comb, prod
 
 
 class BinomialTable:
@@ -211,6 +211,29 @@ def filtered_candidates(n, max_distinct, value_range):
                 num = -sum(m * v for m, v in zip(mults, heads))
                 if num < heads[-1] * den:
                     yield mults, tuple(v * den for v in heads) + (num,), den
+
+
+def threshold_count(mults, scaled, k):
+    """The search's count of one candidate, by a per-prefix threshold.
+
+    The candidate has d >= 2 strictly decreasing integer values scaled with
+    multiplicities mults. For each prefix (c_1..c_{d-2}) of a composition of
+    k, the sum rises with c_{d-1} by w_{d-1} - w_d > 0, so the nonnegative
+    compositions are those with c_{d-1} at or past one threshold, found by
+    a floor division; each is weighted by its product of math.comb
+    factors. Builds no table and shares no code with the package.
+    """
+    *head, m_last, m_final = mults
+    w_last, w_final = scaled[-2:]
+    dw = w_last - w_final
+    total = 0
+    for prefix in product(*(range(min(m, k) + 1) for m in head)):
+        rem = k - sum(prefix)
+        base = sum(c * w for c, w in zip(prefix, scaled)) + rem * w_final
+        weight = prod(comb(m, c) for m, c in zip(head, prefix))
+        for c in range(max(0, rem - m_final, -(base // dw)), min(m_last, rem) + 1):
+            total += weight * comb(m_last, c) * comb(m_final, rem - c)
+    return total
 
 
 def replay_partition(values, k, rest, rng, trials):

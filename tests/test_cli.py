@@ -263,6 +263,40 @@ def test_partition_json_is_pinned(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--counterexample", "-k", "7", "-r", "1", "--n", "30"], "--n"),
+        (["--counterexample", "-k", "7", "-r", "1", "--max-distinct", "2"], "--max-distinct"),
+        (["--n", "5", "-k", "2", "-r", "1"], "-r"),
+    ],
+)
+def test_search_refuses_flags_it_would_ignore(argv, flag):
+    out, err, code = run(["search", *argv, "--format", "json"])
+    assert (out, code) == ("", 2)
+    assert f"error: {flag} " in err or f"drop {flag}\n" in err
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["--counterexample", "-k", "7", "-r", "1", "--value-range", "20"],
+         "45077ec427e7216bee92e27aa765503a97da46cabfb079dfb08b4ac569629499"),
+        (["--n", "22", "-k", "7", "--max-distinct", "3", "--value-range", "10"],
+         "ea186e9e88c8ad5bf9b86a3c89fad620e751b5acd6caaddcc4cb3975e84cd734"),
+        (["--n", "14", "-k", "4", "--max-distinct", "4", "--value-range", "4"],
+         "ed64ecc7c4df92c5ae3d605e2ef0ccc7fd1733281581ba39db140a83bd7960d7"),
+    ],
+)
+def test_benchmark_search_json_is_pinned(argv, digest):
+    # digests taken with one per-candidate kernel call: counting the grid a
+    # row at a time keeps winners, tie-breaks, candidates examined and
+    # re-checks byte for byte
+    out, err, code = run(["search", *argv, "--format", "json"])
+    assert err == "" and code in (0, 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_input_errors_exit_2(tmp_path):
     missing = tmp_path / "nope.json"
     out, err, code = run(["count", "--weights", str(missing), "-k", "2"])

@@ -9,13 +9,13 @@ from mmsverify.combinat import binomial
 from mmsverify.counting import MultiplicityPattern, count_nonnegative_dp
 from mmsverify.search import (
     SearchSpace,
-    _threshold_count,
+    _row_counts,
     _threshold_table,
     find_counterexample,
     sweep_patterns,
 )
 
-from _oracles import brute_count, filtered_candidates
+from _oracles import brute_count, filtered_candidates, threshold_count
 
 
 def _subset_count(mults, scaled, k):
@@ -198,24 +198,31 @@ def test_enumeration_recheck_runs_only_when_no_dearer_than_the_search(monkeypatc
     "n,k,d,v", [(10, 5, 4, 3), (9, 4, 4, 3), (8, 3, 4, 4), (7, 2, 4, 4), (6, 6, 4, 3), (5, 1, 4, 3)]
 )
 def test_threshold_kernel_matches_dp_and_brute_on_every_candidate(n, k, d, v):
+    # each row is counted whole and one value at a time, and every count is
+    # held to the per-candidate oracle, the DP in both orders and itertools
     seen = 0
-    for mults, scaled, _ in SearchSpace(n=n, k=k, max_distinct=d, value_range=v).candidates():
-        if len(mults) == 1:
-            continue
-        count = _threshold_count(_threshold_table(mults, k), scaled, k)
-        assert (count, count) == _dp_both_orders(mults, scaled, k), (mults, scaled)
-        assert count == _subset_count(mults, scaled, k), (mults, scaled)
-        seen += 1
+    for mults, prefix, base, hi, lo in SearchSpace(n=n, k=k, max_distinct=d, value_range=v).rows():
+        table = _threshold_table(mults, k)
+        counts = _row_counts(table, (mults, prefix, base, hi, lo))
+        m_head, den = mults[-2:]
+        for count, head in zip(counts, range(hi, lo - 1, -1)):
+            scaled = tuple(h * den for h in prefix) + (head * den, base - m_head * head)
+            assert _row_counts(table, (mults, prefix, base, head, head)) == [count]
+            assert count == threshold_count(mults, scaled, k), (mults, scaled)
+            assert (count, count) == _dp_both_orders(mults, scaled, k), (mults, scaled)
+            assert count == _subset_count(mults, scaled, k), (mults, scaled)
+            seen += 1
     assert seen > 0
 
 
 @st.composite
 def threshold_cases(draw):
-    """(mults, strictly decreasing zero-sum integer values, k, zero composition or None).
+    """(mults, strictly decreasing integer heads, k, zero composition or None).
 
-    In half the cases the multiplicities are a * base and k = b * base_total
-    with b <= a, so the composition b * base has sum (b/a) * 0 = 0: the
-    kernel's ceiling division then lands exactly on its boundary.
+    The last value is solved from the heads for zero sum. In half the
+    cases the multiplicities are a * base and k = b * base_total with b <=
+    a, so the composition b * base has sum (b/a) * 0 = 0: the kernel's
+    ceiling division then lands exactly on its boundary.
     """
     d = draw(st.integers(min_value=2, max_value=5))
     base = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=d, max_size=d))
@@ -231,22 +238,51 @@ def threshold_cases(draw):
     heads = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=d - 1,
                           max_size=d - 1, unique=True))
     heads.sort(reverse=True)
-    last = -sum(m * h for m, h in zip(mults, heads))
-    scaled = tuple(h * mults[-1] for h in heads) + (last,)
-    assume(last < scaled[-2])
-    return mults, scaled, k, comp
+    assume(-sum(m * h for m, h in zip(mults, heads)) < heads[-1] * mults[-1])
+    return mults, tuple(heads), k, comp
 
 
 @settings(max_examples=300, deadline=None)
 @given(threshold_cases())
 def test_threshold_kernel_matches_dp_and_brute(case):
-    mults, scaled, k, comp = case
+    mults, heads, k, comp = case
+    *prefix, head = heads
+    base = -sum(m * h for m, h in zip(mults, prefix))
+    m_head, den = mults[-2:]
+    scaled = tuple(h * den for h in heads) + (base - m_head * head,)
     assert sum(m * w for m, w in zip(mults, scaled)) == 0
     if comp is not None:
         assert sum(c * w for c, w in zip(comp, scaled)) == 0
-    count = _threshold_count(_threshold_table(mults, k), scaled, k)
+    table = _threshold_table(mults, k)
+    [count] = _row_counts(table, (mults, tuple(prefix), base, head, head))
+    assert count == threshold_count(mults, scaled, k)
     assert (count, count) == _dp_both_orders(mults, scaled, k)
     assert count == _subset_count(mults, scaled, k)
+    # the same candidate counted as the first of a longer row, which stops
+    # where the solved last value would reach the last head
+    lo = max(base // (m_head + den) + 1, head - 3)
+    counts = _row_counts(table, (mults, tuple(prefix), base, head, lo))
+    assert counts[0] == count and len(counts) == head - lo + 1
+
+
+@pytest.mark.parametrize(
+    "n,k,d,v", [(5, 2, 1, 3), (9, 4, 2, 5), (8, 3, 3, 3), (6, 2, 4, 2), (8, 2, 4, 1), (10, 3, 4, 3)]
+)
+def test_sweep_is_the_argmin_of_the_oracle_over_the_filtered_grid(n, k, d, v):
+    # the grid rebuilt by filtering, every candidate scored by the
+    # per-candidate oracle, and the least (count, multiplicities, values)
+    # taken directly: the row kernel and the sweep's tie-break must agree
+    scored = [
+        (binomial(n, k) if len(mults) == 1 else threshold_count(mults, scaled, k), mults,
+         tuple(Fraction(s, den) for s in scaled))
+        for mults, scaled, den in filtered_candidates(n, d, v)
+    ]
+    count, mults, values = min(scored)
+    report = sweep_patterns(SearchSpace(n=n, k=k, max_distinct=d, value_range=v))
+    assert (report.best_count, report.best_pattern.pairs, report.candidates_examined) == (
+        count, tuple(zip(values, mults)), len(scored))
+    if d > 1:
+        assert sum(1 for c, _, _ in scored if c == count) > 1  # the minimum is tied
 
 
 @pytest.mark.parametrize(
