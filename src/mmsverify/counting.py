@@ -10,10 +10,11 @@ generating-function counter packs, per subset size, the polynomial sum
 of x^(subset sum) into one Python int and adds one element at a time.
 The two-list counter splits the items in halves, lists each half's
 subset sums for every split of the subset size, and counts the pairs
-with a nonnegative total by bisection. count_nonnegative_dp sums
-products of binomials over compositions of k against a multiplicity
-pattern. Tests and the search engine hold the three against each other;
-apart from _terms they never share a code path.
+with a nonnegative total by bisection. count_nonnegative_dp runs a
+(size, sum) dynamic program over the distinct values of a multiplicity
+pattern, adding c copies of a value with multiplicity m at C(m, c) ways.
+Tests and the search engine hold the three against each other; apart
+from _terms they never share a code path.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm, prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .combinat import ENUM_BUDGET, _Record, binomial, colex
 from .weights import WeightVector
@@ -487,69 +488,64 @@ class MultiplicityPattern(_Record):
         )
 
 
-def _compositions(mults: Sequence[int], k: int, reverse: bool) -> Iterator[tuple[int, ...]]:
-    """Compositions (c_1..c_d), 0 <= c_i <= m_i, sum k, lexicographic order.
+def _dp_updates(pairs: Sequence[tuple[int, int]], k: int) -> int:
+    """Most dict updates count_nonnegative_dp makes on (scaled value, multiplicity) pairs.
 
-    A stack of per-position choice iterators replaces recursion, so the
-    number d of distinct values is not limited by the interpreter's stack.
+    Before the i-th value, level j is empty past the multiplicity seen; it
+    holds at most C(i+j-1, j) sums, the j-multisets of the values seen,
+    and at most j*span + 1, the integers in [j*min, j*max]. Each state
+    takes one update per copy count c the DP tries, and each of the k
+    levels past 0 counts one for its dict. The sum stops, and is returned,
+    once it passes ENUM_BUDGET.
     """
-    d = len(mults)
-    suffix = [0] * (d + 1)
-    for i in range(d - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + mults[i]
-    out = [0] * d
-    left = [k] * d  # left[i]: what positions i.. still have to sum to
-
-    def choices(i: int) -> Iterator[int]:
-        lo = max(0, left[i] - suffix[i + 1])
-        hi = min(mults[i], left[i])
-        return iter(range(hi, lo - 1, -1) if reverse else range(lo, hi + 1))
-
-    if d == 1:
-        if 0 <= k <= mults[0]:
-            yield (k,)
-        return
-    stack = [choices(0)]
-    while stack:
-        i = len(stack) - 1
-        for c in stack[i]:
-            out[i] = c
-            if i == d - 2:  # the last position takes what is left
-                out[i + 1] = left[i] - c
-                yield tuple(out)
-                continue
-            left[i + 1] = left[i] - c
-            stack.append(choices(i + 1))
-            break
-        else:
-            stack.pop()
+    span = abs(pairs[0][0] - pairs[-1][0])  # the values are sorted
+    updates, seen, rest = k, 0, sum(m for _, m in pairs)
+    for i, (_, m) in enumerate(pairs):
+        rest -= m
+        for j in range(min(k, seen + 1)):
+            states = min(binomial(i + j - 1, j), j * span + 1) if j else 1
+            updates += states * max(0, min(m, k - j) - max(1, k - j - rest) + 1)
+            if updates > ENUM_BUDGET:
+                return updates
+        seen += m
+    return updates
 
 
 def count_nonnegative_dp(pattern: MultiplicityPattern, k: int, reverse: bool = False) -> int:
     """Count nonnegative k-subset sums from the multiplicity pattern alone.
 
-    Sums prod_i C(m_i, c_i) over compositions sum(c_i) = k with
-    sum(c_i * v_i) >= 0, enumerated in lexicographic order (reverse=True
-    walks the exact mirror order for independent re-verification).
+    A (size, sum) dynamic program over the distinct values: levels[j] maps
+    each scaled sum of j items to its number of ways. Value w with
+    multiplicity m adds c copies, C(m, c) ways, to every state of level j,
+    for j descending so no state takes w twice; c starts where the values
+    still to come can fill the rest of k, so no state is kept that cannot
+    reach it. reverse=True takes the values in the opposite order, a
+    different sequence of states, for independent re-verification.
+    Refuses, before any state is built, when _dp_updates passes
+    ENUM_BUDGET.
     """
     n = pattern.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    mults = [m for _, m in pattern.pairs]
     scale = lcm(*(v.denominator for v, _ in pattern.pairs))
-    scaled = [int(v * scale) for v, _ in pattern.pairs]
-    rows = [[binomial(m, c) for c in range(min(m, k) + 1)] for m in mults]
-    total = 0
-    for comp in _compositions(mults, k, reverse):
-        s = 0
-        for c, w in zip(comp, scaled):
-            s += c * w
-        if s >= 0:
-            ways = 1
-            for c, row in zip(comp, rows):
-                ways *= row[c]
-            total += ways
-    return total
+    pairs = [(int(v * scale), m) for v, m in pattern.pairs][:: -1 if reverse else 1]
+    if _dp_updates(pairs, k) > ENUM_BUDGET:
+        raise ValueError(
+            f"the multiplicity-pattern DP needs more state updates than the enumeration "
+            f"budget of {ENUM_BUDGET}"
+        )
+    levels: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
+    seen = 0
+    for w, m in pairs:
+        rest = n - seen - m  # the multiplicity still to come
+        ways_of = {c: binomial(m, c) for c in range(max(1, k - n + m), min(m, k) + 1)}
+        for j in range(min(seen, k - 1), -1, -1):
+            for c in range(max(1, k - j - rest), min(m, k - j) + 1):
+                level, shift, times = levels[j + c], c * w, ways_of[c]
+                for s, ways in levels[j].items():
+                    level[s + shift] = level.get(s + shift, 0) + ways * times
+        seen += m
+    return sum(ways for s, ways in levels[k].items() if s >= 0)
 
 
 def family_size(n: int, k: int, i: int) -> int:

@@ -229,7 +229,7 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
     lexicographically smallest (multiplicities, values), which are built
     only for a count that ties or beats the best so far. The winner is
     re-verified by count_nonnegative_dp, which shares no code with the
-    kernel, in both composition orders, and additionally by the two-list
+    kernel, in both value orders, and additionally by the two-list
     counter when its lists hold no more sums than k + 1 per candidate
     examined (a d = 3 candidate walks up to k + 1 entries of its threshold
     table), before the report is emitted.

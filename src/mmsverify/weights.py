@@ -14,7 +14,7 @@ from math import lcm
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .combinat import _Record, colex
+from .combinat import ENUM_BUDGET, _Record, colex
 
 __all__ = [
     "WeightVector",
@@ -162,8 +162,8 @@ def load_weights(source: str | Path | Mapping) -> WeightVector:
 
 def gen_star(n: int) -> WeightVector:
     """The star vector (n-1, -1, ..., -1), the tight case of the count bound."""
-    if n < 2:
-        raise ValueError("star vector needs n >= 2")
+    if not 2 <= n <= ENUM_BUDGET // 100:
+        raise ValueError(f"star vector needs 2 <= n <= {ENUM_BUDGET // 100} (ENUM_BUDGET / 100), got n={n}")
     values = (Fraction(n - 1),) + (Fraction(-1),) * (n - 1)
     return WeightVector(values, provenance={"generator": "star", "n": n})
 
@@ -174,8 +174,8 @@ def gen_random_zero_sum(n: int, magnitude: int, seed: int) -> WeightVector:
     Deterministic per (n, magnitude, seed); the balancing entry may exceed
     the magnitude bound.
     """
-    if n < 2:
-        raise ValueError("random zero-sum vector needs n >= 2")
+    if not 2 <= n <= ENUM_BUDGET // 100:
+        raise ValueError(f"random vector needs 2 <= n <= {ENUM_BUDGET // 100} (ENUM_BUDGET / 100), got n={n}")
     if magnitude < 1:
         raise ValueError("magnitude must be >= 1")
     if seed < 0:  # random.Random(-s) draws the stream of random.Random(s)

@@ -236,6 +236,30 @@ def threshold_count(mults, scaled, k):
     return total
 
 
+def dp_updates(pairs, k):
+    """Dict updates the pattern DP makes on (scaled value, multiplicity) pairs, in their order.
+
+    Before the i-th value, level j holds the distinct sums of the
+    j-multisets of the earlier values (at most m copies of each) that the
+    values after the last one used can still fill to k, listed here by
+    brute force. Each state takes one update per copy count c from
+    max(1, k - j - rest) to min(m, k - j), rest being the multiplicity
+    after the i-th value.
+    """
+    rests = [sum(m for _, m in pairs[i + 1:]) for i in range(len(pairs))]
+    updates = 0
+    for i, (_, m) in enumerate(pairs):
+        seen = pairs[:i]
+        for j in range(k):
+            sums = set()
+            for cs in product(*(range(mm + 1) for _, mm in seen)):
+                used = [t for t, c in enumerate(cs) if c]
+                if sum(cs) == j and (not used or k - j <= rests[used[-1]]):
+                    sums.add(sum(c * w for c, (w, _) in zip(cs, seen)))
+            updates += len(sums) * len(range(max(1, k - j - rests[i]), min(m, k - j) + 1))
+    return updates
+
+
 def replay_partition(values, k, rest, rng, trials):
     """Z over consecutive shuffles of one list by one generator, recomputed directly.
 

@@ -57,6 +57,16 @@ def test_walk_over_budget_exits_2_with_a_message(tmp_path):
     assert "generating-function counter" in err
 
 
+def test_generators_over_size_limit_exit_2_before_allocating():
+    for generator in ("--star", "--random"):
+        started = time.perf_counter()
+        out, err, code = run(["count", generator, "--n", "100000000", "-k", "1"])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert out == ""
+        assert "needs 2 <= n <= 100000 (ENUM_BUDGET / 100), got n=100000000" in err
+
+
 def test_eigenvector_over_pair_budget_exits_2_with_a_message():
     for extra in ([], ["-j", "2"]):
         started = time.perf_counter()

@@ -195,14 +195,45 @@ def test_dp_matches_enumeration_small():
 
 
 def test_dp_both_orders_agree_on_random_patterns():
-    for seed in range(8):
-        X = gen_random_zero_sum(11, 4, seed=seed)
+    cases = [(gen_random_zero_sum(11, 4, seed=seed), (1, 2, 5, 11)) for seed in range(8)]
+    # 40 distinct values at k = 8: C(47, 8) compositions, but the DP keeps
+    # one state per reachable (size, sum)
+    cases.append((gen_random_zero_sum(40, 1000, seed=1), (8,)))
+    for X, ks in cases:
         p = MultiplicityPattern.from_weights(X)
-        for k in (1, 2, 5, 11):
+        for k in ks:
             forward = count_nonnegative_dp(p, k)
             backward = count_nonnegative_dp(p, k, reverse=True)
             direct = count_nonnegative(X, k).nonnegative_count
             assert forward == backward == direct
+    assert p.d == 40
+
+
+def test_dp_answers_the_star_at_large_k():
+    # a k-subset of the star is nonnegative exactly when it holds n - 1; the
+    # DP keeps only levels 0 and 1 before the -1s and only states that can reach k
+    p = MultiplicityPattern.from_weights(gen_star(30000))
+    started = time.perf_counter()
+    for reverse in (False, True):
+        assert count_nonnegative_dp(p, 15000, reverse=reverse) == binomial(29999, 14999)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_dp_refuses_over_budget_fast():
+    # 1/p over 59 distinct primes: every sum is distinct, so the DP would
+    # hold about C(60, 10) states at k = 10; one value 10^9 times has a
+    # single state but would need 10^9 level dicts
+    primes = [p for p in range(2, 300) if all(p % q for q in range(2, p))][:59]
+    head = [Fraction(1, p) for p in primes]
+    cases = [
+        (MultiplicityPattern.from_weights(normalize(head + [-sum(head)])), 10),
+        (MultiplicityPattern(((Fraction(0), 10**9),)), 10**9),
+    ]
+    for pattern, k in cases:
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"enumeration budget of {counting.ENUM_BUDGET}"):
+            count_nonnegative_dp(pattern, k)
+        assert time.perf_counter() - started < 1.0
 
 
 def test_family_size_frozen_values():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,6 +9,7 @@ from mmsverify.counting import (
     Atom,
     MultiplicityPattern,
     Restriction,
+    _dp_updates,
     _gf_count,
     _size_pass,
     _split_count,
@@ -24,6 +25,7 @@ from mmsverify.weights import normalize, subset_sums
 from _oracles import (
     brute_count,
     brute_restricted_sum,
+    dp_updates,
     rank_colex,
     satisfies,
     size_pass_closed_form,
@@ -112,8 +114,18 @@ def test_overlap_sums_partition_the_restricted_sum(X, data):
     )
 
 
-@given(zero_sum_vectors(n_min=2, n_max=10), st.data())
+@st.composite
+def rational_vectors(draw, n_max=9):
+    """Zero-sum vectors whose entries share a denominator drawn from 1, 2, 3, 6, 10."""
+    n = draw(st.integers(min_value=1, max_value=n_max))
+    den = draw(st.sampled_from((1, 2, 3, 6, 10)))
+    head = draw(st.lists(st.integers(min_value=-12, max_value=12), min_size=n - 1, max_size=n - 1))
+    return normalize([Fraction(v, den) for v in head] + [Fraction(-sum(head), den)])
+
+
+@given(st.one_of(zero_sum_vectors(n_min=2, n_max=10), rational_vectors()), st.data())
 def test_dp_agrees_with_enumeration_both_orders(X, data):
+    # shared denominators make different values reach equal sums, so states merge
     k = data.draw(st.integers(min_value=1, max_value=X.n))
     pattern = MultiplicityPattern.from_weights(X)
     y, _ = X.scaled_ints()
@@ -122,13 +134,13 @@ def test_dp_agrees_with_enumeration_both_orders(X, data):
     assert count_nonnegative_dp(pattern, k, reverse=True) == direct
 
 
-@st.composite
-def rational_vectors(draw, n_max=9):
-    """Zero-sum vectors whose entries share a denominator drawn from 1, 2, 3, 6, 10."""
-    n = draw(st.integers(min_value=1, max_value=n_max))
-    den = draw(st.sampled_from((1, 2, 3, 6, 10)))
-    head = draw(st.lists(st.integers(min_value=-12, max_value=12), min_size=n - 1, max_size=n - 1))
-    return normalize([Fraction(v, den) for v in head] + [Fraction(-sum(head), den)])
+@given(rational_vectors(), st.data())
+def test_dp_budget_bounds_the_updates_in_both_orders(X, data):
+    k = data.draw(st.integers(min_value=1, max_value=X.n))
+    y, _ = X.scaled_ints()
+    pairs = [(w, len(list(run))) for w, run in groupby(y)]
+    for order in (pairs, pairs[::-1]):
+        assert _dp_updates(order, k) >= dp_updates(order, k)
 
 
 @st.composite
