@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import lcm, prod
 from typing import Sequence
 
@@ -289,7 +289,9 @@ def _count(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[str
     than GF_BIT_BUDGET bits and its estimated cost, summed over the terms,
     is no more than the sums the two-list counter would list, capped at
     ENUM_BUDGET. Otherwise the two-list counter runs under its own budget,
-    and when that is exceeded too, ValueError names both budgets.
+    and when that is exceeded too, ValueError names both budgets. It
+    names count_nonnegative_dp only when there are no atoms and the DP's
+    own bound, _dp_updates on y's (value, multiplicity) pairs, admits it.
     """
     terms = _terms(n, atoms)
     held = steps = 0
@@ -301,11 +303,13 @@ def _count(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[str
         return (ENGINE_GF, *_gf_count(y, n, k, atoms))
     if listed <= ENUM_BUDGET:
         return (ENGINE_ENUM, *_split_count(y, n, k, atoms))
+    pairs = [(v, len(list(run))) for v, run in groupby(y)]
+    dp_fits = not atoms and _dp_updates(pairs, k) <= ENUM_BUDGET
     raise ValueError(
         f"more subset sums to list than the enumeration budget of {ENUM_BUDGET}; the "
         f"generating-function counter would hold about {held} bits against its budget of "
-        f"{GF_BIT_BUDGET} and cost about {steps} steps against the budget of {ENUM_BUDGET}; "
-        f"count_nonnegative_dp counts from a multiplicity pattern"
+        f"{GF_BIT_BUDGET} and cost about {steps} steps against the budget of {ENUM_BUDGET}"
+        + ("; count_nonnegative_dp counts from a multiplicity pattern" if dp_fits else "")
     )
 
 
@@ -410,19 +414,39 @@ def restricted_sum(X: WeightVector, k: int, restriction: Restriction) -> Fractio
     return Fraction(total, scale)
 
 
-def _overlap_pass(y: Sequence[int], k: int, block: frozenset[int]) -> list[int]:
-    """Entry t: the sum of y-sums over k-subsets S of range(len(y)) with |S & block| = t.
+def _divided_pass(full: tuple[list[int], list[int]], items: Sequence[int], k: int) -> list[int]:
+    """Entry t: the sum of y-sums over k-subsets S with |S & block| = t.
 
-    Such an S is a t-subset of the block joined to a (k-t)-subset of the
-    rest, so one (count, sum) pass over each side gives every t.
+    items are the block's values and full = _size_pass(y, k). Write a
+    side's (count, sum) series as C(z) + e*S(z) with e*e = 0: the whole
+    set's series is the block's times the rest's, so C = C_in*C_out and
+    S = C_in*S_out + S_in*C_out. The block's constant term is (1, 0), so
+    the rest's series follows from the whole's term by term, by exact
+    power-series division. A block of s items costs its own pass, at
+    most s*k steps (s(s+1)/2 when s <= k), and the division, at most
+    min(s, k)(k+1), where a pass over the rest would take about (n - s)k.
     """
-    c_in, s_in = _size_pass([y[i] for i in block], k)
-    c_out, s_out = _size_pass([v for i, v in enumerate(y) if i not in block], k)
-    return [s_in[t] * c_out[k - t] + c_in[t] * s_out[k - t] for t in range(min(k, len(block)) + 1)]
+    c_full, s_full = full
+    c_in, s_in = _size_pass(items, k)
+    top = min(k, len(items))
+    c_out, s_out = [], []
+    for u in range(k + 1):
+        c, s = c_full[u], s_full[u]
+        for a in range(1, min(u, top) + 1):
+            c -= c_in[a] * c_out[u - a]
+            s -= c_in[a] * s_out[u - a] + s_in[a] * c_out[u - a]
+        c_out.append(c)
+        s_out.append(s)
+    return [s_in[t] * c_out[k - t] + c_in[t] * s_out[k - t] for t in range(top + 1)]
 
 
 def overlap_sums(X: WeightVector, k: int, block: Sequence[int]) -> tuple[Fraction, ...]:
-    """Sums of b_S grouped by the overlap |S intersect block| = t, by one state pass."""
+    """Sums of b_S grouped by the overlap |S intersect block| = t.
+
+    One (count, sum) pass over y and one divided pass for the block. It
+    is charged n(k+1) steps, as one pass; with the block's own pass and
+    the division it takes less than twice that.
+    """
     n = X.n
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -431,7 +455,8 @@ def overlap_sums(X: WeightVector, k: int, block: Sequence[int]) -> tuple[Fractio
         raise ValueError("block indices out of range")
     _pass_budget(n * (k + 1))
     y, scale = X.scaled_ints()
-    return tuple(Fraction(s, scale) for s in _overlap_pass(y, k, fs))
+    full = _size_pass(y, k)
+    return tuple(Fraction(s, scale) for s in _divided_pass(full, [y[i] for i in sorted(fs)], k))
 
 
 class MultiplicityPattern(_Record):

@@ -4,19 +4,23 @@ The inclusion matrix W has a 1 at (Y, S) when the j-subset Y lies inside the
 k-subset S; the Kneser variant Wbar marks Y disjoint from S. Their exact
 integer product Wbar^T W depends only on intersection sizes, and the vector
 of k-subset sums of a zero-sum weight vector is an eigenvector of it.
-Subsets are indexed in combinat.colex order. The checks pack each 0/1 row
-into one int straight from the subset bitmasks, so an inner product is an
-AND and a popcount; sums of b by overlap with a block come from counting's
-state pass. Before any work, DEFAULT_DENSE_BUDGET caps the entries built or
-packed, ENUM_BUDGET the pass steps and PAIR_BUDGET the factorization's pairs.
+Subsets are indexed in combinat.colex order. The checks pack, once, the n
+rows "subsets holding i" into one int each; an inclusion row is the AND of
+its subset's rows, a Kneser row the complement of their OR, and an inner
+product is an AND and a popcount. Sums of b by overlap with a block come
+from counting's divided pass. Before any work, DEFAULT_DENSE_BUDGET caps
+the entries built or packed, ENUM_BUDGET the pass steps and PAIR_BUDGET the
+factorization's pairs.
 """
 
 from __future__ import annotations
 
+from itertools import chain, combinations
+from operator import mul
 from typing import Sequence
 
 from .combinat import ENUM_BUDGET, KSubset, _Record, binomial, colex
-from .counting import _overlap_pass
+from .counting import _divided_pass, _size_pass
 from .report import Claim, LemmaReport, Precondition, claim
 from .weights import WeightVector
 
@@ -55,11 +59,41 @@ def masks_colex(n: int, m: int) -> list[int]:
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _pack(bits: list[int]) -> int:
     """The int whose bit c is bits[c] (0 or 1), in time linear in len(bits)."""
     return int(bytes(bits[::-1]).translate(_DIGITS), 2)
+
+
+def _unpack(row: int, width: int) -> tuple[int, ...]:
+    """The bits 0..width-1 of row, low bit first; the inverse of _pack."""
+    return tuple(format(row, f"0{width}b")[::-1].encode().translate(_BITS))
+
+
+def _singletons(n: int, m: int) -> tuple[list[int], int]:
+    """(rows, full) over the colex m-subsets of range(n): row i packs those holding i, full all of them.
+
+    The m-subsets holding every index of Y are the AND of Y's rows
+    (_meet); those missing every index of Y are the complement of their
+    OR (_miss).
+    """
+    masks = masks_colex(n, m)
+    return [_pack([sm >> i & 1 for sm in masks]) for i in range(n)], (1 << len(masks)) - 1
+
+
+def _meet(rows: list[int], full: int, Y: Sequence[int]) -> int:
+    for i in Y:
+        full &= rows[i]
+    return full
+
+
+def _miss(rows: list[int], full: int, Y: Sequence[int]) -> int:
+    hit = 0
+    for i in Y:
+        hit |= rows[i]
+    return full ^ hit
 
 
 class StructureMatrix(_Record):
@@ -119,18 +153,18 @@ def _check_work(what: str, work: int, budget: str, limit: int) -> None:
 
 
 def build_structure_matrix(kind: str, n: int, j: int, k: int) -> StructureMatrix:
-    """Materialize the inclusion or Kneser matrix densely."""
+    """Materialize the inclusion or Kneser matrix densely, each row unpacked from singleton rows."""
     if kind not in ("inclusion", "kneser"):
         raise ValueError(f"unknown kind {kind!r}")
     if not (0 <= j <= k <= n):
         raise ValueError(f"need 0 <= j <= k <= n, got j={j}, k={k}, n={n}")
     _check_budget(binomial(n, j), n, k)
-    jm = masks_colex(n, j)
-    km = masks_colex(n, k)
-    if kind == "inclusion":
-        rows = tuple(tuple(1 if ym & sm == ym else 0 for sm in km) for ym in jm)
-    else:
-        rows = tuple(tuple(1 if ym & sm == 0 else 0 for sm in km) for ym in jm)
+    width = binomial(n, k)
+    # at j = 0 the one row, the empty set's, is all ones for either kind;
+    # for 0 < j < n the n singleton rows are no more than the C(n, j) rows
+    singles, full = _singletons(n, k) if j else ([], (1 << width) - 1)
+    row_of = _meet if kind == "inclusion" else _miss
+    rows = tuple(_unpack(row_of(singles, full, Y), width) for Y in subsets_colex(n, j))
     return StructureMatrix(kind, n, j, k, rows)
 
 
@@ -154,17 +188,20 @@ def _param_echo(**kwargs: int) -> list[Precondition]:
 def verify_factorization(n: int, j: int, k: int) -> LemmaReport:
     """Multiply Kneser^T by inclusion and compare with the closed form.
 
-    Column S of each 0/1 matrix is packed over the j-subset axis, so entry
-    (S, T) of the product is the popcount of one AND.
+    Column S of each 0/1 matrix is packed over the j-subset axis from the
+    j-subset singleton rows: the j-subsets inside S miss every index
+    outside S, and the Kneser ones miss S. Entry (S, T) of the product
+    is the popcount of one AND.
     """
     if not (0 <= j <= k <= n):
         raise ValueError(f"need 0 <= j <= k <= n, got j={j}, k={k}, n={n}")
     _check_budget(binomial(n, j), n, k)
     _check_work(f"C({n},{k})^2 pairs of k-subsets", binomial(n, k) ** 2, "pair budget", PAIR_BUDGET)
-    jm = masks_colex(n, j)
     km = masks_colex(n, k)
-    incl_cols = [_pack([ym & sm == ym for ym in jm]) for sm in km]
-    knes_cols = [_pack([not ym & sm for ym in jm]) for sm in km]
+    ksets = subsets_colex(n, k)
+    singles, full = _singletons(n, j)
+    incl_cols = [_miss(singles, full, [i for i in range(n) if i not in S]) for S in ksets]
+    knes_cols = [_miss(singles, full, S) for S in ksets]
     want = [binomial(k - m, j) for m in range(k + 1)]
     mismatches = 0
     witness = None
@@ -175,7 +212,6 @@ def verify_factorization(n: int, j: int, k: int) -> LemmaReport:
             if got != closed:
                 mismatches += 1
                 if witness is None:
-                    ksets = subsets_colex(n, k)
                     witness = {
                         "S": list(ksets[s]),
                         "T": list(ksets[t]),
@@ -198,6 +234,12 @@ def verify_factorization(n: int, j: int, k: int) -> LemmaReport:
 
 
 def _eigen_claims(X: WeightVector, k: int, js: Sequence[int]) -> tuple[list[Claim], dict]:
+    """Claims and witnesses of the eigenvector check at each j in js.
+
+    One (count, sum) pass over y, n(k+1) steps, then per k-subset S a
+    divided pass, at most k(k+1) steps; C(n, k) passes of n(k+1) steps,
+    the charge, bound both.
+    """
     n = X.n
     if X.is_zero():
         raise ValueError("eigenvector check needs a nonzero weight vector")
@@ -214,10 +256,11 @@ def _eigen_claims(X: WeightVector, k: int, js: Sequence[int]) -> tuple[list[Clai
     eigs = {j: bose_mesner_eigenvalue(n, k, j) for j in js}
     mism = {j: 0 for j in js}
     witness: dict = {}
+    full = _size_pass(y, k)
     for S, bs in zip(subsets_colex(n, k), b):
-        prof = _overlap_pass(y, k, frozenset(S))
+        prof = _divided_pass(full, [y[i] for i in S], k)
         for j in js:
-            lhs = sum(c * p for c, p in zip(coeffs[j], prof))
+            lhs = sum(map(mul, coeffs[j], prof))
             if lhs != eigs[j] * bs:
                 mism[j] += 1
                 if j not in witness:
@@ -244,7 +287,7 @@ def verify_eigenvector(X: WeightVector, j: int, k: int) -> LemmaReport:
     """Check the j-th product matrix maps b to eigenvalue * b, exactly.
 
     Matrix-free: for each row the intersection-size profile of b comes from
-    one state pass and is contracted against the closed-form coefficients.
+    one divided pass and is contracted against the closed-form coefficients.
     """
     n = X.n
     if not (1 <= k <= n and 0 <= j <= k):
@@ -273,6 +316,36 @@ def verify_eigenvector_all(X: WeightVector, k: int) -> LemmaReport:
     )
 
 
+def _kneser_apply(n: int, j: int, k: int, bj: Sequence[int]) -> list[int]:
+    """Wbar_jk^T bj: entry S, over the colex k-subsets, sums bj over the j-subsets missing S.
+
+    By inclusion-exclusion on the actual bj, entry S is the sum over A
+    inside S with |A| <= j of (-1)^|A| U(A), where U(A) sums bj over the
+    j-subsets holding A. The signed U comes from one walk over each
+    j-subset's 2^j subsets: C(n, j) 2^j <= C(n, j) C(n, k) visits, since
+    2^j <= C(2j, j) <= C(n, k) when j <= k and j <= n - k. When j > n - k
+    no j-subset misses a k-subset and every entry is 0, with no visits.
+    Otherwise, by Vandermonde, the sum over |A| <= j takes at most C(n, j)
+    lookups per S. Both stay within the C(n, j) C(n, k) entries that
+    verify_wilson_identities charges to the dense budget.
+    """
+    if j > n - k:
+        return [0] * binomial(n, k)
+    signed: dict[int, int] = {}
+    for ym, bv in zip(masks_colex(n, j), bj):
+        sub = ym
+        while True:
+            signed[sub] = signed.get(sub, 0) + (-bv if sub.bit_count() & 1 else bv)
+            if not sub:
+                break
+            sub = (sub - 1) & ym
+    get, sizes = signed.__getitem__, range(j + 1)
+    return [
+        sum(map(get, map(sum, chain.from_iterable([combinations(bits, a) for a in sizes]))))
+        for bits in colex([(1 << i,) for i in range(n)], k, ())
+    ]
+
+
 def verify_wilson_identities(X: WeightVector, j: int, k: int) -> LemmaReport:
     """Exact checks of the three inclusion/Kneser product identities.
 
@@ -281,8 +354,13 @@ def verify_wilson_identities(X: WeightVector, j: int, k: int) -> LemmaReport:
     (b) W_jk W_1k^T x = C(n-j-1, k-j) W_1j^T x.
     (c) Wbar_jk^T W_1j^T x = -C(n-k-1, j-1) W_1k^T x.
 
-    For (a) the rows of W_jk and W_1k are packed, C(n, j) + n rows of
-    C(n, k) bits, and each entry is one AND and a popcount.
+    For (a) the n rows of W_1k are packed, one int of C(n, k) bits each,
+    and each row of W_jk is the AND of its j-subset's rows, so each entry
+    is one AND and a popcount. (b) takes one divided pass per j-subset
+    and (c) comes from _kneser_apply. The charges, C(n, j) + n packed
+    rows to the dense budget and C(n, j) passes of n(k+1) steps to the
+    enumeration budget, bound the work; only at j = k = n, one block
+    that is the whole set, do (b)'s passes take up to 1.5 times theirs.
     """
     n = X.n
     if not (1 <= k <= n and 0 <= j <= k):
@@ -291,41 +369,37 @@ def verify_wilson_identities(X: WeightVector, j: int, k: int) -> LemmaReport:
     steps = binomial(n, j) * n * (k + 1)
     _check_work(f"C({n},{j}) passes of {n}*{k + 1} steps", steps, "enumeration budget", ENUM_BUDGET)
     y, _ = X.scaled_ints()
-    jm = masks_colex(n, j)
-    km = masks_colex(n, k)
+    jsets = subsets_colex(n, j)
     b = colex(y, k)
     bj = colex(y, j)
 
     # (a) entries of W_jk W_1k^T: count k-supersets of (j-subset union singleton)
     in_val = binomial(n - j, k - j)
     out_val = binomial(n - j - 1, k - j - 1)
-    rows = [_pack([ym & sm == ym for sm in km]) for ym in jm]
-    singles = [_pack([sm >> t & 1 for sm in km]) for t in range(n)]
+    singles, full = _singletons(n, k)
     mism_a = 0
     witness_a = None
-    for s, (row, ym) in enumerate(zip(rows, jm)):
+    for Y in jsets:
+        row = _meet(singles, full, Y)
         for t, single in enumerate(singles):
             got = (row & single).bit_count()
-            want = in_val if ym >> t & 1 else out_val
+            want = in_val if t in Y else out_val
             if got != want:
                 mism_a += 1
                 if witness_a is None:
-                    witness_a = {"S": list(subsets_colex(n, j)[s]), "t": t, "got": got, "want": want}
+                    witness_a = {"S": list(Y), "t": t, "got": got, "want": want}
 
     # (b) (W_jk b)_Y, the k-subsets meeting Y in j places, against C(n-j-1, k-j) * b_Y
     coef_b = binomial(n - j - 1, k - j)
+    full_pass = _size_pass(y, k)
     mism_b = 0
-    for Y, bY in zip(subsets_colex(n, j), bj):
-        if _overlap_pass(y, k, frozenset(Y))[j] != coef_b * bY:
+    for Y, bY in zip(jsets, bj):
+        if _divided_pass(full_pass, [y[i] for i in Y], k)[j] != coef_b * bY:
             mism_b += 1
 
     # (c) Wbar_jk^T (W_1j^T x) against -C(n-k-1, j-1) * (k-subset sums)
     coef_c = -binomial(n - k - 1, j - 1)
-    mism_c = 0
-    for s, smask in enumerate(km):
-        lhs = sum(bv for jmask, bv in zip(jm, bj) if jmask & smask == 0)
-        if lhs != coef_c * b[s]:
-            mism_c += 1
+    mism_c = sum(1 for lhs, bs in zip(_kneser_apply(n, j, k, bj), b) if lhs != coef_c * bs)
 
     cj = binomial(n, j)
     return LemmaReport(

@@ -132,6 +132,16 @@ def size_pass_closed_form(items, k):
     return counts, sums
 
 
+def brute_overlap_profile(values, k, block):
+    """Entry t, for t = 0..min(k, |block|): the sum of the subset sums of
+    the k-subsets that meet block in exactly t places."""
+    block = set(block)
+    out = [0] * (min(k, len(block)) + 1)
+    for subset in combinations(range(len(values)), k):
+        out[len(block & set(subset))] += sum(values[i] for i in subset)
+    return out
+
+
 def brute_counts_all_k(int_values):
     """Nonnegative subset counts for every size at once, one sweep of 2^n."""
     n = len(int_values)

@@ -307,6 +307,33 @@ def test_benchmark_search_json_is_pinned(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["spectrum", "--kind", "inclusion", "--n", "16", "-j", "2", "-k", "5"],
+         "a5c1235899b21c72dfcda9f4735a5d088305c65d07bee043a958792ba23e9748"),
+        (["spectrum", "--kind", "kneser", "--n", "12", "-j", "3", "-k", "4"],
+         "424b009b7a4c8dbda3794ffc1ab86fce3a48eae9086b1fbafbf5fc0c4f1188b8"),
+        (["spectrum", "--kind", "kneser", "--n", "8", "-j", "0", "-k", "3"],
+         "e19783177129e6519a28d20bdd91ccdf0a1d78cb2f1604f207d78b449cfe4ca7"),
+        (["verify", "--lemma", "eigenvector", "--random", "--n", "15", "-k", "5", "--seed", "11"],
+         "a5fce80aecf3b6b58cb196b25a4d8eb857aff470c47b87abfa563782e42ca1e7"),
+        (["verify", "--lemma", "eigenvector", "--random", "--n", "12", "-j", "3", "-k", "4",
+          "--seed", "5"],
+         "03eb2aadad6a543e850b2edfb8c2d60739fe6f57a430910d466fe98af9aa2b34"),
+        (["verify", "--lemma", "wilson", "-j", "2", "--random", "--n", "17", "-k", "5", "--seed", "11"],
+         "05026f38ab4d9353c6989805e5261fb6f280711e05d22b7caa00ae5d2faac0fe"),
+    ],
+)
+def test_scheme_json_is_pinned(argv, digest):
+    # digests taken with every 0/1 entry computed by one mask compare and
+    # one state pass over each block and its complement: the packed
+    # singleton rows and the divided pass keep the output byte for byte
+    out, err, code = run([*argv, "--format", "json"])
+    assert (err, code) == ("", 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_input_errors_exit_2(tmp_path):
     missing = tmp_path / "nope.json"
     out, err, code = run(["count", "--weights", str(missing), "-k", "2"])

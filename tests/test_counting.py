@@ -236,6 +236,28 @@ def test_dp_refuses_over_budget_fast():
         assert time.perf_counter() - started < 1.0
 
 
+def test_refusal_names_the_dp_only_when_the_dp_fits():
+    # the 1/p input at (60, 10) is refused by the DP too, so its refusal no
+    # longer sends the user there; three values 10^12 apart put the GF far
+    # over its bits and the lists over C(30,10) sums, but the DP fits
+    primes = [p for p in range(2, 300) if all(p % q for q in range(2, p))][:59]
+    head = [Fraction(1, p) for p in primes]
+    with pytest.raises(ValueError, match="enumeration budget") as refused:
+        count_nonnegative(normalize(head + [-sum(head)]), 10)
+    assert "count_nonnegative_dp" not in str(refused.value)
+    wide = MultiplicityPattern(((Fraction(10**12), 20), (Fraction(0), 20), (Fraction(-(10**12)), 20)))
+    with pytest.raises(ValueError, match="generating-function counter") as refused:
+        count_nonnegative(wide.expand(), 10)
+    assert "count_nonnegative_dp" in str(refused.value)
+    # nonnegative exactly when the top value is taken at least as often as the bottom one
+    expected = sum(
+        binomial(20, a) * binomial(20, 10 - a - c) * binomial(20, c)
+        for a in range(11)
+        for c in range(min(a, 10 - a) + 1)
+    )
+    assert count_nonnegative_dp(wide, 10) == expected
+
+
 def test_family_size_frozen_values():
     assert family_size(8, 2, 2) == 1
     assert family_size(8, 2, 4) == 0

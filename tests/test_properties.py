@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations, groupby
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from mmsverify.counting import (
     Atom,
     MultiplicityPattern,
     Restriction,
+    _divided_pass,
     _dp_updates,
     _gf_count,
     _size_pass,
@@ -24,6 +26,7 @@ from mmsverify.weights import normalize, subset_sums
 
 from _oracles import (
     brute_count,
+    brute_overlap_profile,
     brute_restricted_sum,
     dp_updates,
     rank_colex,
@@ -223,3 +226,25 @@ def test_size_pass_matches_its_closed_form(items, data):
     # and C(m-1, j-1) * sum(items) in their sums
     k = data.draw(st.integers(min_value=0, max_value=len(items) + 3))
     assert _size_pass(items, k) == size_pass_closed_form(items, k)
+
+
+@given(st.lists(st.integers(min_value=-50, max_value=50), max_size=9), st.data())
+def test_divided_pass_matches_brute_profiles(y, data):
+    # the rest's (count, sum) series is the whole's divided by the block's
+    n = len(y)
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    block = data.draw(st.sets(st.sampled_from(range(n))) if n else st.just(set()))
+    got = _divided_pass(_size_pass(y, k), [y[i] for i in sorted(block)], k)
+    assert got == brute_overlap_profile(y, k, block)
+
+
+@pytest.mark.parametrize(
+    "k,block",
+    [(2, set()), (3, {0, 1, 2, 3, 4}), (5, {0, 1, 2, 3, 4}), (4, {0, 2, 3}), (5, {1})],
+)
+def test_divided_pass_at_the_edges(k, block):
+    # the empty block, the whole set, and k > n - |block|, where every
+    # k-subset meets the block in at least k - (n - |block|) places
+    y = [3, -1, 4, -1, -5]
+    got = _divided_pass(_size_pass(y, k), [y[i] for i in sorted(block)], k)
+    assert got == brute_overlap_profile(y, k, block)

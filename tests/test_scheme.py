@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mmsverify import scheme
-from mmsverify.combinat import KSubset, binomial
+from mmsverify.combinat import KSubset, binomial, colex
 from mmsverify.scheme import (
     DenseBudgetError,
     StructureMatrix,
@@ -29,8 +29,8 @@ def test_subsets_colex_ordering():
 
 
 def test_structure_matrices_match_brute():
-    for n in range(2, 7):
-        for k in range(1, min(3, n) + 1):
+    for n in range(2, 9):
+        for k in range(1, n + 1):
             for j in range(0, k + 1):
                 inc = build_structure_matrix("inclusion", n, j, k)
                 assert inc.rows == tuple(
@@ -53,6 +53,15 @@ def test_build_structure_matrix_input_errors():
         build_structure_matrix("projection", 4, 1, 2)
     with pytest.raises(DenseBudgetError):
         build_structure_matrix("inclusion", 40, 3, 8)
+
+
+def test_build_at_j_0_packs_no_singleton_rows():
+    # one row of C(1500,2) = 1,124,250 entries; packing 1,500 singleton rows
+    # for it would take 1,500 times the charged entries
+    started = time.perf_counter()
+    for kind in ("inclusion", "kneser"):
+        assert build_structure_matrix(kind, 1500, 0, 2).rows == ((1,) * binomial(1500, 2),)
+    assert time.perf_counter() - started < 2.0
 
 
 def test_bose_mesner_entry_is_kneser_times_inclusion():
@@ -149,6 +158,21 @@ def test_wilson_identity_b_against_brute_matrices():
     assert lhs == [coef * v for v in bj]
 
 
+def test_wilson_identity_c_against_brute_matrices():
+    # identity (c)'s lhs, Wbar_jk^T bj, by inclusion-exclusion; for j > n - k
+    # no j-subset misses a k-subset and every entry is 0
+    for n in range(2, 8):
+        X = gen_random_zero_sum(n, 9, seed=n)
+        y, _ = X.scaled_ints()
+        for k in range(1, n + 1):
+            for j in range(0, k + 1):
+                bj = colex(y, j)
+                columns = transpose(brute_kneser_matrix(n, j, k))
+                want = [sum(w * b for w, b in zip(col, bj)) for col in columns]
+                assert scheme._kneser_apply(n, j, k, bj) == want, (n, j, k)
+                assert verify_wilson_identities(X, j, k).verdict == "verified", (n, j, k)
+
+
 def test_star_is_genuine_eigenvector_case():
     report = verify_eigenvector_all(gen_star(9), 2)
     assert report.verdict == "verified"
@@ -182,10 +206,19 @@ def test_step_rule_admits_eigenvector_all_at_16_5_and_18_5(monkeypatch):
     def reached(*args, **kwargs):
         raise _Admitted
 
-    monkeypatch.setattr(scheme, "_overlap_pass", reached)
+    monkeypatch.setattr(scheme, "_divided_pass", reached)
     for n in (16, 18, 20):
         with pytest.raises(_Admitted):
             verify_eigenvector_all(gen_random_zero_sum(n, 10, seed=1), 5)
+
+
+def test_eigenvector_all_at_1581_1_answers_fast():
+    # 1,581 passes of 1,581 * 2 steps are charged, just under the budget,
+    # but each one-index block's divided pass takes a few steps
+    X = gen_random_zero_sum(1581, 100, seed=1)
+    started = time.perf_counter()
+    assert verify_eigenvector_all(X, 1).verdict == "verified"
+    assert time.perf_counter() - started < 1.0
 
 
 def test_eigenvector_answers_where_pairs_were_refused():
