@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .combinat import KSubset
 from .counting import Atom, CountReport, Restriction, count_nonnegative
@@ -191,33 +192,41 @@ def _echo(argv: Sequence[str]) -> str:
     return " ".join(kept)
 
 
-def _text_block(value, indent: int, lines: list[str]) -> None:
+_ARRAY_OR_OBJECT = (dict, list, tuple)
+
+
+def _all_scalars(items) -> bool:
+    # the types of a 4,000-entry matrix row are one set, built without a Python-level loop
+    return not any(issubclass(t, _ARRAY_OR_OBJECT) for t in set(map(type, items)))
+
+
+def _text_block(value, indent: int):
+    """Lines of the text rendering of value at indent; an array of scalars is one chunk."""
     pad = "  " * indent
     if isinstance(value, dict):
         for key in sorted(value):
             item = value[key]
-            if isinstance(item, (dict, list)) and item:
-                lines.append(f"{pad}{key}:")
-                _text_block(item, indent + 1, lines)
+            if isinstance(item, _ARRAY_OR_OBJECT) and item:
+                yield f"{pad}{key}:\n"
+                yield from _text_block(item, indent + 1)
             else:
-                rendered = item if not isinstance(item, (dict, list)) else "{}" if item == {} else "[]"
-                lines.append(f"{pad}{key}: {rendered}")
-    elif isinstance(value, list):
+                rendered = item if not isinstance(item, _ARRAY_OR_OBJECT) else "{}" if item == {} else "[]"
+                yield f"{pad}{key}: {rendered}\n"
+    elif isinstance(value, (list, tuple)) and _all_scalars(value):
+        yield "".join([f"{pad}- {item}\n" for item in value])
+    elif isinstance(value, (list, tuple)):
         for item in value:
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}-")
-                _text_block(item, indent + 1, lines)
+            if isinstance(item, _ARRAY_OR_OBJECT):
+                yield f"{pad}-\n"
+                yield from _text_block(item, indent + 1)
             else:
-                lines.append(f"{pad}- {item}")
+                yield f"{pad}- {item}\n"
     else:
-        lines.append(f"{pad}{value}")
+        yield f"{pad}{value}\n"
 
 
-_ARRAY_OR_OBJECT = (dict, list, tuple)
-
-
-def _json(value, pad: str = "") -> str:
-    """json.dumps(value, sort_keys=True, indent=2) for a value nested at indent pad.
+def _json(value, pad: str = ""):
+    """Chunks of json.dumps(value, sort_keys=True, indent=2) for a value nested at indent pad.
 
     Any indent selects the pure-Python encoder for the whole document, so
     instead each container whose items are all scalars is one call of the C
@@ -225,42 +234,48 @@ def _json(value, pad: str = "") -> str:
     Only nested containers recurse. Report keys are strings, so a key is
     encoded on its own as a JSON string.
     """
-    if not isinstance(value, _ARRAY_OR_OBJECT):
-        return json.dumps(value)
+    if not isinstance(value, _ARRAY_OR_OBJECT) or not value:
+        yield json.dumps(value)
+        return
     is_dict = isinstance(value, dict)
-    if not value:
-        return "{}" if is_dict else "[]"
     inner = pad + "  "
     sep = ",\n" + inner
-    items = value.values() if is_dict else value
-    # the types of a 4,000-entry matrix row are one set, built without a Python-level loop
-    if not any(issubclass(t, _ARRAY_OR_OBJECT) for t in set(map(type, items))):
-        body = json.dumps(value, sort_keys=True, separators=(sep, ": "))[1:-1]
-    elif is_dict:
-        body = sep.join(f"{json.dumps(key)}: {_json(v, inner)}" for key, v in sorted(value.items()))
-    else:
-        body = sep.join(_json(v, inner) for v in value)
     opening, closing = "{}" if is_dict else "[]"
-    return f"{opening}\n{inner}{body}\n{pad}{closing}"
+    if _all_scalars(value.values() if is_dict else value):
+        body = json.dumps(value, sort_keys=True, separators=(sep, ": "))[1:-1]
+        yield f"{opening}\n{inner}{body}\n{pad}{closing}"
+        return
+    head = f"{opening}\n{inner}"
+    for key in sorted(value) if is_dict else range(len(value)):
+        yield head + (f"{json.dumps(key)}: " if is_dict else "")
+        yield from _json(value[key], inner)
+        head = sep
+    yield f"\n{pad}{closing}"
 
 
-def _render(doc: dict, fmt: str) -> str:
+def _render(doc: dict, fmt: str):
+    """The report's chunks: json.dumps(doc, sort_keys=True, indent=2) and a newline, or the text lines."""
     if fmt == "json":
-        return _json(doc) + "\n"
-    lines: list[str] = []
+        yield from _json(doc)
+        yield "\n"
+        return
     for key in ("command", "verdict", "runtime_ms"):
-        lines.append(f"{key}: {doc[key]}")
+        yield f"{key}: {doc[key]}\n"
     for key in ("inputs", "report"):
-        lines.append(f"{key}:")
-        _text_block(doc[key], 1, lines)
-    return "\n".join(lines) + "\n"
+        yield f"{key}:\n"
+        yield from _text_block(doc[key], 1)
 
 
 _EXIT_BY_VERDICT = {VERDICT_VERIFIED: 0, VERDICT_VIOLATED: 1}
 
 
-def run(argv: Sequence[str]) -> tuple[str, str, int]:
-    """Execute one invocation; returns (stdout text, stderr text, exit code)."""
+def run(argv: Sequence[str], stdout: TextIO | None = None) -> tuple[str, str, int]:
+    """Execute one invocation; returns (stdout text, stderr text, exit code).
+
+    Given a stdout stream, the report goes to it chunk by chunk and the stdout text is empty.
+    """
+    chunks: list[str] = []
+    write = chunks.append if stdout is None else stdout.write
     parser = _build_parser()
     started = time.perf_counter()
     try:
@@ -282,7 +297,16 @@ def run(argv: Sequence[str]) -> tuple[str, str, int]:
         "verdict": verdict,
         "runtime_ms": None if args.format == "json" else round(elapsed_ms, 3),
     }
-    return _render(doc, args.format), "", _EXIT_BY_VERDICT.get(verdict, 2)
+    try:
+        for chunk in _render(doc, args.format):
+            write(chunk)
+        if stdout is not None:
+            stdout.flush()
+    except OSError as exc:
+        return "".join(chunks), f"mmsverify: error: cannot write the report: {exc}\n", 2
+    except Exception as exc:  # the report stays truncated, never complete
+        return "".join(chunks), f"mmsverify: internal error: {type(exc).__name__}: {exc}\n", 3
+    return "".join(chunks), "", _EXIT_BY_VERDICT.get(verdict, 2)
 
 
 def _dispatch(args: argparse.Namespace, parser: _Parser):
@@ -377,7 +401,7 @@ def _dispatch_gen(args: argparse.Namespace, parser: _Parser):
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.writelines(_json(payload))
             fh.write("\n")
         report = {"type": "gen", "written": args.out, "n": X.n}
     else:
@@ -386,11 +410,13 @@ def _dispatch_gen(args: argparse.Namespace, parser: _Parser):
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    out, err, code = run(sys.argv[1:] if argv is None else argv)
-    if out:
-        sys.stdout.write(out)
-    if err:
-        sys.stderr.write(err)
+    _, err, code = run(sys.argv[1:] if argv is None else argv, sys.stdout)
+    sys.stderr.write(err)
+    try:
+        sys.stdout.flush()
+    except OSError:  # already reported; the flush at exit goes to os.devnull, not to a traceback
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return code
 
 

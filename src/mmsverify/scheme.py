@@ -132,9 +132,10 @@ class StructureMatrix(_Record):
             "j": self.j,
             "k": self.k,
             "shape": list(self.shape),
-            "row_index": [list(s) for s in subsets_colex(self.n, self.j)],
-            "col_index": [list(s) for s in subsets_colex(self.n, self.k)],
-            "rows": [list(r) for r in self.rows],
+            # tuples, not copies: a renderer prints them as arrays
+            "row_index": subsets_colex(self.n, self.j),
+            "col_index": subsets_colex(self.n, self.k),
+            "rows": self.rows,
         }
 
 

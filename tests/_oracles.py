@@ -288,3 +288,35 @@ def replay_partition(values, k, rest, rng, trials):
         if t < 3:
             firsts.append(tuple(perm))
     return min(zs), Fraction(sum(zs), trials), firsts
+
+
+def render_text(doc):
+    """The text report as one string, line list joined at the end; tuples are arrays."""
+    lines = [f"{key}: {doc[key]}" for key in ("command", "verdict", "runtime_ms")]
+    for key in ("inputs", "report"):
+        lines.append(f"{key}:")
+        _text_lines(doc[key], 1, lines)
+    return "\n".join(lines) + "\n"
+
+
+def _text_lines(value, indent, lines):
+    pad = "  " * indent
+    containers = (dict, list, tuple)
+    if isinstance(value, dict):
+        for key in sorted(value):
+            item = value[key]
+            if isinstance(item, containers) and item:
+                lines.append(f"{pad}{key}:")
+                _text_lines(item, indent + 1, lines)
+            else:
+                rendered = item if not isinstance(item, containers) else "{}" if item == {} else "[]"
+                lines.append(f"{pad}{key}: {rendered}")
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            if isinstance(item, containers):
+                lines.append(f"{pad}-")
+                _text_lines(item, indent + 1, lines)
+            else:
+                lines.append(f"{pad}- {item}")
+    else:
+        lines.append(f"{pad}{value}")

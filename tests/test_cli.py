@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
+from conftest import REPO_ROOT
 
-from mmsverify import lemmas, search
+from mmsverify import cli, lemmas, search
 from mmsverify.cli import run
 from mmsverify.weights import gen_random_zero_sum, load_weights
 
@@ -195,6 +199,15 @@ def test_gen_writes_loadable_file(tmp_path):
     X = load_weights(out_path)
     assert X.n == 9
     assert sum(X.values) == 0
+
+
+def test_gen_out_file_is_indented_dumps(tmp_path):
+    out_path = tmp_path / "w.json"
+    _, code = run_json("gen", "--random", "--n", "9", "--seed", "4", "--out", str(out_path))
+    assert code == 0
+    doc, _ = run_json("gen", "--random", "--n", "9", "--seed", "4")
+    expected = json.dumps(doc["report"]["weight_file"], sort_keys=True, indent=2) + "\n"
+    assert out_path.read_bytes() == expected.encode()
 
 
 def test_gen_stdout_document_round_trips():
@@ -398,6 +411,74 @@ def test_internal_error_process_exit_status_is_3(cli_runner, tmp_path):
     assert done.returncode == 3
     assert done.stdout == ""
     assert done.stderr == "mmsverify: internal error: RuntimeError: injected\n"
+
+
+def test_render_fault_exits_3_with_a_truncated_report(monkeypatch):
+    monkeypatch.setattr(cli, "_dispatch", lambda args, parser: ({}, {"value": object()}, "verified"))
+    out, err, code = run(["count", "--star", "--n", "8", "-k", "2", "--format", "json"])
+    assert code == 3
+    assert err == "mmsverify: internal error: TypeError: Object of type object is not JSON serializable\n"
+    assert out.startswith("{") and not out.endswith("\n")
+
+
+def _spawn(argv, stdout):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.Popen([sys.executable, "-m", "mmsverify", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, text=True, env=env, cwd=REPO_ROOT)
+
+
+def _assert_write_failure(proc, err):
+    # 1 would read as a violated claim, 0 as a complete report
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("mmsverify: error: cannot write the report: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_full_device_exits_2_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        proc = _spawn(["count", "--star", "--n", "8", "-k", "2", "--format", "json"], full)
+        _, err = proc.communicate()
+    _assert_write_failure(proc, err)
+    assert "No space left on device" in err
+
+
+def test_closed_pipe_exits_2_without_a_traceback():
+    # 6 MB of report, far more than a pipe holds, so a write must meet the closed end
+    proc = _spawn(["spectrum", "--kind", "inclusion", "--n", "16", "-j", "2", "-k", "5",
+                   "--format", "json"], subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate()
+    _assert_write_failure(proc, err)
+    assert "Broken pipe" in err
+
+
+class _BrokenStdout:
+    """A stdout whose every write and flush fails, over a real file descriptor."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, chunk=None):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+    def fileno(self):
+        return self.fd
+
+
+def test_stdout_that_stays_broken_is_pointed_at_devnull(monkeypatch, capsys, tmp_path):
+    # the interpreter flushes stdout once more at exit; that flush must not fail again
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _BrokenStdout(fd))
+        assert cli.main(["count", "--star", "--n", "8", "-k", "2"]) == 2
+        assert os.fstat(fd).st_rdev == os.stat(os.devnull).st_rdev
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == "mmsverify: error: cannot write the report: [Errno 32] Broken pipe\n"
 
 
 def test_preconditions_not_met_exits_2():
