@@ -14,18 +14,19 @@ with a nonnegative total by bisection. count_nonnegative_dp runs a
 (size, sum) dynamic program over the distinct values of a multiplicity
 pattern, adding c copies of a value with multiplicity m at C(m, c) ways.
 Tests and the search engine hold the three against each other; apart
-from _terms they never share a code path.
+from the terms they never share a code path.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, groupby, product
+from itertools import accumulate, combinations, groupby, product
 from math import lcm, prod
+from sys import int_info
 from typing import Sequence
 
-from .combinat import ENUM_BUDGET, _Record, binomial, colex
+from .combinat import ENUM_BUDGET, _Record, binomial, charge, colex
 from .weights import WeightVector
 
 __all__ = [
@@ -47,12 +48,10 @@ ENGINE_ENUM = "enumeration"
 
 # Most bits of packed polynomials the generating-function counter may hold.
 GF_BIT_BUDGET = 1 << 30
-# Engine costs in steps, one per subset sum the two-list counter lists: about
-# 220 ns each, sort and bisection included, on a 2-core x86_64 under Python
-# 3.11. Shifting and adding _STEP_BITS bits of packed polynomial is one step,
-# and updating one subset size for one element costs _STATE_STEPS more.
-_STEP_BITS = 16384
-_STATE_STEPS = 1
+# Bits of big-int work that take about one step of ENUM_BUDGET: writing
+# _STEP_BITS bits of packed polynomial is one step, and so is multiplying
+# ints of a and b bits when a * b reaches _STEP_BITS * bits_per_digit.
+_STEP_BITS = 3000
 
 
 def star_family_size(n: int, k: int) -> int:
@@ -142,7 +141,11 @@ class CountReport(_Record):
         }
 
 
-def _terms(n: int, atoms: Sequence[Atom]) -> list[tuple[int, frozenset[int], list[int]]]:
+Term = tuple[int, frozenset[int], list[int]]  # (sign, fixed, live)
+Plain = tuple[int, list[int], int, int]  # (sign, items, j, floor)
+
+
+def _terms(n: int, atoms: Sequence[Atom]) -> list[Term]:
     """The atoms as signed plain counts (sign, fixed, live) over range(n).
 
     Term (sign, fixed, live) counts, with that sign, the k-subsets made of
@@ -160,11 +163,7 @@ def _terms(n: int, atoms: Sequence[Atom]) -> list[tuple[int, frozenset[int], lis
         blocks[a.kind].append(a.indices)
     held, meets = blocks["contains"], blocks["intersects"]
     count = prod(map(len, held)) << len(meets)
-    if count * n > ENUM_BUDGET:
-        raise ValueError(
-            f"the restriction expands to {count} plain counts over {n} items, "
-            f"over the enumeration budget of {ENUM_BUDGET}"
-        )
+    charge(count * n, f"{count} plain counts over {n} items")
     dropped = frozenset().union(*blocks["disjoint"])
     gone = dropped.union(*held)
     terms = []
@@ -180,10 +179,12 @@ def _terms(n: int, atoms: Sequence[Atom]) -> list[tuple[int, frozenset[int], lis
     return terms
 
 
-def _listed(terms: Sequence[tuple[int, frozenset[int], list[int]]], k: int) -> int:
-    """Subset sums the counter lists: per term, with j = k - |fixed| and the m
-    live items split into L, the first m // 2, and R, the rest, C(|L|, a) +
-    C(|R|, j - a) over every split a in [max(0, j - |R|), min(j, |L|)].
+def _listed(terms: Sequence[Term], k: int) -> int:
+    """Entries the two-list counter builds: per term, with j = k - |fixed| and
+    the m live items split into L, the first m // 2, and R, the rest, over
+    every split a in [max(0, j - |R|), min(j, |L|)], the C(s+1, min(c, s-c))
+    entries of all the colex levels for the c-subset sums of s items, at
+    (s, c) = (|L|, a) and (|R|, j - a).
 
     The sum stops, and is returned, once it passes ENUM_BUDGET, so that a
     refusal at large m costs a few binomials rather than one per split.
@@ -193,47 +194,59 @@ def _listed(terms: Sequence[tuple[int, frozenset[int], list[int]]], k: int) -> i
         j, h = k - len(fixed), len(live) // 2
         r = len(live) - h
         for a in range(max(0, j - r), min(j, h) + 1):
-            listed += binomial(h, a) + binomial(r, j - a)
+            listed += binomial(h + 1, min(a, h - a)) + binomial(r + 1, min(j - a, r - j + a))
             if listed > ENUM_BUDGET:
                 return listed
     return listed
 
 
+def _plain(y: Sequence[int], terms: Sequence[Term], k: int) -> list[Plain]:
+    """(sign, items, j, floor) per term that has j-subsets: the live values
+    ascending, j = k - |fixed| and floor = -(fixed sum), so that a j-subset
+    of items counts when its sum is at least floor."""
+    return [
+        (sign, sorted(y[i] for i in live), k - len(fixed), -sum(y[i] for i in fixed))
+        for sign, fixed, live in terms
+        if 0 <= k - len(fixed) <= len(live)
+    ]
+
+
+def _signed(kernel, plain: Sequence[Plain]) -> tuple[int, int]:
+    """(total, nonnegative) summed with their signs over the plain counts, each by kernel."""
+    counts = [(sign, *kernel(items, j, floor)) for sign, items, j, floor in plain]
+    return sum(sign * t for sign, t, _ in counts), sum(sign * c for sign, _, c in counts)
+
+
 def _side(items: Sequence[int], c: int) -> list[int]:
-    """The c-subset sums of items, each the total less the sum of a complement when 2c > len(items)."""
+    """The c-subset sums of items; when 2c > len(items), each is the total
+    less the sum of its complement, built by colex from the negated items."""
     if 2 * c <= len(items):
         return colex(items, c)
-    total = sum(items)
-    return [total - s for s in colex(items, len(items) - c)]
+    return colex([-v for v in items], len(items) - c, sum(items))
+
+
+def _split_plain(items: Sequence[int], j: int, floor: int) -> tuple[int, int]:
+    """(C(m, j), j-subsets of the m items with sum >= floor), by two lists.
+
+    A j-subset is an a-subset of L, the first half, joined to a
+    (j-a)-subset of R (Horowitz and Sahni, J. ACM 1974). For each split a
+    the counter lists both sides' subset sums, sorts R's, and counts the
+    pairs with v + w >= floor by one bisection per sum v of L.
+    """
+    h = len(items) // 2
+    left, right = items[:h], items[h:]
+    count = 0
+    for a in range(max(0, j - len(right)), min(j, h) + 1):
+        sums, ws = _side(left, a), sorted(_side(right, j - a))
+        count += len(sums) * len(ws) - sum(bisect_left(ws, floor - v) for v in sums)
+    return binomial(len(items), j), count
 
 
 def _split_count(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[int, int]:
-    """(total satisfying the atoms, nonnegative among those), by two lists.
-
-    Per term of _terms, with j = k - |fixed| and f the fixed sum, a
-    j-subset of the live items is an a-subset of L joined to a
-    (j-a)-subset of R (Horowitz and Sahni, J. ACM 1974). For each split a
-    the counter lists both sides' subset sums, sorts R's, and counts the
-    pairs with v + w >= -f by one bisection per sum v of L. It refuses,
-    before anything is built, when the lists hold more than ENUM_BUDGET
-    sums in all.
-    """
+    """(total satisfying the atoms, nonnegative among those) by _split_plain, charged _listed."""
     terms = _terms(n, atoms)
-    listed = _listed(terms, k)
-    if listed > ENUM_BUDGET:
-        raise ValueError(f"more subset sums to list than the enumeration budget of {ENUM_BUDGET}")
-    total = nn = 0
-    for sign, fixed, live in terms:
-        j, items = k - len(fixed), [y[i] for i in live]
-        h, floor = len(items) // 2, -sum(y[i] for i in fixed)
-        left, right = items[:h], items[h:]
-        count = 0
-        for a in range(max(0, j - len(right)), min(j, h) + 1):
-            sums, ws = _side(left, a), sorted(_side(right, j - a))
-            count += len(sums) * len(ws) - sum(bisect_left(ws, floor - v) for v in sums)
-        total += sign * binomial(len(items), j)
-        nn += sign * count
-    return total, nn
+    charge(_listed(terms, k), "entries the two-list counter builds (at least)")
+    return _signed(_split_plain, _plain(y, terms, k))
 
 
 def _slot_width(m: int, k: int) -> int:
@@ -241,76 +254,93 @@ def _slot_width(m: int, k: int) -> int:
     return binomial(m, min(k, m // 2)).bit_length() + 1
 
 
-def _gf_size(items: Sequence[int], k: int) -> tuple[int, int]:
-    """(bits held, cost in steps) of the generating function over k-subsets of items."""
+def _gf_size(items: Sequence[int], j: int) -> tuple[int, int, int]:
+    """(bits held, bits written, shift-adds) of _gf_plain on the ascending items.
+
+    With d_i = items[i] - items[0], adding item t writes level q = s + 1
+    for q <= min(t + 1, j), and since the items ascend the heaviest q-subset
+    of the first t + 1 is the last q of them, so level q then has degree
+    D[t+1] - D[t+1-q] over the prefix sums D of d: q*D[t+1] - (E[t+1] -
+    E[t+1-q]) summed over q, with E the prefix sums of D. A level of degree
+    g takes g + 1 slots of w bits, exactly, because its top slot is nonzero.
+    """
     m = len(items)
-    if not 0 <= k <= m:
-        return 0, 0
-    poly_bits = (k * (max(items, default=0) - min(items, default=0)) + 1) * _slot_width(m, k)
-    return (k + 1) * poly_bits, m * (k + 1) * (_STATE_STEPS + poly_bits // _STEP_BITS)
+    if not 1 <= j <= m:
+        return 0, 0, 0
+    w = _slot_width(m, j)
+    D = list(accumulate((v - items[0] for v in items), initial=0))
+    E = list(accumulate(D, initial=0))
+    written = ops = 0
+    for t in range(m):
+        q = min(t + 1, j)
+        written += q * D[t + 1] - (E[t + 1] - E[t + 1 - q]) + q
+        ops += q
+    held = sum(D[m] - D[m - s] + 1 for s in range(j + 1))
+    return held * w, written * w, ops
+
+
+def _gf_plain(items: Sequence[int], j: int, floor: int) -> tuple[int, int]:
+    """(C(m, j), j-subsets of the m ascending items with sum >= floor), by generating function.
+
+    With lo the least item, P[s] holds the sum over s-subsets S of the
+    items added so far of x^(sum of v - lo over S), in slots of w bits.
+    No slot overflows, because every slot sum of P[s] is at most C(m, s)
+    < 2^(w-1). Adding item v runs P[s+1] += P[s] << (v - lo)*w over s in
+    descending order; ascending items keep each level's degree as low as
+    any order can. A polynomial mod 2^w - 1 is the sum of its slots, so
+    shifting out the slots below floor - j*lo first leaves the count.
+    """
+    lo = items[0] if items else 0
+    w = _slot_width(len(items), j)
+    P = [1] + [0] * j
+    for seen, v in enumerate(items):
+        shift = (v - lo) * w
+        for s in range(min(seen, j - 1), -1, -1):
+            P[s + 1] += P[s] << shift
+    ones = (1 << w) - 1
+    return P[j] % ones, (P[j] >> max(0, floor - j * lo) * w) % ones
 
 
 def _gf_count(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[int, int]:
-    """(total satisfying the atoms, nonnegative among those), generating-function route.
-
-    Per term of _terms, with j = k - |fixed|, f the fixed sum and lo the
-    least of the m live items: P[s] holds the sum over s-subsets S of the
-    items added so far of x^(sum of y_i - lo over S), in slots of w bits.
-    No slot overflows, because every slot sum of P[s] is at most C(m, s)
-    < 2^(w-1). Adding item v runs P[s+1] += P[s] << (v - lo)*w over s in
-    descending order. A polynomial mod 2^w - 1 is the sum of its slots, so
-    shifting out the slots below -j*lo - f first leaves the count of
-    subsets whose sum with the fixed items is nonnegative.
-    """
-    total = nn = 0
-    for sign, fixed, live in _terms(n, atoms):
-        j, items = k - len(fixed), [y[i] for i in live]
-        m = len(items)
-        if not 0 <= j <= m:
-            continue
-        lo = min(items, default=0)
-        w = _slot_width(m, j)
-        P = [1] + [0] * j
-        for seen, v in enumerate(items):
-            shift = (v - lo) * w
-            for s in range(min(seen, j - 1), -1, -1):
-                P[s + 1] += P[s] << shift
-        ones = (1 << w) - 1
-        cut = max(0, -j * lo - sum(y[i] for i in fixed)) * w
-        total += sign * (P[j] % ones)
-        nn += sign * ((P[j] >> cut) % ones)
-    return total, nn
+    """(total satisfying the atoms, nonnegative among those) by _gf_plain."""
+    return _signed(_gf_plain, _plain(y, _terms(n, atoms), k))
 
 
 def _count(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[str, int, int]:
     """(engine, total, nonnegative) by the cheaper engine that fits its budget.
 
-    The generating function runs when no term of _terms makes it hold more
-    than GF_BIT_BUDGET bits and its estimated cost, summed over the terms,
-    is no more than the sums the two-list counter would list, capped at
-    ENUM_BUDGET. Otherwise the two-list counter runs under its own budget,
-    and when that is exceeded too, ValueError names both budgets. It
-    names count_nonnegative_dp only when there are no atoms and the DP's
-    own bound, _dp_updates on y's (value, multiplicity) pairs, admits it.
+    Both engines are charged from one list of terms: the generating
+    function a step per shift-add and per _STEP_BITS bits it writes, the
+    two-list counter a step per entry it builds. The generating function
+    runs when it holds at most GF_BIT_BUDGET bits and takes no more steps
+    than the other, capped at ENUM_BUDGET; otherwise the two-list counter
+    runs under the budget. A refusal names count_nonnegative_dp only
+    when there are no atoms and the DP's own charge admits y's pattern.
     """
     terms = _terms(n, atoms)
+    plain = _plain(y, terms, k)
     held = steps = 0
-    for _, fixed, live in terms:
-        bits, cost = _gf_size([y[i] for i in live], k - len(fixed))
-        held, steps = max(held, bits), steps + cost
+    for _, items, j, _ in plain:
+        bits, written, ops = _gf_size(items, j)
+        held, steps = max(held, bits), steps + ops + written // _STEP_BITS
     listed = _listed(terms, k)
     if held <= GF_BIT_BUDGET and steps <= min(listed, ENUM_BUDGET):
-        return (ENGINE_GF, *_gf_count(y, n, k, atoms))
-    if listed <= ENUM_BUDGET:
-        return (ENGINE_ENUM, *_split_count(y, n, k, atoms))
-    pairs = [(v, len(list(run))) for v, run in groupby(y)]
-    dp_fits = not atoms and _dp_updates(pairs, k) <= ENUM_BUDGET
-    raise ValueError(
-        f"more subset sums to list than the enumeration budget of {ENUM_BUDGET}; the "
-        f"generating-function counter would hold about {held} bits against its budget of "
-        f"{GF_BIT_BUDGET} and cost about {steps} steps against the budget of {ENUM_BUDGET}"
-        + ("; count_nonnegative_dp counts from a multiplicity pattern" if dp_fits else "")
-    )
+        return (ENGINE_GF, *_signed(_gf_plain, plain))
+    if listed > ENUM_BUDGET:
+        hint = (
+            f"the generating-function counter would hold {held} bits against its budget of "
+            f"{GF_BIT_BUDGET} and take {steps} steps"
+        )
+        pairs = [(v, len(list(run))) for v, run in groupby(y)]
+        if not atoms and _dp_updates(pairs, k) <= ENUM_BUDGET:
+            hint += "; count_nonnegative_dp counts from a multiplicity pattern"
+        charge(listed, "entries the two-list counter builds (at least)", hint)
+    return (ENGINE_ENUM, *_signed(_split_plain, plain))
+
+
+def _pass_steps(m: int, k: int) -> int:
+    """Inner steps of _size_pass over m items: item t updates min(t + 1, k) sizes."""
+    return m * (m + 1) // 2 if m <= k else k * (k + 1) // 2 + (m - k) * k
 
 
 def _size_pass(items: Sequence[int], k: int) -> tuple[list[int], list[int]]:
@@ -324,13 +354,6 @@ def _size_pass(items: Sequence[int], k: int) -> tuple[list[int], list[int]]:
             counts[j + 1] += counts[j]
             sums[j + 1] += sums[j] + counts[j] * v
     return counts, sums
-
-
-def _pass_budget(steps: int) -> None:
-    if steps > ENUM_BUDGET:
-        raise ValueError(
-            f"the (count, sum) pass needs {steps} steps, over the enumeration budget of {ENUM_BUDGET}"
-        )
 
 
 def count_nonnegative(
@@ -404,7 +427,8 @@ def restricted_sum(X: WeightVector, k: int, restriction: Restriction) -> Fractio
     restriction.validate(n)
     y, scale = X.scaled_ints()
     terms = _terms(n, restriction.atoms)
-    _pass_budget(len(terms) * n * (k + 1))
+    steps = sum(_pass_steps(len(live), k - len(fixed)) for _, fixed, live in terms if len(fixed) <= k)
+    charge(steps, "steps of the restricted sum's (count, sum) passes")
     total = 0
     for sign, fixed, live in terms:
         j = k - len(fixed)
@@ -412,6 +436,12 @@ def restricted_sum(X: WeightVector, k: int, restriction: Restriction) -> Fractio
             counts, sums = _size_pass([y[i] for i in live], j)
             total += sign * (sums[j] + sum(y[i] for i in fixed) * counts[j])
     return Fraction(total, scale)
+
+
+def _divided_steps(s: int, k: int) -> int:
+    """Inner steps of _divided_pass for a block of s items: its own pass, the division and the profile."""
+    top = min(k, s)
+    return _pass_steps(s, k) + top * (top + 1) // 2 + (k - top) * top + top + 1
 
 
 def _divided_pass(full: tuple[list[int], list[int]], items: Sequence[int], k: int) -> list[int]:
@@ -443,9 +473,8 @@ def _divided_pass(full: tuple[list[int], list[int]], items: Sequence[int], k: in
 def overlap_sums(X: WeightVector, k: int, block: Sequence[int]) -> tuple[Fraction, ...]:
     """Sums of b_S grouped by the overlap |S intersect block| = t.
 
-    One (count, sum) pass over y and one divided pass for the block. It
-    is charged n(k+1) steps, as one pass; with the block's own pass and
-    the division it takes less than twice that.
+    One (count, sum) pass over y and one divided pass for the block,
+    charged the steps of both.
     """
     n = X.n
     if not 0 <= k <= n:
@@ -453,7 +482,7 @@ def overlap_sums(X: WeightVector, k: int, block: Sequence[int]) -> tuple[Fractio
     fs = frozenset(block)
     if any(not 0 <= i < n for i in fs):
         raise ValueError("block indices out of range")
-    _pass_budget(n * (k + 1))
+    charge(_pass_steps(n, k) + _divided_steps(len(fs), k), "steps of the overlap passes")
     y, scale = X.scaled_ints()
     full = _size_pass(y, k)
     return tuple(Fraction(s, scale) for s in _divided_pass(full, [y[i] for i in sorted(fs)], k))
@@ -514,22 +543,29 @@ class MultiplicityPattern(_Record):
 
 
 def _dp_updates(pairs: Sequence[tuple[int, int]], k: int) -> int:
-    """Most dict updates count_nonnegative_dp makes on (scaled value, multiplicity) pairs.
+    """Most steps count_nonnegative_dp takes on (scaled value, multiplicity) pairs.
 
     Before the i-th value, level j is empty past the multiplicity seen; it
     holds at most C(i+j-1, j) sums, the j-multisets of the values seen,
     and at most j*span + 1, the integers in [j*min, j*max]. Each state
     takes one update per copy count c the DP tries, and each of the k
-    levels past 0 counts one for its dict. The sum stops, and is returned,
-    once it passes ENUM_BUDGET.
+    levels past 0 counts one step for its dict. An update multiplies the
+    ways of a state, at most C(seen, j) with j < k, by C(m, c) with c <= k,
+    and C(a, b) has at most min(a, b * bitlen(a)) + 1 bits, since it is at
+    most 2^a and a^b. A product of ints of x and y bits counts x * y //
+    (_STEP_BITS * bits_per_digit) steps more. The sum stops, and is
+    returned, once it passes ENUM_BUDGET.
     """
     span = abs(pairs[0][0] - pairs[-1][0])  # the values are sorted
     updates, seen, rest = k, 0, sum(m for _, m in pairs)
     for i, (_, m) in enumerate(pairs):
         rest -= m
+        ways = min(seen, min(k - 1, seen) * seen.bit_length()) + 1
+        times = min(m, min(k, m) * m.bit_length()) + 1
+        weight = 1 + ways * times // (_STEP_BITS * int_info.bits_per_digit)
         for j in range(min(k, seen + 1)):
             states = min(binomial(i + j - 1, j), j * span + 1) if j else 1
-            updates += states * max(0, min(m, k - j) - max(1, k - j - rest) + 1)
+            updates += weight * states * max(0, min(m, k - j) - max(1, k - j - rest) + 1)
             if updates > ENUM_BUDGET:
                 return updates
         seen += m
@@ -554,11 +590,7 @@ def count_nonnegative_dp(pattern: MultiplicityPattern, k: int, reverse: bool = F
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     scale = lcm(*(v.denominator for v, _ in pattern.pairs))
     pairs = [(int(v * scale), m) for v, m in pattern.pairs][:: -1 if reverse else 1]
-    if _dp_updates(pairs, k) > ENUM_BUDGET:
-        raise ValueError(
-            f"the multiplicity-pattern DP needs more state updates than the enumeration "
-            f"budget of {ENUM_BUDGET}"
-        )
+    charge(_dp_updates(pairs, k), "steps of the multiplicity-pattern DP (at least)")
     levels: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
     seen = 0
     for w, m in pairs:

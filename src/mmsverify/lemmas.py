@@ -15,7 +15,7 @@ import math
 import random
 from fractions import Fraction
 
-from .combinat import ENUM_BUDGET, KSubset, _Record, binomial
+from .combinat import ENUM_BUDGET, KSubset, _Record, binomial, charge
 from .counting import Restriction, count_nonnegative, nonnegative_family, overlap_sums, star_family_size
 from .report import LemmaReport, Precondition, claim, vacuous
 from .weights import WeightVector
@@ -284,13 +284,11 @@ def simulate_partition(
     m, r = divmod(n, k)
     if m < 2:
         raise ValueError(f"need n >= 2k for at least one leftover block, got n={n}, k={k}")
-    shuffled = trials * (m - 1) * k
-    if shuffled > ENUM_BUDGET:
-        raise ValueError(
-            f"trials={trials} shuffle {(m - 1) * k} indices each, {shuffled} in all, "
-            f"over the enumeration budget of {ENUM_BUDGET}; at most "
-            f"{ENUM_BUDGET // ((m - 1) * k)} trials fit at n={n}, k={k}"
-        )
+    charge(
+        trials * (m - 1) * k,
+        f"indices shuffled by trials={trials} of {(m - 1) * k} each",
+        f"at most {ENUM_BUDGET // ((m - 1) * k)} trials fit at n={n}, k={k}",
+    )
     in_T = set(T.indices)
     tail: list[int] = []
     if r:

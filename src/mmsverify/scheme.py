@@ -8,8 +8,8 @@ Subsets are indexed in combinat.colex order. The checks pack, once, the n
 rows "subsets holding i" into one int each; an inclusion row is the AND of
 its subset's rows, a Kneser row the complement of their OR, and an inner
 product is an AND and a popcount. Sums of b by overlap with a block come
-from counting's divided pass. Before any work, DEFAULT_DENSE_BUDGET caps
-the entries built or packed, ENUM_BUDGET the pass steps and PAIR_BUDGET the
+from counting's divided pass. Before any work, ENUM_BUDGET caps the
+entries built or packed and the pass steps, and PAIR_BUDGET the
 factorization's pairs.
 """
 
@@ -19,17 +19,14 @@ from itertools import chain, combinations
 from operator import mul
 from typing import Sequence
 
-from .combinat import ENUM_BUDGET, KSubset, _Record, binomial, colex
-from .counting import _divided_pass, _size_pass
+from .combinat import _Record, binomial, charge, colex
+from .counting import _divided_pass, _divided_steps, _pass_steps, _size_pass
 from .report import Claim, LemmaReport, Precondition, claim
 from .weights import WeightVector
 
 __all__ = [
-    "DEFAULT_DENSE_BUDGET",
-    "DenseBudgetError",
     "PAIR_BUDGET",
     "StructureMatrix",
-    "bose_mesner_entry",
     "bose_mesner_eigenvalue",
     "build_structure_matrix",
     "verify_eigenvector",
@@ -38,14 +35,9 @@ __all__ = [
     "verify_wilson_identities",
 ]
 
-DEFAULT_DENSE_BUDGET = 10_000_000
 # Most (S, T) pairs of k-subsets verify_factorization visits, the only
 # check that still walks pairs; near this limit it takes several seconds.
 PAIR_BUDGET = 40_000_000
-
-
-class DenseBudgetError(ValueError):
-    """Raised when a dense matrix, a pair loop or the state passes would exceed a budget."""
 
 
 def subsets_colex(n: int, m: int) -> list[tuple[int, ...]]:
@@ -139,27 +131,13 @@ class StructureMatrix(_Record):
         }
 
 
-def _check_budget(rows: int, n: int, k: int) -> None:
-    entries = rows * binomial(n, k)
-    if entries > DEFAULT_DENSE_BUDGET:
-        raise DenseBudgetError(
-            f"{rows} rows over C({n},{k}) k-subsets hold {entries} entries, over the dense "
-            f"budget of {DEFAULT_DENSE_BUDGET}; bose_mesner_entry gives any one in closed form"
-        )
-
-
-def _check_work(what: str, work: int, budget: str, limit: int) -> None:
-    if work > limit:
-        raise DenseBudgetError(f"{what} = {work}, over the {budget} of {limit}")
-
-
 def build_structure_matrix(kind: str, n: int, j: int, k: int) -> StructureMatrix:
     """Materialize the inclusion or Kneser matrix densely, each row unpacked from singleton rows."""
     if kind not in ("inclusion", "kneser"):
         raise ValueError(f"unknown kind {kind!r}")
     if not (0 <= j <= k <= n):
         raise ValueError(f"need 0 <= j <= k <= n, got j={j}, k={k}, n={n}")
-    _check_budget(binomial(n, j), n, k)
+    charge(binomial(n, j) * binomial(n, k), f"entries of C({n},{j}) x C({n},{k}) rows")
     width = binomial(n, k)
     # at j = 0 the one row, the empty set's, is all ones for either kind;
     # for 0 < j < n the n singleton rows are no more than the C(n, j) rows
@@ -167,14 +145,6 @@ def build_structure_matrix(kind: str, n: int, j: int, k: int) -> StructureMatrix
     row_of = _meet if kind == "inclusion" else _miss
     rows = tuple(_unpack(row_of(singles, full, Y), width) for Y in subsets_colex(n, j))
     return StructureMatrix(kind, n, j, k, rows)
-
-
-def bose_mesner_entry(S: KSubset, T: KSubset, j: int) -> int:
-    """Closed-form entry C(k - |S intersect T|, j) of the j-th product matrix."""
-    if S.n != T.n or S.k != T.k:
-        raise ValueError("S and T must be k-subsets of the same ground set")
-    overlap = (S.bitmask() & T.bitmask()).bit_count()
-    return binomial(S.k - overlap, j)
 
 
 def bose_mesner_eigenvalue(n: int, k: int, j: int) -> int:
@@ -196,8 +166,10 @@ def verify_factorization(n: int, j: int, k: int) -> LemmaReport:
     """
     if not (0 <= j <= k <= n):
         raise ValueError(f"need 0 <= j <= k <= n, got j={j}, k={k}, n={n}")
-    _check_budget(binomial(n, j), n, k)
-    _check_work(f"C({n},{k})^2 pairs of k-subsets", binomial(n, k) ** 2, "pair budget", PAIR_BUDGET)
+    charge(binomial(n, j) * binomial(n, k), f"entries of C({n},{j}) x C({n},{k}) columns")
+    pairs = binomial(n, k) ** 2
+    if pairs > PAIR_BUDGET:
+        raise ValueError(f"C({n},{k})^2 pairs of k-subsets = {pairs}, over the pair budget of {PAIR_BUDGET}")
     km = masks_colex(n, k)
     ksets = subsets_colex(n, k)
     singles, full = _singletons(n, j)
@@ -237,9 +209,9 @@ def verify_factorization(n: int, j: int, k: int) -> LemmaReport:
 def _eigen_claims(X: WeightVector, k: int, js: Sequence[int]) -> tuple[list[Claim], dict]:
     """Claims and witnesses of the eigenvector check at each j in js.
 
-    One (count, sum) pass over y, n(k+1) steps, then per k-subset S a
-    divided pass, at most k(k+1) steps; C(n, k) passes of n(k+1) steps,
-    the charge, bound both.
+    One (count, sum) pass over y, then per k-subset S a divided pass and
+    a contraction per j, 2(k+1)^2 steps at most; the charge, C(n, k)
+    passes of n(k+1) steps, bounds them while 2(k+1) <= n.
     """
     n = X.n
     if X.is_zero():
@@ -249,8 +221,7 @@ def _eigen_claims(X: WeightVector, k: int, js: Sequence[int]) -> tuple[list[Clai
             f"eigenvector check needs k < n, got k = n = {n}: the only k-subset is the whole "
             "ground set, whose sum is 0, so b is the zero vector"
         )
-    steps = binomial(n, k) * n * (k + 1)
-    _check_work(f"C({n},{k}) passes of {n}*{k + 1} steps", steps, "enumeration budget", ENUM_BUDGET)
+    charge(binomial(n, k) * n * (k + 1), f"C({n},{k}) passes of {n}*{k + 1} steps")
     y, _ = X.scaled_ints()
     b = colex(y, k)
     coeffs = {j: [binomial(k - m, j) for m in range(k + 1)] for j in js}
@@ -328,7 +299,7 @@ def _kneser_apply(n: int, j: int, k: int, bj: Sequence[int]) -> list[int]:
     no j-subset misses a k-subset and every entry is 0, with no visits.
     Otherwise, by Vandermonde, the sum over |A| <= j takes at most C(n, j)
     lookups per S. Both stay within the C(n, j) C(n, k) entries that
-    verify_wilson_identities charges to the dense budget.
+    verify_wilson_identities charges for its packed rows.
     """
     if j > n - k:
         return [0] * binomial(n, k)
@@ -357,18 +328,19 @@ def verify_wilson_identities(X: WeightVector, j: int, k: int) -> LemmaReport:
 
     For (a) the n rows of W_1k are packed, one int of C(n, k) bits each,
     and each row of W_jk is the AND of its j-subset's rows, so each entry
-    is one AND and a popcount. (b) takes one divided pass per j-subset
-    and (c) comes from _kneser_apply. The charges, C(n, j) + n packed
-    rows to the dense budget and C(n, j) passes of n(k+1) steps to the
-    enumeration budget, bound the work; only at j = k = n, one block
-    that is the whole set, do (b)'s passes take up to 1.5 times theirs.
+    is one AND and a popcount. (b) takes one pass over y and one divided
+    pass per j-subset, and (c) comes from _kneser_apply. The C(n, j) + n
+    packed rows of C(n, k) entries are charged, and so are the steps of
+    (b)'s passes.
     """
     n = X.n
     if not (1 <= k <= n and 0 <= j <= k):
         raise ValueError(f"need 1 <= k <= n and 0 <= j <= k, got n={n}, k={k}, j={j}")
-    _check_budget(binomial(n, j) + n, n, k)
-    steps = binomial(n, j) * n * (k + 1)
-    _check_work(f"C({n},{j}) passes of {n}*{k + 1} steps", steps, "enumeration budget", ENUM_BUDGET)
+    charge((binomial(n, j) + n) * binomial(n, k), f"entries of C({n},{j}) + {n} packed rows of C({n},{k})")
+    charge(
+        _pass_steps(n, k) + binomial(n, j) * _divided_steps(j, k),
+        f"steps of one pass over {n} items and C({n},{j}) divided passes",
+    )
     y, _ = X.scaled_ints()
     jsets = subsets_colex(n, j)
     b = colex(y, k)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterator, Mapping
 
-from .combinat import ENUM_BUDGET, _Record, binomial
+from .combinat import ENUM_BUDGET, _Record, binomial, charge
 from .counting import (
     MultiplicityPattern,
     _listed,
@@ -37,7 +37,6 @@ from .report import VERDICT_VERIFIED, VERDICT_VIOLATED, exact_str
 
 __all__ = ["SearchReport", "SearchSpace", "find_counterexample", "sweep_patterns"]
 
-DEFAULT_CANDIDATE_BUDGET = 10_000_000
 MAX_DISTINCT_CAP = 4
 Row = tuple[tuple[int, ...], tuple[int, ...], int, int, int]
 Table = tuple[list[range], list[tuple[int, int, int, int, list[int]]]]
@@ -230,16 +229,11 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
     only for a count that ties or beats the best so far. The winner is
     re-verified by count_nonnegative_dp, which shares no code with the
     kernel, in both value orders, and additionally by the two-list
-    counter when its lists hold no more sums than k + 1 per candidate
+    counter when its lists build no more entries than k + 1 per candidate
     examined (a d = 3 candidate walks up to k + 1 entries of its threshold
     table), before the report is emitted.
     """
-    total = space.size()
-    if total > DEFAULT_CANDIDATE_BUDGET:
-        raise ValueError(
-            f"grid holds about {total} candidates, over the budget of "
-            f"{DEFAULT_CANDIDATE_BUDGET}; reduce value_range or max_distinct"
-        )
+    charge(space.size(), "grid candidates before the zero-sum filter", "reduce value_range or max_distinct")
     n, k = space.n, space.k
     bound = star_family_size(n, k)
     # The single value 0 comes first: every k-subset sums to 0.
@@ -275,8 +269,9 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
         )
     reverified_enum = None
     # k + 1 listed sums per candidate kept the re-check within 1.25 times
-    # the sweep's own time at every shape measured; _listed stops adding
-    # past ENUM_BUDGET, so the budget caps the gate too
+    # the sweep's own time at every shape measured; _listed counts colex's
+    # intermediate levels too, so the gate is stricter than that, and it
+    # stops adding past ENUM_BUDGET, so the budget caps the gate too
     if _listed(_terms(n, ()), k) <= min(ENUM_BUDGET, examined * (k + 1)):
         y, _ = pattern.expand().scaled_ints()
         _, enum_count = _split_count(y, n, k, ())

@@ -8,6 +8,7 @@ behind itself.
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, prod
+from sys import int_info
 
 
 class BinomialTable:
@@ -181,6 +182,13 @@ def brute_kneser_matrix(n, j, k):
     ]
 
 
+def bose_mesner_entry(S, T, j):
+    """Closed-form entry C(k - |S intersect T|, j) of the j-th product matrix, for two KSubsets."""
+    if S.n != T.n or S.k != T.k:
+        raise ValueError("S and T must be k-subsets of the same ground set")
+    return comb(S.k - len(set(S.indices) & set(T.indices)), j)
+
+
 def matmul(A, B):
     rows = len(A)
     inner = len(B)
@@ -268,6 +276,83 @@ def dp_updates(pairs, k):
                     sums.add(sum(c * w for c, (w, _) in zip(cs, seen)))
             updates += len(sums) * len(range(max(1, k - j - rests[i]), min(m, k - j) + 1))
     return updates
+
+
+def gf_units(items, j):
+    """(bits held, bits written, shift-adds) of the generating-function loop, counted as it runs.
+
+    The loop adds the items in ascending order, P[s+1] += P[s] << (v - lo)*w
+    over s descending, with w one bit more than the largest C(m, s), s <= j.
+    Each shift-add writes level s + 1 whole: its slots are its bit length
+    rounded up to w, because every slot holds less than 2^(w-1).
+    """
+    items = sorted(items)
+    m = len(items)
+    if not 1 <= j <= m:
+        return 0, 0, 0
+    w = comb(m, min(j, m // 2)).bit_length() + 1
+
+    def slots(level):
+        return -(-level.bit_length() // w) * w
+
+    P = [1] + [0] * j
+    written = ops = 0
+    for seen, v in enumerate(items):
+        for s in range(min(seen, j - 1), -1, -1):
+            P[s + 1] += P[s] << (v - items[0]) * w
+            written += slots(P[s + 1])
+            ops += 1
+    return sum(map(slots, P)), written, ops
+
+
+def colex_entries(items, k, empty, built):
+    """colex(items, k, empty), rebuilt level by level; appends the entries it builds, level 0 included, to built."""
+    n = len(items)
+    level = [empty]
+    count = 1
+    for j in range(1, k + 1):
+        level = [s + items[t] for t in range(j - 1, n - k + j) for s in level[: comb(t, j - 1)]]
+        count += len(level)
+    built.append(count)
+    return level
+
+
+def pass_steps(items, k):
+    """Inner steps of the (count, sum) pass over items up to size k, counted as it runs."""
+    steps = 0
+    for seen in range(len(items)):
+        steps += len(range(min(seen, k - 1), -1, -1))
+    return steps
+
+
+def divided_steps(items, k):
+    """Inner steps of the divided pass for a block of items: its own pass, the division and the profile."""
+    top = min(k, len(items))
+    division = sum(len(range(1, min(u, top) + 1)) for u in range(k + 1))
+    return pass_steps(items, k) + division + top + 1
+
+
+def dp_steps(pairs, k, step_bits):
+    """(updates, steps) of the pattern DP on (scaled value, multiplicity) pairs, counted as it runs.
+
+    One per level dict past 0, and per update one plus a * b //
+    (step_bits * bits_per_digit) for the bit lengths a and b of the ways and
+    the binomial it multiplies.
+    """
+    n = sum(m for _, m in pairs)
+    levels = [{0: 1}] + [{} for _ in range(k)]
+    updates, steps, seen = 0, k, 0
+    for w, m in pairs:
+        rest = n - seen - m
+        for j in range(min(seen, k - 1), -1, -1):
+            for c in range(max(1, k - j - rest), min(m, k - j) + 1):
+                times = comb(m, c)
+                for s, ways in levels[j].items():
+                    levels[j + c][s + c * w] = levels[j + c].get(s + c * w, 0) + ways * times
+                    updates += 1
+                    steps += 1 + ways.bit_length() * times.bit_length() // (step_bits * int_info.bits_per_digit)
+        seen += m
+    return updates, steps
 
 
 def replay_partition(values, k, rest, rng, trials):

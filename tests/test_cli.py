@@ -97,6 +97,27 @@ def test_theorem_answers_at_n_8k_squared(k):
     assert doc["report"]["claims"][1]["satisfied"] is True
 
 
+@pytest.mark.parametrize("lemma", ["theorem", "3", "lotson1"])
+def test_lemmas_answer_at_n_8k_squared_with_k_16(lemma):
+    # the generating function is charged the slots it writes, about 1.2M
+    # steps here, well inside the budget
+    started = time.perf_counter()
+    doc, code = run_json("verify", "--lemma", lemma, "--random", "--n", "2048", "-k", "16")
+    assert time.perf_counter() - started < 3.0
+    assert code == 0
+    assert doc["verdict"] == "verified"
+
+
+def test_first_refused_k_at_n_8k_squared_exits_2_fast():
+    # seed 0 at (4608, 24) balances with a negative outlier, so every shift
+    # is wide and the generating function is charged over 30M steps
+    started = time.perf_counter()
+    out, err, code = run(["verify", "--lemma", "theorem", "--random", "--n", "4608", "-k", "24"])
+    assert time.perf_counter() - started < 1.0
+    assert (out, code) == ("", 2)
+    assert "enumeration budget" in err and "generating-function counter" in err
+
+
 def test_count_star_at_n_8k_squared_reports_star_equality():
     doc, code = run_json("count", "--star", "--n", "392", "-k", "7")
     assert code == 0
@@ -504,8 +525,9 @@ def test_text_format_has_runtime():
     assert out.startswith("command: count --star --n 8 -k 2\n")
     assert "runtime_ms: None" not in out
     assert "verdict: verified" in out
-    # the two lists hold 22 sums, fewer steps than the generating function's 24
-    assert "  engine: enumeration\n" in out
+    # the generating function takes 15 shift-adds, fewer steps than the 32
+    # entries the two lists build
+    assert "  engine: generating-function\n" in out
 
 
 def test_json_runs_are_byte_identical(cli_runner):

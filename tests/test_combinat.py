@@ -1,9 +1,12 @@
+import importlib
 import math
+import pkgutil
 import time
 from itertools import combinations
 
 import pytest
 
+import mmsverify
 from mmsverify.combinat import ENUM_BUDGET, KSubset, binomial, colex
 
 from _oracles import BinomialTable, brute_colex_rank, rank_colex, unrank_colex
@@ -102,3 +105,12 @@ def test_colex_refuses_before_building():
     with pytest.raises(ValueError, match="enumeration budget"):
         colex(list(range(20000)), 19999)
     assert time.perf_counter() - started < 1.0
+
+
+def test_the_package_has_three_budgets():
+    # every other limit is a charge against ENUM_BUDGET
+    names = set()
+    for info in pkgutil.iter_modules(mmsverify.__path__):
+        module = importlib.import_module(f"mmsverify.{info.name}")
+        names |= {name for name in vars(module) if name.endswith("_BUDGET")}
+    assert names == {"ENUM_BUDGET", "GF_BIT_BUDGET", "PAIR_BUDGET"}

@@ -236,6 +236,17 @@ def test_dp_refuses_over_budget_fast():
         assert time.perf_counter() - started < 1.0
 
 
+def test_dp_refuses_wide_counts_fast():
+    # 1.75M updates, but each multiplies counts of up to about 2,000 and
+    # 1,000 bits; charged by those widths the DP is over the budget
+    pattern = MultiplicityPattern(((Fraction(1), 1000), (Fraction(0), 1000), (Fraction(-1), 1000)))
+    for reverse in (False, True):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="enumeration budget"):
+            count_nonnegative_dp(pattern, 1500, reverse=reverse)
+        assert time.perf_counter() - started < 1.0
+
+
 def test_refusal_names_the_dp_only_when_the_dp_fits():
     # the 1/p input at (60, 10) is refused by the DP too, so its refusal no
     # longer sends the user there; three values 10^12 apart put the GF far
@@ -450,16 +461,30 @@ def test_many_intersects_atoms_refuse_fast():
         assert time.perf_counter() - started < 1.0
 
 
+class _Counted(int):
+    """An int that counts the additions made with it: colex builds each entry past level 0 by one."""
+
+    adds = 0
+
+    def __add__(self, other):
+        _Counted.adds += 1
+        return _Counted(int(self) + int(other))
+
+    __radd__ = __add__
+
+
 def test_split_count_charges_exactly_the_sums_it_lists(monkeypatch):
     # every list the counter builds comes from one colex call, complement
-    # levels included, so the lists' lengths add up to the budget charge
+    # sides included; the entries colex builds, its one-entry level 0 and
+    # every intermediate level, add up to the budget charge
     built = []
     build = counting.colex
 
-    def spy(items, k):
-        level = build(items, k)
-        built.append(len(level))
-        return level
+    def spy(items, k, empty=0):
+        before = _Counted.adds
+        level = build([_Counted(v) for v in items], k, empty)
+        built.append(1 + _Counted.adds - before)
+        return [int(s) for s in level]
 
     monkeypatch.setattr(counting, "colex", spy)
     X = gen_random_zero_sum(16, 100, seed=3)

@@ -1,10 +1,12 @@
 from fractions import Fraction
 from itertools import combinations, groupby
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mmsverify import counting, scheme
 from mmsverify.combinat import KSubset, binomial
 from mmsverify.counting import (
     Atom,
@@ -21,14 +23,19 @@ from mmsverify.counting import (
     restricted_sum,
 )
 from mmsverify.lemmas import single_overlap_coefficient
-from mmsverify.scheme import verify_eigenvector_all
+from mmsverify.scheme import verify_eigenvector_all, verify_wilson_identities
 from mmsverify.weights import normalize, subset_sums
 
 from _oracles import (
     brute_count,
     brute_overlap_profile,
     brute_restricted_sum,
+    colex_entries,
+    divided_steps,
+    dp_steps,
     dp_updates,
+    gf_units,
+    pass_steps,
     rank_colex,
     satisfies,
     size_pass_closed_form,
@@ -248,3 +255,63 @@ def test_divided_pass_at_the_edges(k, block):
     y = [3, -1, 4, -1, -5]
     got = _divided_pass(_size_pass(y, k), [y[i] for i in sorted(block)], k)
     assert got == brute_overlap_profile(y, k, block)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(rational_vectors(), zero_sum_vectors(n_max=12, magnitude=500)), st.data())
+def test_gf_and_two_list_charges_equal_the_units_they_count(X, data):
+    # the GF's bits held, bits written and shift-adds, and every entry colex
+    # builds for the two lists, counted by oracles that rerun each loop
+    n = X.n
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    atoms = data.draw(conjunctions(n))
+    y, _ = X.scaled_ints()
+    terms = counting._terms(n, atoms)
+    for _, items, j, _ in counting._plain(y, terms, k):
+        assert counting._gf_size(items, j) == gf_units(items, j)
+    built = []
+    with patch.object(counting, "colex", lambda items, c, empty=0: colex_entries(items, c, empty, built)):
+        assert _split_count(y, n, k, atoms) == _gf_count(y, n, k, atoms)
+    assert sum(built) == counting._listed(terms, k)
+
+
+def _charges(module, call):
+    """The works charged through module.charge while call runs."""
+    charged = []
+    real = module.charge
+
+    def spy(work, what, hint=""):
+        charged.append(work)
+        real(work, what, hint)
+
+    with patch.object(module, "charge", spy):
+        call()
+    return charged
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero_sum_vectors(n_max=8, magnitude=50), st.data())
+def test_pass_and_dp_charges_bound_the_units_they_count(X, data):
+    n = X.n
+    y, _ = X.scaled_ints()
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    block = sorted(data.draw(st.sets(st.sampled_from(range(n)))))
+    (charged,) = _charges(counting, lambda: overlap_sums(X, k, block))
+    assert pass_steps(y, k) + divided_steps([y[i] for i in block], k) <= charged
+    k = max(k, 1)
+    j = data.draw(st.integers(min_value=0, max_value=k))
+    rows, charged = _charges(scheme, lambda: verify_wilson_identities(X, j, k))
+    counted = sum(divided_steps([y[i] for i in Y], k) for Y in combinations(range(n), j))
+    assert pass_steps(y, k) + counted <= charged
+    pairs = [(w, len(list(run))) for w, run in groupby(y)]
+    for order in (pairs, pairs[::-1]):
+        assert dp_steps(order, k, counting._STEP_BITS)[1] <= _dp_updates(order, k)
+
+
+def test_dp_charge_weighs_wide_products():
+    # counts of up to about 600 and 300 bits make products worth more than
+    # one step each, and the charge still bounds the steps
+    pairs = [(1, 300), (0, 300), (-1, 300)]
+    for order in (pairs, pairs[::-1]):
+        updates, steps = dp_steps(order, 450, counting._STEP_BITS)
+        assert updates < steps <= _dp_updates(order, 450)
