@@ -25,7 +25,7 @@ from .lemmas import (
     verify_scalar_inequalities,
     verify_second_block_bound,
 )
-from .report import VERDICT_VERIFIED, VERDICT_VIOLATED
+from .report import VERDICT_VERIFIED, VERDICT_VIOLATED, exact_str
 from .scheme import (
     build_structure_matrix,
     verify_eigenvector,
@@ -146,7 +146,11 @@ def _load_vector(args: argparse.Namespace, parser: _Parser):
     if chosen != 1:
         parser.error("exactly one of --weights, --star, --random is required")
     if args.weights is not None:
-        return load_weights(args.weights), {"source": args.weights}
+        X = load_weights(args.weights)
+        inputs = {"source": args.weights}
+        if X.shift:  # the counts are the shifted vector's
+            inputs.update(mode="shift-to-zero", shift=exact_str(X.shift))
+        return X, inputs
     if args.n is None:
         parser.error("--star/--random need --n")
     if args.star:
@@ -269,13 +273,11 @@ def _render(doc: dict, fmt: str):
 _EXIT_BY_VERDICT = {VERDICT_VERIFIED: 0, VERDICT_VIOLATED: 1}
 
 
-def run(argv: Sequence[str], stdout: TextIO | None = None) -> tuple[str, str, int]:
-    """Execute one invocation; returns (stdout text, stderr text, exit code).
+def run(argv: Sequence[str], stdout: TextIO) -> tuple[str, int]:
+    """Execute one invocation, writing the report to stdout chunk by chunk.
 
-    Given a stdout stream, the report goes to it chunk by chunk and the stdout text is empty.
+    Returns (stderr text, exit code).
     """
-    chunks: list[str] = []
-    write = chunks.append if stdout is None else stdout.write
     parser = _build_parser()
     started = time.perf_counter()
     try:
@@ -284,11 +286,11 @@ def run(argv: Sequence[str], stdout: TextIO | None = None) -> tuple[str, str, in
             parser.error("a subcommand is required")
         inputs, report, verdict = _dispatch(args, parser)
     except _UsageError as exc:
-        return "", f"{exc}\n", 2
+        return f"{exc}\n", 2
     except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return "", f"mmsverify: error: {exc}\n", 2
+        return f"mmsverify: error: {exc}\n", 2
     except Exception as exc:  # a fault of the tool, never a verdict on the claim
-        return "", f"mmsverify: internal error: {type(exc).__name__}: {exc}\n", 3
+        return f"mmsverify: internal error: {type(exc).__name__}: {exc}\n", 3
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     doc = {
         "command": _echo(argv),
@@ -299,14 +301,13 @@ def run(argv: Sequence[str], stdout: TextIO | None = None) -> tuple[str, str, in
     }
     try:
         for chunk in _render(doc, args.format):
-            write(chunk)
-        if stdout is not None:
-            stdout.flush()
+            stdout.write(chunk)
+        stdout.flush()
     except OSError as exc:
-        return "".join(chunks), f"mmsverify: error: cannot write the report: {exc}\n", 2
+        return f"mmsverify: error: cannot write the report: {exc}\n", 2
     except Exception as exc:  # the report stays truncated, never complete
-        return "".join(chunks), f"mmsverify: internal error: {type(exc).__name__}: {exc}\n", 3
-    return "".join(chunks), "", _EXIT_BY_VERDICT.get(verdict, 2)
+        return f"mmsverify: internal error: {type(exc).__name__}: {exc}\n", 3
+    return "", _EXIT_BY_VERDICT.get(verdict, 2)
 
 
 def _dispatch(args: argparse.Namespace, parser: _Parser):
@@ -391,11 +392,8 @@ def _dispatch_verify(args: argparse.Namespace, parser: _Parser):
 
 def _dispatch_gen(args: argparse.Namespace, parser: _Parser):
     X, inputs = _load_vector(args, parser)
-    values = []
-    for v in X.values:
-        values.append(str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}")
     payload = {
-        "weights": values,
+        "weights": exact_str(X.values),
         "mode": "require-zero-sum",
         "provenance": inputs,
     }
@@ -410,7 +408,7 @@ def _dispatch_gen(args: argparse.Namespace, parser: _Parser):
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    _, err, code = run(sys.argv[1:] if argv is None else argv, sys.stdout)
+    err, code = run(sys.argv[1:] if argv is None else argv, sys.stdout)
     sys.stderr.write(err)
     try:
         sys.stdout.flush()

@@ -382,9 +382,10 @@ def count_nonnegative(
         bound = star_family_size(n, k)
         bound_comparisons = (("C(n-1,k-1)", bound, nn >= bound),)
         if nn == bound:
-            # Equality: is the family exactly the star on the top index?
-            _, _, nn_top = _count(y, n, k, Restriction.contains(0).atoms)
-            star_equality = nn_top == bound
+            # y is non-increasing, so {0, n-k+1, ..., n-1} is the least k-subset
+            # through index 0; a family of the star's size is the star exactly
+            # when it holds that subset.
+            star_equality = y[0] + sum(y[n - k + 1 :]) >= 0
             if star_equality:
                 witness = "all k-subsets containing index 0"
     return CountReport(

@@ -111,19 +111,6 @@ class SearchSpace(_Record):
                     if lo <= hi:
                         yield mults, prefix, base, hi, lo
 
-    def candidates(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-        """Yield (multiplicities, scaled integer values, denominator): 0, then rows() flattened.
-
-        The true values are scaled[i] / denominator; they are strictly
-        decreasing with exact weighted sum zero.
-        """
-        yield (self.n,), (0,), 1
-        for mults, prefix, base, hi, lo in self.rows():
-            m_head, den = mults[-2:]
-            scaled_prefix = tuple(v * den for v in prefix)
-            for v in range(hi, lo - 1, -1):
-                yield mults, scaled_prefix + (v * den, base - m_head * v), den
-
 
 class SearchReport(_Record):
     """Outcome of a sweep: the minimizing pattern and its cross-checks."""

@@ -33,13 +33,11 @@ class WeightVector(_Record):
     """Sorted non-increasing exact rationals with zero sum.
 
     shift records the per-entry amount subtracted by shift-to-zero
-    normalization (zero when the input already summed to zero). provenance
-    is metadata: equality and hashing ignore it.
+    normalization (zero when the input already summed to zero).
     """
 
     values: tuple[Fraction, ...]
     shift: Fraction = Fraction(0)
-    provenance: Mapping | None = None
 
     def __post_init__(self) -> None:
         if len(self.values) < 1:
@@ -53,14 +51,6 @@ class WeightVector(_Record):
         total = sum(self.values)
         if total != 0:
             raise ValueError(f"entries must sum to zero exactly, got {total}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.values, self.shift) == (other.values, other.shift)  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash((self.values, self.shift))
 
     @property
     def n(self) -> int:
@@ -99,11 +89,7 @@ def parse_rational(token: int | str | Fraction, position: int | None = None) -> 
     raise ValueError(f"malformed rational{where}: {token!r}")
 
 
-def normalize(
-    raw: Iterable[int | str | Fraction],
-    mode: str = "require-zero-sum",
-    provenance: Mapping | None = None,
-) -> WeightVector:
+def normalize(raw: Iterable[int | str | Fraction], mode: str = "require-zero-sum") -> WeightVector:
     """Sort non-increasing (stable in input order among ties) and fix the sum.
 
     require-zero-sum: the input must sum to zero exactly, else ValueError
@@ -128,15 +114,14 @@ def normalize(
         shift = Fraction(total, len(vals))
         vals = [v - shift for v in vals]
     vals.sort(key=lambda v: -v)  # stable, so ties keep input order
-    return WeightVector(tuple(vals), shift=shift, provenance=provenance)
+    return WeightVector(tuple(vals), shift=shift)
 
 
 def load_weights(source: str | Path | Mapping) -> WeightVector:
     """Read a weight document: {"weights": [...], "mode": optional}.
 
     Accepts a JSON file path or an already-parsed mapping. Entries are
-    integers or exact rational strings. The raw input is echoed in the
-    provenance metadata.
+    integers or exact rational strings.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -144,10 +129,8 @@ def load_weights(source: str | Path | Mapping) -> WeightVector:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
-        origin: str | None = str(path)
     elif isinstance(source, Mapping):
         doc = source
-        origin = None
     else:
         raise TypeError("source must be a path or a mapping")
     if not isinstance(doc, Mapping) or "weights" not in doc:
@@ -155,9 +138,7 @@ def load_weights(source: str | Path | Mapping) -> WeightVector:
     raw = doc["weights"]
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
         raise ValueError("'weights' must be a list")
-    mode = doc.get("mode", "require-zero-sum")
-    provenance = {"source": origin, "raw": list(raw), "mode": mode}
-    return normalize(raw, mode=mode, provenance=provenance)
+    return normalize(raw, mode=doc.get("mode", "require-zero-sum"))
 
 
 def gen_star(n: int) -> WeightVector:
@@ -165,7 +146,7 @@ def gen_star(n: int) -> WeightVector:
     if not 2 <= n <= ENUM_BUDGET // 100:
         raise ValueError(f"star vector needs 2 <= n <= {ENUM_BUDGET // 100} (ENUM_BUDGET / 100), got n={n}")
     values = (Fraction(n - 1),) + (Fraction(-1),) * (n - 1)
-    return WeightVector(values, provenance={"generator": "star", "n": n})
+    return WeightVector(values)
 
 
 def gen_random_zero_sum(n: int, magnitude: int, seed: int) -> WeightVector:
@@ -184,10 +165,7 @@ def gen_random_zero_sum(n: int, magnitude: int, seed: int) -> WeightVector:
     draws = [rng.randint(-magnitude, magnitude) for _ in range(n - 1)]
     draws.append(-sum(draws))
     draws.sort(reverse=True)
-    return WeightVector(
-        tuple(Fraction(v) for v in draws),
-        provenance={"generator": "random", "n": n, "magnitude": magnitude, "seed": seed},
-    )
+    return WeightVector(tuple(Fraction(v) for v in draws))
 
 
 def subset_sums(X: WeightVector, k: int) -> list[Fraction]:

@@ -231,6 +231,19 @@ def filtered_candidates(n, max_distinct, value_range):
                     yield mults, tuple(v * den for v in heads) + (num,), den
 
 
+def space_candidates(space):
+    """(multiplicities, values scaled by the last multiplicity, that multiplicity) per candidate.
+
+    The single value 0 first, then each of space.rows() flattened, the last
+    head v running from hi down to lo with the last value (base - m_head * v) / den.
+    """
+    yield (space.n,), (0,), 1
+    for mults, prefix, base, hi, lo in space.rows():
+        m_head, den = mults[-2:]
+        for v in range(hi, lo - 1, -1):
+            yield mults, tuple(h * den for h in prefix) + (v * den, base - m_head * v), den
+
+
 def threshold_count(mults, scaled, k):
     """The search's count of one candidate, by a per-prefix threshold.
 

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -5,7 +6,16 @@ from pathlib import Path
 
 import pytest
 
+from mmsverify import cli
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_captured(argv):
+    """cli.run in this process with the report caught: (stdout text, stderr text, exit code)."""
+    out = io.StringIO()
+    err, code = cli.run(argv, out)
+    return out.getvalue(), err, code
 
 
 @pytest.fixture(scope="session")

@@ -7,15 +7,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, run_captured
 
 from mmsverify import cli, lemmas, search
-from mmsverify.cli import run
 from mmsverify.weights import gen_random_zero_sum, load_weights
 
 
 def run_json(*argv):
-    out, err, code = run([*argv, "--format", "json"])
+    out, err, code = run_captured([*argv, "--format", "json"])
     assert err == "", err
     return json.loads(out), code
 
@@ -53,7 +52,7 @@ def test_walk_over_budget_exits_2_with_a_message(tmp_path):
     path = tmp_path / "huge_lcm.json"
     path.write_text(json.dumps({"weights": [str(v) for v in head + [-sum(head)]]}))
     started = time.perf_counter()
-    out, err, code = run(["verify", "--lemma", "2", "--weights", str(path), "-k", "10"])
+    out, err, code = run_captured(["verify", "--lemma", "2", "--weights", str(path), "-k", "10"])
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert out == ""
@@ -64,7 +63,7 @@ def test_walk_over_budget_exits_2_with_a_message(tmp_path):
 def test_generators_over_size_limit_exit_2_before_allocating():
     for generator in ("--star", "--random"):
         started = time.perf_counter()
-        out, err, code = run(["count", generator, "--n", "100000000", "-k", "1"])
+        out, err, code = run_captured(["count", generator, "--n", "100000000", "-k", "1"])
         assert time.perf_counter() - started < 1.0
         assert code == 2
         assert out == ""
@@ -74,7 +73,7 @@ def test_generators_over_size_limit_exit_2_before_allocating():
 def test_eigenvector_over_pair_budget_exits_2_with_a_message():
     for extra in ([], ["-j", "2"]):
         started = time.perf_counter()
-        out, err, code = run(["verify", "--lemma", "eigenvector", "--random", "--n", "30", "-k", "5", *extra])
+        out, err, code = run_captured(["verify", "--lemma", "eigenvector", "--random", "--n", "30", "-k", "5", *extra])
         assert time.perf_counter() - started < 1.0
         assert code == 2
         assert out == ""
@@ -112,7 +111,7 @@ def test_first_refused_k_at_n_8k_squared_exits_2_fast():
     # seed 0 at (4608, 24) balances with a negative outlier, so every shift
     # is wide and the generating function is charged over 30M steps
     started = time.perf_counter()
-    out, err, code = run(["verify", "--lemma", "theorem", "--random", "--n", "4608", "-k", "24"])
+    out, err, code = run_captured(["verify", "--lemma", "theorem", "--random", "--n", "4608", "-k", "24"])
     assert time.perf_counter() - started < 1.0
     assert (out, code) == ("", 2)
     assert "enumeration budget" in err and "generating-function counter" in err
@@ -246,6 +245,23 @@ def test_weights_file_input(tmp_path):
     assert doc["inputs"] == {"source": str(path)}
 
 
+def test_shift_to_zero_document_reports_its_shift(tmp_path):
+    # (3, 1, 0) sums to 4, so each entry drops by 4/3: (5/3, -1/3, -4/3)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"weights": [3, 1, 0], "mode": "shift-to-zero"}))
+    doc, code = run_json("count", "--weights", str(path), "-k", "2")
+    assert code == 0
+    assert doc["inputs"] == {"source": str(path), "mode": "shift-to-zero", "shift": "4/3"}
+    assert doc["report"]["nonnegative_count"] == "2"  # {0,1} and {0,2} of the shifted vector
+    path.write_text(json.dumps({"weights": [5, 1, 0], "mode": "shift-to-zero"}))
+    doc, _ = run_json("verify", "--lemma", "2", "--weights", str(path), "-k", "1")
+    assert doc["inputs"]["shift"] == "2"
+    # a document that already sums to zero is not shifted, so nothing is added
+    path.write_text(json.dumps({"weights": [3, -1, -1, -1], "mode": "shift-to-zero"}))
+    doc, _ = run_json("count", "--weights", str(path), "-k", "2")
+    assert doc["inputs"] == {"source": str(path)}
+
+
 def test_usage_errors_exit_2():
     bad = [
         [],
@@ -261,7 +277,7 @@ def test_usage_errors_exit_2():
         ["search", "--counterexample", "-k", "7"],  # no -r
     ]
     for argv in bad:
-        out, err, code = run(argv)
+        out, err, code = run_captured(argv)
         assert code == 2, argv
         assert not out
 
@@ -269,7 +285,7 @@ def test_usage_errors_exit_2():
 def test_many_intersects_atoms_exit_2_fast():
     restrict = [arg for i in range(20) for arg in ("--restrict", f"intersects:{i},{i + 5}")]
     started = time.perf_counter()
-    out, err, code = run(["count", "--random", "--n", "30", "-k", "8", *restrict])
+    out, err, code = run_captured(["count", "--random", "--n", "30", "-k", "8", *restrict])
     assert (out, code) == ("", 2)
     assert "enumeration budget" in err
     assert time.perf_counter() - started < 1.0
@@ -277,14 +293,14 @@ def test_many_intersects_atoms_exit_2_fast():
 
 def test_negative_seed_exits_2():
     # random.Random(-3) draws the stream of random.Random(3), so -3 would repeat seed 3
-    out, err, code = run(["count", "--random", "--n", "6", "-k", "2", "--seed", "-3"])
+    out, err, code = run_captured(["count", "--random", "--n", "6", "-k", "2", "--seed", "-3"])
     assert (out, code) == ("", 2)
     assert "seed must be >= 0" in err
 
 
 def test_partition_negative_seed_exits_2():
     argv = ["verify", "--lemma", "partition", "--star", "--n", "12", "-k", "2", "--trials", "50", "--seed", "-3"]
-    out, err, code = run(argv)
+    out, err, code = run_captured(argv)
     assert (out, code) == ("", 2)
     assert "seed must be >= 0" in err
 
@@ -302,7 +318,7 @@ def test_partition_negative_seed_exits_2():
 def test_partition_json_is_pinned(argv, digest):
     # digests taken with random.Random.shuffle called on the indices in every
     # trial: the inlined draws keep the statistics, witnesses and claims byte for byte
-    out, err, code = run(["verify", "--random", *argv, "--format", "json"])
+    out, err, code = run_captured(["verify", "--random", *argv, "--format", "json"])
     assert (err, code) == ("", 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -316,7 +332,7 @@ def test_partition_json_is_pinned(argv, digest):
     ],
 )
 def test_search_refuses_flags_it_would_ignore(argv, flag):
-    out, err, code = run(["search", *argv, "--format", "json"])
+    out, err, code = run_captured(["search", *argv, "--format", "json"])
     assert (out, code) == ("", 2)
     assert f"error: {flag} " in err or f"drop {flag}\n" in err
 
@@ -336,7 +352,7 @@ def test_benchmark_search_json_is_pinned(argv, digest):
     # digests taken with one per-candidate kernel call: counting the grid a
     # row at a time keeps winners, tie-breaks, candidates examined and
     # re-checks byte for byte
-    out, err, code = run(["search", *argv, "--format", "json"])
+    out, err, code = run_captured(["search", *argv, "--format", "json"])
     assert err == "" and code in (0, 1)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -363,19 +379,19 @@ def test_scheme_json_is_pinned(argv, digest):
     # digests taken with every 0/1 entry computed by one mask compare and
     # one state pass over each block and its complement: the packed
     # singleton rows and the divided pass keep the output byte for byte
-    out, err, code = run([*argv, "--format", "json"])
+    out, err, code = run_captured([*argv, "--format", "json"])
     assert (err, code) == ("", 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_input_errors_exit_2(tmp_path):
     missing = tmp_path / "nope.json"
-    out, err, code = run(["count", "--weights", str(missing), "-k", "2"])
+    out, err, code = run_captured(["count", "--weights", str(missing), "-k", "2"])
     assert code == 2
     assert "error" in err
     bad_sum = tmp_path / "bad.json"
     bad_sum.write_text(json.dumps({"weights": [1, 1]}))
-    out, err, code = run(["count", "--weights", str(bad_sum), "-k", "1"])
+    out, err, code = run_captured(["count", "--weights", str(bad_sum), "-k", "1"])
     assert code == 2
     assert "residual" in err
 
@@ -383,7 +399,7 @@ def test_input_errors_exit_2(tmp_path):
 def test_eigenvector_at_k_equal_n_exits_2_with_a_message():
     # at k = n the only k-subset is the whole ground set, so b is zero
     for extra in ([], ["-j", "0"]):
-        out, err, code = run(["verify", "--lemma", "eigenvector", "--star", "--n", "5", "-k", "5", *extra])
+        out, err, code = run_captured(["verify", "--lemma", "eigenvector", "--star", "--n", "5", "-k", "5", *extra])
         assert code == 2, extra
         assert out == ""
         assert "needs k < n" in err and "zero vector" in err
@@ -392,7 +408,7 @@ def test_eigenvector_at_k_equal_n_exits_2_with_a_message():
 def test_partition_trials_over_budget_exits_2_fast():
     # 3,000,000 trials at n = 12, k = 2 shuffle 30M indices in all
     started = time.perf_counter()
-    out, err, code = run(["verify", "--lemma", "partition", "--star", "--n", "12", "-k", "2",
+    out, err, code = run_captured(["verify", "--lemma", "partition", "--star", "--n", "12", "-k", "2",
                           "--trials", "3000000"])
     assert time.perf_counter() - started < 1.0
     assert code == 2
@@ -412,11 +428,11 @@ def _raise(exc):
 def test_internal_errors_exit_3(monkeypatch):
     # an internal fault is neither a violation (1) nor a refusal (2)
     monkeypatch.setattr(search, "count_nonnegative_dp", _raise(RuntimeError("count disagreement")))
-    out, err, code = run(["search", "--n", "8", "-k", "2", "--format", "json"])
+    out, err, code = run_captured(["search", "--n", "8", "-k", "2", "--format", "json"])
     assert (out, code) == ("", 3)
     assert err == "mmsverify: internal error: RuntimeError: count disagreement\n"
     monkeypatch.setattr(lemmas, "count_nonnegative", _raise(AssertionError("U must keep a negative sum")))
-    out, err, code = run(["verify", "--lemma", "partition", "--star", "--n", "8", "-k", "2"])
+    out, err, code = run_captured(["verify", "--lemma", "partition", "--star", "--n", "8", "-k", "2"])
     assert (out, code) == ("", 3)
     assert err == "mmsverify: internal error: AssertionError: U must keep a negative sum\n"
 
@@ -436,7 +452,7 @@ def test_internal_error_process_exit_status_is_3(cli_runner, tmp_path):
 
 def test_render_fault_exits_3_with_a_truncated_report(monkeypatch):
     monkeypatch.setattr(cli, "_dispatch", lambda args, parser: ({}, {"value": object()}, "verified"))
-    out, err, code = run(["count", "--star", "--n", "8", "-k", "2", "--format", "json"])
+    out, err, code = run_captured(["count", "--star", "--n", "8", "-k", "2", "--format", "json"])
     assert code == 3
     assert err == "mmsverify: internal error: TypeError: Object of type object is not JSON serializable\n"
     assert out.startswith("{") and not out.endswith("\n")
@@ -503,7 +519,7 @@ def test_stdout_that_stays_broken_is_pointed_at_devnull(monkeypatch, capsys, tmp
 
 
 def test_preconditions_not_met_exits_2():
-    out, err, code = run(["verify", "--lemma", "scalar", "--n", "5", "-k", "3",
+    out, err, code = run_captured(["verify", "--lemma", "scalar", "--n", "5", "-k", "3",
                           "--format", "json"])
     assert code == 2
     assert json.loads(out)["verdict"] == "preconditions-not-met"
@@ -511,7 +527,7 @@ def test_preconditions_not_met_exits_2():
 
 def test_violation_exits_1():
     # the counterexample sweep finds patterns under the bound at n = 22
-    out, err, code = run(["search", "--counterexample", "-k", "7", "-r", "1",
+    out, err, code = run_captured(["search", "--counterexample", "-k", "7", "-r", "1",
                           "--value-range", "40", "--format", "json"])
     assert code == 1
     doc = json.loads(out)
@@ -520,7 +536,7 @@ def test_violation_exits_1():
 
 
 def test_text_format_has_runtime():
-    out, err, code = run(["count", "--star", "--n", "8", "-k", "2"])
+    out, err, code = run_captured(["count", "--star", "--n", "8", "-k", "2"])
     assert code == 0
     assert out.startswith("command: count --star --n 8 -k 2\n")
     assert "runtime_ms: None" not in out

@@ -386,6 +386,28 @@ def test_star_equality_recount_at_the_theorem_threshold():
         assert report.star_equality is True
 
 
+def test_star_equality_fails_on_a_tight_family_that_is_not_the_star():
+    # {0,1}, {0,2} and {1,2} are nonnegative: 3 = C(3,1) sets, but {0,3} sums to -1
+    report = count_nonnegative(normalize([4, 3, -2, -5]), 2)
+    assert report.nonnegative_count == star_family_size(4, 2)
+    assert report.star_equality is False
+    assert report.witness is None
+
+
+def test_star_equality_runs_the_engine_once(monkeypatch):
+    calls = []
+    real = counting._count
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(counting, "_count", spy)
+    report = count_nonnegative(gen_star(12), 4)
+    assert report.star_equality is True
+    assert len(calls) == 1
+
+
 def test_engines_agree_on_corner_cases():
     X = normalize(["7/2", "1/3", "-1/6", "-1", "-1", "-3/2", "-1/6"])
     y, _ = X.scaled_ints()

@@ -28,6 +28,7 @@ from mmsverify.weights import normalize, subset_sums
 
 from _oracles import (
     brute_count,
+    brute_family,
     brute_overlap_profile,
     brute_restricted_sum,
     colex_entries,
@@ -180,6 +181,21 @@ def test_generating_function_equals_walk_equals_brute(X, data):
     assert restricted_sum(X, k, restriction) == brute_restricted_sum(
         X.values, k, lambda s: satisfies(atoms, s)
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_vectors(n_max=7), st.data())
+def test_star_equality_agrees_with_the_brute_family(X, data):
+    # equality with C(n-1, k-1) holds on about two in five of these draws,
+    # and about one in eight of those families is not the star
+    n = X.n
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    report = count_nonnegative(X, k)
+    if report.nonnegative_count != binomial(n - 1, k - 1):
+        assert report.star_equality is None
+    else:
+        star = [s for s in combinations(range(n), k) if 0 in s]
+        assert report.star_equality == (brute_family(X.values, k) == star)
 
 
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=8))

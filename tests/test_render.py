@@ -10,6 +10,7 @@ import tracemalloc
 
 import pytest
 from _oracles import render_text
+from conftest import run_captured
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,7 +100,7 @@ def test_every_subcommand_document_renders_as_indented_dumps(monkeypatch, tmp_pa
             commands.append(("verify", "--random", "--n", "11", "-k", "2", "--seed", "3",
                              "--lemma", lemma, "-j", "1", "--trials", "50"))
     for argv in commands:
-        out, err, code = cli.run([*argv, "--format", "json"])
+        out, err, code = run_captured([*argv, "--format", "json"])
         assert err == "" and code in (0, 1, 2), argv
         assert out == json.dumps(seen[-1], sort_keys=True, indent=2) + "\n", argv
     assert len(seen) == len(commands)

@@ -177,20 +177,27 @@ def test_star_is_genuine_eigenvector_case():
 
 
 def test_pair_loops_refuse_over_budget_fast():
-    # C(24,12)^2 pairs are far over the pair budget, although the
-    # factorization's C(24,0) x C(24,12) entries fit the dense budget; the
-    # eigenvector checks' C(30,5) passes of 30 * 6 steps (2.6e7) are over
-    # the enumeration budget
+    # C(24,12)^2 pairs are far over the enumeration budget, although the
+    # factorization's C(24,0) x C(24,12) entries fit it; the eigenvector
+    # checks' C(30,5) passes of 30 * 6 steps (2.6e7) are over it too
     X = gen_random_zero_sum(30, 10, seed=1)
-    for check, budget in (
-        (lambda: verify_factorization(24, 0, 12), "pair budget"),
-        (lambda: verify_eigenvector(X, 2, 5), "enumeration budget"),
-        (lambda: verify_eigenvector_all(X, 5), "enumeration budget"),
+    for check in (
+        lambda: verify_factorization(24, 0, 12),
+        lambda: verify_eigenvector(X, 2, 5),
+        lambda: verify_eigenvector_all(X, 5),
     ):
         started = time.perf_counter()
-        with pytest.raises(ValueError, match=budget):
+        with pytest.raises(ValueError, match="enumeration budget"):
             check()
         assert time.perf_counter() - started < 1.0
+
+
+def test_factorization_charges_one_step_per_pair():
+    # C(16,5)^2 = 19.1M pairs fit the old pair budget of 4e7 and took 3.1 s
+    # unguarded; one step per pair puts them over ENUM_BUDGET
+    with pytest.raises(ValueError, match=r"C\(16,5\)\^2 pairs = \d+, over the enumeration budget of 10000000$"):
+        verify_factorization(16, 2, 5)
+    assert verify_factorization(12, 2, 5).verdict == "verified"  # 627,264 pairs
 
 
 class _Admitted(Exception):

@@ -89,8 +89,8 @@ def test_load_weights_file_round_trip(tmp_path):
     path.write_text(json.dumps({"weights": ["2", "-1", "-1"], "mode": "require-zero-sum"}))
     X = load_weights(path)
     assert X.values == (F(2), F(-1), F(-1))
-    assert X.provenance["source"] == str(path)
-    assert X.provenance["raw"] == ["2", "-1", "-1"]
+    assert X.shift == 0
+    assert X == load_weights({"weights": ["2", "-1", "-1"]})
 
 
 def test_load_weights_mapping_and_errors(tmp_path):
