@@ -11,8 +11,8 @@ from mmsverify import (
     gen_random_zero_sum,
     gen_star,
     star_family_size,
-    subset_sums,
 )
+from mmsverify.combinat import colex
 
 
 def show(X, k, label):
@@ -30,7 +30,8 @@ def main():
     n, k = 8, 2
 
     star = gen_star(n)
-    sums = subset_sums(star, k)
+    y, _ = star.scaled_ints()  # the star has integer entries, so its scale is 1
+    sums = colex(y, k)
     print(f"star vector on n={n}: one entry n-1, the rest -1")
     print(f"  k={k} subset sums: {sorted(str(b) for b in sums)}")
     print()

@@ -25,7 +25,6 @@ from .counting import (
     star_family_size,
 )
 from .lemmas import (
-    PartitionTrial,
     simulate_partition,
     single_overlap_coefficient,
     verify_contains_top_bound,
@@ -52,7 +51,6 @@ from .weights import (
     gen_star,
     load_weights,
     normalize,
-    subset_sums,
 )
 
 __version__ = "0.1.0"
@@ -63,7 +61,6 @@ __all__ = [
     "KSubset",
     "LemmaReport",
     "MultiplicityPattern",
-    "PartitionTrial",
     "Precondition",
     "Restriction",
     "SearchReport",
@@ -87,7 +84,6 @@ __all__ = [
     "simulate_partition",
     "single_overlap_coefficient",
     "star_family_size",
-    "subset_sums",
     "sweep_patterns",
     "verify_contains_top_bound",
     "verify_disjoint_bound",

@@ -126,12 +126,6 @@ class KSubset(_Record):
     def k(self) -> int:
         return len(self.indices)
 
-    def bitmask(self) -> int:
-        m = 0
-        for i in self.indices:
-            m |= 1 << i
-        return m
-
     @classmethod
     def of(cls, indices: Sequence[int], n: int) -> "KSubset":
         return cls(tuple(sorted(indices)), n)

@@ -27,6 +27,7 @@ from sys import int_info
 from typing import Sequence
 
 from .combinat import ENUM_BUDGET, _Record, binomial, charge, colex
+from .report import VERDICT_VERIFIED, VERDICT_VIOLATED
 from .weights import WeightVector
 
 __all__ = [
@@ -122,6 +123,12 @@ class CountReport(_Record):
     bound_comparisons: tuple[tuple[str, int, bool], ...] = ()
     star_equality: bool | None = None
     witness: str | None = None
+
+    @property
+    def verdict(self) -> str:
+        if all(ok for _, _, ok in self.bound_comparisons):
+            return VERDICT_VERIFIED
+        return VERDICT_VIOLATED
 
     def to_dict(self) -> dict:
         return {
@@ -515,20 +522,6 @@ class MultiplicityPattern(_Record):
     @property
     def n(self) -> int:
         return sum(m for _, m in self.pairs)
-
-    @property
-    def d(self) -> int:
-        return len(self.pairs)
-
-    @classmethod
-    def from_weights(cls, X: WeightVector) -> "MultiplicityPattern":
-        pairs: list[tuple[Fraction, int]] = []
-        for v in X.values:
-            if pairs and pairs[-1][0] == v:
-                pairs[-1] = (v, pairs[-1][1] + 1)
-            else:
-                pairs.append((v, 1))
-        return cls(tuple(pairs))
 
     def expand(self) -> WeightVector:
         values: list[Fraction] = []

@@ -15,13 +15,12 @@ import math
 import random
 from fractions import Fraction
 
-from .combinat import ENUM_BUDGET, KSubset, _Record, binomial, charge
+from .combinat import ENUM_BUDGET, KSubset, binomial, charge
 from .counting import Restriction, count_nonnegative, nonnegative_family, overlap_sums, star_family_size
 from .report import LemmaReport, Precondition, claim, vacuous
 from .weights import WeightVector
 
 __all__ = [
-    "PartitionTrial",
     "simulate_partition",
     "single_overlap_coefficient",
     "verify_contains_top_bound",
@@ -113,6 +112,8 @@ def verify_second_block_bound(X: WeightVector, k: int) -> LemmaReport:
     b_C >= (1 - (2k-1)(k-1)/(n-2k+1)) b_A.
     """
     n = X.n
+    if k < 1:  # k > n fails the n >= 2k precondition
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     pre = (
         Precondition("n >= 2k", n, n >= 2 * k),
         Precondition("X is nonzero", not X.is_zero(), not X.is_zero()),
@@ -230,23 +231,6 @@ def verify_disjoint_bound(X: WeightVector, k: int, T: KSubset) -> LemmaReport:
     )
 
 
-class PartitionTrial(_Record):
-    """One sampled partition of the leftover indices into k-blocks."""
-
-    trial: int
-    permutation: tuple[int, ...]
-    parts: tuple[tuple[int, ...], ...]
-    z: int
-
-    def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "permutation": list(self.permutation),
-            "parts": [list(p) for p in self.parts],
-            "Z": self.z,
-        }
-
-
 def simulate_partition(
     X: WeightVector, k: int, T: KSubset, trials: int = 10_000, seed: int = 0
 ) -> LemmaReport:
@@ -317,7 +301,7 @@ def simulate_partition(
     perm = rest[:]
     cuts = range(0, blocks * k, k)
     tally = [0] * (blocks + 1)
-    samples: list[PartitionTrial] = []
+    samples: list[dict] = []
     for t in range(trials):
         lst = perm if t < 3 else vals  # witness trials swap the indices; trial 0 binds vals
         for i, bound, width in plan:
@@ -333,8 +317,8 @@ def simulate_partition(
                 z += 1
         tally[z] += 1
         if t < 3:
-            parts = tuple(tuple(sorted(perm[a : a + k])) for a in cuts)
-            samples.append(PartitionTrial(t, tuple(perm), parts, z))
+            parts = [sorted(perm[a : a + k]) for a in cuts]
+            samples.append({"trial": t, "permutation": perm[:], "parts": parts, "Z": z})
     sum_z = sum(z * c for z, c in enumerate(tally))
     sum_z2 = sum(z * z * c for z, c in enumerate(tally))
     min_z = next(z for z, c in enumerate(tally) if c)
@@ -368,7 +352,7 @@ def simulate_partition(
             Precondition("m >= 2", m, True),
         ),
         claims=(pigeonhole, tolerance),
-        witness=[s.to_dict() for s in samples],
+        witness=samples,
         extra={
             "m": m,
             "r": r,

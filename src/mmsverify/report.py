@@ -31,11 +31,9 @@ VERDICT_PRECONDITIONS = "preconditions-not-met"
 
 _RELATIONS = {
     "==": operator.eq,
-    "!=": operator.ne,
     ">=": operator.ge,
     ">": operator.gt,
     "<=": operator.le,
-    "<": operator.lt,
 }
 
 

@@ -91,21 +91,6 @@ class StructureMatrix(_Record):
     k: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        expected = binomial(self.n, self.j)
-        if len(self.rows) != expected:
-            raise ValueError("row count must be C(n, j)")
-        row_sum = (
-            binomial(self.n - self.j, self.k - self.j)
-            if self.kind == "inclusion"
-            else binomial(self.n - self.j, self.k)
-        )
-        for r in self.rows:
-            if len(r) != binomial(self.n, self.k):
-                raise ValueError("column count must be C(n, k)")
-            if sum(r) != row_sum:
-                raise ValueError(f"{self.kind} row sum must be {row_sum}")
-
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.rows), binomial(self.n, self.k)

@@ -2,7 +2,6 @@
 
 A weight vector models n reals x_1 >= ... >= x_n with zero total. All values
 are fractions.Fraction, so every downstream sum and comparison is exact.
-Subset sums are indexed by colex rank of the subset.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from math import lcm
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .combinat import ENUM_BUDGET, _Record, colex
+from .combinat import ENUM_BUDGET, _Record
 
 __all__ = [
     "WeightVector",
@@ -23,7 +22,6 @@ __all__ = [
     "load_weights",
     "normalize",
     "parse_rational",
-    "subset_sums",
 ]
 
 MODES = ("require-zero-sum", "shift-to-zero")
@@ -166,12 +164,3 @@ def gen_random_zero_sum(n: int, magnitude: int, seed: int) -> WeightVector:
     draws.append(-sum(draws))
     draws.sort(reverse=True)
     return WeightVector(tuple(Fraction(v) for v in draws))
-
-
-def subset_sums(X: WeightVector, k: int) -> list[Fraction]:
-    """Every k-subset sum, as a list in colex order."""
-    n = X.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    y, scale = X.scaled_ints()
-    return [Fraction(v, scale) for v in colex(y, k)]

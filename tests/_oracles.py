@@ -6,7 +6,7 @@ behind itself.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import comb, prod
 from sys import int_info
 
@@ -265,6 +265,11 @@ def threshold_count(mults, scaled, k):
         for c in range(max(0, rem - m_final, -(base // dw)), min(m_last, rem) + 1):
             total += weight * comb(m_last, c) * comb(m_final, rem - c)
     return total
+
+
+def pattern_pairs(values):
+    """The (value, multiplicity) runs of a sorted vector: the pairs of its MultiplicityPattern."""
+    return tuple((v, len(list(run))) for v, run in groupby(values))
 
 
 def dp_updates(pairs, k):

@@ -180,6 +180,19 @@ def test_verify_each_lemma_token_dispatches():
         assert doc["verdict"] == "verified", argv
 
 
+def test_verify_every_lemma_token_refuses_k_outside_the_ground_set():
+    # a refusal or a preconditions-not-met report, never an internal error
+    for lemma in cli.LEMMA_TOKENS:
+        for k in (-1, 0, 10):
+            argv = ["verify", "--lemma", lemma, "--star", "--n", "9", "-k", str(k)]
+            argv += ["-j", "1"] if lemma == "wilson" else []
+            out, err, code = run_captured(argv)
+            assert code == 2, (argv, err)
+            assert out or err.startswith("mmsverify: error: "), (argv, err)
+    out, err, code = run_captured(["verify", "--lemma", "3", "--star", "--n", "9", "-k", "0"])
+    assert (out, err, code) == ("", "mmsverify: error: need 1 <= k <= n, got k=0, n=9\n", 2)
+
+
 def test_verify_tset_flag():
     doc, code = run_json(
         "verify", "--star", "--n", "12", "-k", "2", "--lemma", "4", "--tset", "4,7"

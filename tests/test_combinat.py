@@ -58,7 +58,6 @@ def test_ksubset_of_sorts():
     s = KSubset.of((5, 0, 2), 6)
     assert s.indices == (0, 2, 5)
     assert s.k == 3
-    assert s.bitmask() == 0b100101
 
 
 def test_rank_colex_frozen_value():
@@ -114,3 +113,29 @@ def test_the_package_has_two_budgets():
         module = importlib.import_module(f"mmsverify.{info.name}")
         names |= {name for name in vars(module) if name.endswith("_BUDGET")}
     assert names == {"ENUM_BUDGET", "GF_BIT_BUDGET"}
+
+
+PUBLIC_NAMES = {
+    "Claim", "CountReport", "KSubset", "LemmaReport", "MultiplicityPattern", "Precondition",
+    "Restriction", "SearchReport", "SearchSpace", "StructureMatrix", "WeightVector", "__version__",
+    "binomial", "bose_mesner_eigenvalue", "build_structure_matrix", "count_nonnegative",
+    "count_nonnegative_dp", "family_size", "find_counterexample", "gen_random_zero_sum",
+    "gen_star", "load_weights", "nonnegative_family", "normalize", "overlap_sums",
+    "restricted_sum", "simulate_partition", "single_overlap_coefficient", "star_family_size",
+    "sweep_patterns", "verify_contains_top_bound", "verify_disjoint_bound", "verify_eigenvector",
+    "verify_eigenvector_all", "verify_factorization", "verify_intersecting_bound",
+    "verify_mms_bound", "verify_scalar_inequalities", "verify_second_block_bound",
+    "verify_wilson_identities",
+}
+
+
+def test_the_public_names_are_pinned_and_resolve():
+    # adding or removing a public name means editing this set
+    assert len(mmsverify.__all__) == len(PUBLIC_NAMES)
+    assert set(mmsverify.__all__) == PUBLIC_NAMES
+    modules = [mmsverify] + [
+        importlib.import_module(f"mmsverify.{info.name}") for info in pkgutil.iter_modules(mmsverify.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,16 @@ def test_demo_runs_clean(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_readme_python_blocks_run():
+    # a README example that calls a retired name fails here
+    blocks = re.findall(r"^```python\n(.*?)^```", (REPO_ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    for block in blocks:
+        done = subprocess.run(
+            [sys.executable, "-c", block], capture_output=True, text=True, env=env, cwd=REPO_ROOT
+        )
+        assert done.returncode == 0, (block, done.stderr)

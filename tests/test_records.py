@@ -14,7 +14,6 @@ from mmsverify import (
     KSubset,
     LemmaReport,
     MultiplicityPattern,
-    PartitionTrial,
     Precondition,
     Restriction,
     SearchReport,
@@ -75,8 +74,6 @@ RECORDS = {
         ("kneser", 2, 1, 1, ((0, 1), (1, 0))),
         {},
     ),
-    PartitionTrial: (("trial", "permutation", "parts", "z"), (0, (1, 0), ((0, 1),), 1),
-                     (1, (1, 0), ((0, 1),), 1), {}),
 }
 
 
@@ -172,9 +169,6 @@ def test_lemma_reports_get_their_own_extra_dict():
         (SearchSpace, (4, 5), ValueError),
         (SearchSpace, (6, 2, 5), ValueError),
         (SearchSpace, (6, 2, 2, 0), ValueError),
-        (StructureMatrix, ("inclusion", 2, 1, 1, ((1, 0),)), ValueError),
-        (StructureMatrix, ("inclusion", 2, 1, 1, ((1,), (0,))), ValueError),
-        (StructureMatrix, ("inclusion", 2, 1, 1, ((1, 1), (0, 1))), ValueError),
     ],
 )
 def test_record_refusals_keep_their_exception_types(cls, args, exc):

@@ -6,7 +6,6 @@ import pytest
 from mmsverify import scheme
 from mmsverify.combinat import KSubset, binomial, colex
 from mmsverify.scheme import (
-    StructureMatrix,
     bose_mesner_eigenvalue,
     build_structure_matrix,
     subsets_colex,
@@ -36,12 +35,6 @@ def test_structure_matrices_match_brute():
                 )
                 kn = build_structure_matrix("kneser", n, j, k)
                 assert kn.rows == tuple(tuple(r) for r in brute_kneser_matrix(n, j, k))
-
-
-def test_structure_matrix_validates_row_sums():
-    # each inclusion row must sum to C(n-j, k-j) = 3; these sum to 4
-    with pytest.raises(ValueError):
-        StructureMatrix("inclusion", 4, 1, 2, ((1, 1, 1, 1, 0, 0),) * 4)
 
 
 def test_build_structure_matrix_input_errors():

