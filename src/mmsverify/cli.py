@@ -165,6 +165,8 @@ def _load_vector(args: argparse.Namespace, parser: _Parser):
 
 
 def _parse_tset(args: argparse.Namespace, n: int, k: int, parser: _Parser) -> KSubset:
+    if not 1 <= k <= n:  # range(n - k, n) would name another k
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if args.tset is None:
         return KSubset.of(tuple(range(n - k, n)), n)
     try:

@@ -284,7 +284,7 @@ def simulate_partition(
     U = tuple(sorted(in_T | set(tail)))
     in_U = set(U)
     rest = [i for i in range(n) if i not in in_U]
-    y, scale = X.scaled_ints()
+    y, _ = X.scaled_ints()
     if sum(y[i] for i in U) >= 0:
         raise AssertionError("U = T + smallest leftovers must keep a negative sum")
 

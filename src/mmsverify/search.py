@@ -24,15 +24,8 @@ from fractions import Fraction
 from math import prod
 from typing import Iterator, Mapping
 
-from .combinat import ENUM_BUDGET, _Record, binomial, charge
-from .counting import (
-    MultiplicityPattern,
-    _listed,
-    _split_count,
-    _terms,
-    count_nonnegative_dp,
-    star_family_size,
-)
+from .combinat import _Record, binomial, charge
+from .counting import MultiplicityPattern, count_nonnegative, count_nonnegative_dp, star_family_size
 from .report import VERDICT_VERIFIED, VERDICT_VIOLATED, exact_str
 
 __all__ = ["SearchReport", "SearchSpace", "find_counterexample", "sweep_patterns"]
@@ -124,7 +117,7 @@ class SearchReport(_Record):
     candidates_examined: int
     provenance: Mapping[str, int]
     reverified_dp: bool
-    reverified_enum: bool | None
+    recount_engine: str
 
     @property
     def verdict(self) -> str:
@@ -144,8 +137,8 @@ class SearchReport(_Record):
             "violation": self.violation,
             "candidates_examined": self.candidates_examined,
             "reverified": {
+                "count_nonnegative": self.recount_engine,
                 "dp_both_orders": self.reverified_dp,
-                "enumeration": self.reverified_enum,
             },
             "provenance": dict(self.provenance),
             "verdict": self.verdict,
@@ -213,12 +206,11 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
     multiplicity tuple changes, and _row_counts counts each row of
     SearchSpace.rows in exact integers in one call. Ties break toward the
     lexicographically smallest (multiplicities, values), which are built
-    only for a count that ties or beats the best so far. The winner is
-    re-verified by count_nonnegative_dp, which shares no code with the
-    kernel, in both value orders, and additionally by the two-list
-    counter when its lists build no more entries than k + 1 per candidate
-    examined (a d = 3 candidate walks up to k + 1 entries of its threshold
-    table), before the report is emitted.
+    only for a count that ties or beats the best so far. Before the report
+    is emitted, the winner is re-counted by count_nonnegative_dp in both
+    value orders and by count_nonnegative on the expanded vector, whose
+    own chooser and budget pick the engine; none of them shares code with
+    the kernel.
     """
     charge(space.size(), "grid candidates before the zero-sum filter", "reduce value_range or max_distinct")
     n, k = space.n, space.k
@@ -249,25 +241,13 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
     )
     forward = count_nonnegative_dp(pattern, k)
     backward = count_nonnegative_dp(pattern, k, reverse=True)
-    if forward != b_count or backward != b_count:
+    recount = count_nonnegative(pattern.expand(), k)
+    if not b_count == forward == backward == recount.nonnegative_count:
         raise RuntimeError(
             f"count disagreement on the best pattern: sweep {b_count}, "
-            f"dp forward {forward}, dp reverse {backward}"
+            f"dp forward {forward}, dp reverse {backward}, "
+            f"count_nonnegative ({recount.engine}) {recount.nonnegative_count}"
         )
-    reverified_enum = None
-    # k + 1 listed sums per candidate kept the re-check within 1.25 times
-    # the sweep's own time at every shape measured; _listed counts colex's
-    # intermediate levels too, so the gate is stricter than that, and it
-    # stops adding past ENUM_BUDGET, so the budget caps the gate too
-    if _listed(_terms(n, ()), k) <= min(ENUM_BUDGET, examined * (k + 1)):
-        y, _ = pattern.expand().scaled_ints()
-        _, enum_count = _split_count(y, n, k, ())
-        if enum_count != b_count:
-            raise RuntimeError(
-                f"count disagreement on the best pattern: sweep {b_count}, "
-                f"enumeration {enum_count}"
-            )
-        reverified_enum = True
     return SearchReport(
         n=n,
         k=k,
@@ -283,7 +263,7 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
             "value_range": space.value_range,
         },
         reverified_dp=True,
-        reverified_enum=reverified_enum,
+        recount_engine=recount.engine,
     )
 
 

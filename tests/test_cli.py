@@ -10,6 +10,7 @@ import pytest
 from conftest import REPO_ROOT, run_captured
 
 from mmsverify import cli, lemmas, search
+from mmsverify.counting import CountReport
 from mmsverify.weights import gen_random_zero_sum, load_weights
 
 
@@ -188,9 +189,12 @@ def test_verify_every_lemma_token_refuses_k_outside_the_ground_set():
             argv += ["-j", "1"] if lemma == "wilson" else []
             out, err, code = run_captured(argv)
             assert code == 2, (argv, err)
-            assert out or err.startswith("mmsverify: error: "), (argv, err)
+            # a refusal names the k given, not one derived from it
+            assert out or (err.startswith("mmsverify: error: ") and f" k={k}," in err), (argv, err)
     out, err, code = run_captured(["verify", "--lemma", "3", "--star", "--n", "9", "-k", "0"])
     assert (out, err, code) == ("", "mmsverify: error: need 1 <= k <= n, got k=0, n=9\n", 2)
+    out, err, code = run_captured(["verify", "--lemma", "4", "--star", "--n", "9", "-k", "-1"])
+    assert (out, err, code) == ("", "mmsverify: error: need 1 <= k <= n, got k=-1, n=9\n", 2)
 
 
 def test_verify_tset_flag():
@@ -354,17 +358,16 @@ def test_search_refuses_flags_it_would_ignore(argv, flag):
     "argv,digest",
     [
         (["--counterexample", "-k", "7", "-r", "1", "--value-range", "20"],
-         "45077ec427e7216bee92e27aa765503a97da46cabfb079dfb08b4ac569629499"),
+         "ea3f38e6b30fa92f7c73c0cd9e952574d08196d5b710f83054a082c11bc42ed4"),
         (["--n", "22", "-k", "7", "--max-distinct", "3", "--value-range", "10"],
-         "ea186e9e88c8ad5bf9b86a3c89fad620e751b5acd6caaddcc4cb3975e84cd734"),
+         "889916cb732fb63646459ab3c130b0d0a230666d88577bd144ae6685420dc80c"),
         (["--n", "14", "-k", "4", "--max-distinct", "4", "--value-range", "4"],
-         "ed64ecc7c4df92c5ae3d605e2ef0ccc7fd1733281581ba39db140a83bd7960d7"),
+         "58e2b295684b31e81de1fb9c004049cfc35dfa2baee9792e3b8fe8c97945ed5d"),
     ],
 )
 def test_benchmark_search_json_is_pinned(argv, digest):
-    # digests taken with one per-candidate kernel call: counting the grid a
-    # row at a time keeps winners, tie-breaks, candidates examined and
-    # re-checks byte for byte
+    # the whole report byte for byte: the winner and its tie-break, the
+    # candidates examined and the engines that re-counted the winner
     out, err, code = run_captured(["search", *argv, "--format", "json"])
     assert err == "" and code in (0, 1)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -448,6 +451,21 @@ def test_internal_errors_exit_3(monkeypatch):
     out, err, code = run_captured(["verify", "--lemma", "partition", "--star", "--n", "8", "-k", "2"])
     assert (out, code) == ("", 3)
     assert err == "mmsverify: internal error: AssertionError: U must keep a negative sum\n"
+
+
+def test_a_wrong_recount_of_the_search_winner_exits_3(monkeypatch):
+    # a wrong count, not an exception, from the second engine must never
+    # pass for a verdict (0 or 1)
+    real = search.count_nonnegative
+
+    def off_by_one(X, k, restriction=None):
+        report = real(X, k, restriction)
+        return CountReport(**{**vars(report), "nonnegative_count": report.nonnegative_count + 1})
+
+    monkeypatch.setattr(search, "count_nonnegative", off_by_one)
+    out, err, code = run_captured(["search", "--n", "8", "-k", "2", "--format", "json"])
+    assert (out, code) == ("", 3)
+    assert err.startswith("mmsverify: internal error: RuntimeError: count disagreement")
 
 
 def test_internal_error_process_exit_status_is_3(cli_runner, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmsverify.combinat import binomial
-from mmsverify.counting import MultiplicityPattern, count_nonnegative_dp
+from mmsverify.counting import ENGINE_ENUM, ENGINE_GF, MultiplicityPattern, count_nonnegative_dp
 from mmsverify.search import (
     SearchSpace,
     _row_counts,
@@ -75,7 +75,7 @@ def test_two_value_sweep_finds_star_minimum():
     assert not report.violation
     # the winner is star-shaped: one positive value, five equal negatives
     assert [m for _, m in report.best_pattern.pairs] == [1, 5]
-    assert report.reverified_dp and report.reverified_enum
+    assert report.reverified_dp and report.recount_engine in (ENGINE_GF, ENGINE_ENUM)
     # independent re-count of the winner
     values = report.best_pattern.expand().values
     assert brute_count(values, 2) == 5
@@ -142,56 +142,31 @@ def test_report_dict_shape():
     assert doc["provenance"]["value_range"] == 3
 
 
-def test_enumeration_recheck_walks_the_subsets(monkeypatch):
+@pytest.mark.parametrize(
+    "n,k,d,v",
+    # the three benchmark searches, then (17, 5) and (30, 10), whose
+    # winners a k + 1 cost gate once left without a second engine
+    [(22, 7, 3, 20), (22, 7, 3, 10), (14, 4, 4, 4), (17, 5, 2, 6), (30, 10, 2, 1)],
+)
+def test_every_winner_is_recounted_once_by_count_nonnegative(monkeypatch, n, k, d, v):
     import mmsverify.search as search
 
-    walked = []
-    real = search._split_count
+    recounts = []
+    real = search.count_nonnegative
 
-    def spy(y, n, k, atoms):
-        walked.append((n, k))
-        return real(y, n, k, atoms)
+    def spy(X, k, restriction=None):
+        report = real(X, k, restriction)
+        recounts.append((X.n, k, report.nonnegative_count, report.engine))
+        return report
 
-    monkeypatch.setattr(search, "_split_count", spy)
-    report = sweep_patterns(SearchSpace(n=6, k=2, max_distinct=2, value_range=6))
-    assert report.reverified_enum is True
-    assert walked == [(6, 2)]
-
-
-def test_enumeration_recheck_runs_only_when_no_dearer_than_the_search(monkeypatch):
-    # the winner is re-counted when the two lists hold no more sums than
-    # k + 1 per candidate examined: 3,632 sums against 8 * 17,658 at
-    # (22, 7) and 114 against 5 * 67 at (12, 4), but 601 against 6 * 97 at
-    # (17, 5) and 61,654 against 11 * 30 at (30, 10)
-    import mmsverify.counting as counting
-    import mmsverify.search as search
-
-    counted = []
-    real = search._split_count
-
-    def spy(y, n, k, atoms):
-        counted.append((n, k))
-        return real(y, n, k, atoms)
-
-    monkeypatch.setattr(search, "_split_count", spy)
-    report = sweep_patterns(SearchSpace(n=22, k=7, max_distinct=3, value_range=10))
-    assert (report.candidates_examined, report.reverified_enum) == (17658, True)
-    report = sweep_patterns(SearchSpace(n=12, k=4, max_distinct=2, value_range=6))
-    assert (report.candidates_examined, report.reverified_enum) == (67, True)
-    report = sweep_patterns(SearchSpace(n=17, k=5, max_distinct=2, value_range=6))
-    assert (report.candidates_examined, report.reverified_enum) == (97, None)
-    report = sweep_patterns(SearchSpace(n=30, k=10, max_distinct=2, value_range=1))
-    assert (report.candidates_examined, report.reverified_enum) == (30, None)
-    assert counted == [(22, 7), (12, 4)]
-    # with the budget at 100, _listed stops at its first total past 100,
-    # which is still under 5 * 67: the gate must skip on the budget rather
-    # than let _split_count refuse after the sweep
-    monkeypatch.setattr(counting, "ENUM_BUDGET", 100)
-    monkeypatch.setattr(search, "ENUM_BUDGET", 100)
-    assert 100 < counting._listed(counting._terms(12, ()), 4) <= 5 * 67
-    report = sweep_patterns(SearchSpace(n=12, k=4, max_distinct=2, value_range=6))
-    assert (report.candidates_examined, report.reverified_enum) == (67, None)
-    assert counted == [(22, 7), (12, 4)]
+    monkeypatch.setattr(search, "count_nonnegative", spy)
+    report = sweep_patterns(SearchSpace(n=n, k=k, max_distinct=d, value_range=v))
+    assert recounts == [(n, k, report.best_count, report.recount_engine)]
+    assert report.to_dict()["reverified"] == {
+        "count_nonnegative": report.recount_engine,
+        "dp_both_orders": True,
+    }
+    assert report.recount_engine in (ENGINE_GF, ENGINE_ENUM)
 
 
 @pytest.mark.parametrize(
