@@ -364,6 +364,7 @@ def test_search_refuses_flags_it_would_ignore(argv, flag):
         (["--n", "14", "-k", "4", "--max-distinct", "4", "--value-range", "4"],
          "58e2b295684b31e81de1fb9c004049cfc35dfa2baee9792e3b8fe8c97945ed5d"),
     ],
+    ids=["counterexample-k7-r1-v20", "n22-k7-d3-v10", "n14-k4-d4-v4"],
 )
 def test_benchmark_search_json_is_pinned(argv, digest):
     # the whole report byte for byte: the winner and its tie-break, the
@@ -390,6 +391,8 @@ def test_benchmark_search_json_is_pinned(argv, digest):
         (["verify", "--lemma", "wilson", "-j", "2", "--random", "--n", "17", "-k", "5", "--seed", "11"],
          "05026f38ab4d9353c6989805e5261fb6f280711e05d22b7caa00ae5d2faac0fe"),
     ],
+    ids=["spectrum-inclusion-n16-j2-k5", "spectrum-kneser-n12-j3-k4", "spectrum-kneser-n8-j0-k3",
+         "eigenvector-n15-k5-seed11", "eigenvector-n12-j3-k4-seed5", "wilson-j2-n17-k5-seed11"],
 )
 def test_scheme_json_is_pinned(argv, digest):
     # digests taken with every 0/1 entry computed by one mask compare and
