@@ -10,11 +10,21 @@ Every candidate with d >= 2 is counted by one integer threshold kernel.
 Fix the first d-2 parts of a composition of k; because the values strictly
 decrease, its sum is then linear and increasing in part d-1, so the
 nonnegative compositions with that prefix are those whose part d-1 reaches
-one threshold, found by a floor division. The grid is counted a row at a
-time, a row being the candidates that differ only in the last head: with a
-table built once per multiplicity tuple and two coefficients per prefix
-built once per row, a candidate costs one multiply, one floor division and
-one lookup per prefix: O(k^(d-2)) work instead of O(k^(d-1)).
+one threshold, found by a floor division. A table built once per
+multiplicity tuple holds each prefix's weighted counts at or past every
+threshold.
+
+The grid is counted a row at a time, a row being the candidates that differ
+only in the last head v. Along a row a prefix's threshold is the ceiling of
+a ratio of two linear functions of v whose denominator stays positive, so it
+is monotone in v, and part d-1 = c reaches it exactly where one linear
+inequality in v holds. Each prefix is therefore evaluated at the two ends of
+the row: if its threshold stays put it adds one constant to the row; if it
+crosses fewer levels than half the row, each crossed level adds its weight
+from the v where its inequality flips, one floor division per level; only
+the rest are evaluated at every v. A row of L candidates costs
+O(k^(d-2)) work plus the levels crossed, where evaluating every candidate
+costs O(L * k^(d-2)).
 """
 
 from __future__ import annotations
@@ -174,9 +184,20 @@ def _row_counts(table: Table, row: Row) -> list[int]:
 
     With the prefix (c_1..c_{d-2}) fixed, the sum is base_g + c_{d-1} * dw,
     where dw = w_{d-1} - w_d > 0 and base_g = sum c_i * (w_i - w_d) + k * w_d,
-    so it is nonnegative exactly for c_{d-1} >= -(base_g // dw). Only v moves
-    along the row: w_d = base - m_head * v, so base_g = A_g - v * m_head * rem_g
-    and dw = v * (m_head + den) - base, with A_g fixed per row. Integers only.
+    so it is nonnegative exactly for c_{d-1} >= t = -(base_g // dw). Only v
+    moves along the row: w_d = base - m_head * v, so base_g = a - v * step
+    with a and step fixed per prefix, and dw = v * slope - base with
+    slope = m_head + den; SearchSpace.rows keeps dw > 0 on the whole row.
+
+    Level c_{d-1} = c counts exactly when t <= c, that is when
+    v * (step - c * slope) <= a - c * base, one linear inequality in v. So
+    each level switches at most once along the row, and t, clamped to the
+    prefix's levels, is monotone in v. Rows of three or more candidates
+    evaluate t at hi and lo: a prefix whose clamped thresholds agree adds one
+    constant; one that crosses fewer levels than half the row adds each
+    crossed level's weight, through a difference array, from the v where
+    its inequality flips; the others are evaluated at every v in between,
+    as are all prefixes of shorter rows. Integers only.
     """
     box, entries = table
     mults, prefix, base, hi, lo = row
@@ -184,18 +205,69 @@ def _row_counts(table: Table, row: Row) -> list[int]:
     lifts = [0]  # den * sum of c_i * h_i at every prefix of the box, in order
     for parts, h in zip(box, prefix):
         lifts = [s + c * h * den for s in lifts for c in parts]
-    terms = [(rem * base + lifts[g], m_head * rem, c_lo, c_hi, suffix)
-             for g, rem, c_lo, c_hi, suffix in entries]
     slope = m_head + den
-    counts = []
-    for v in range(hi, lo - 1, -1):
+    size = hi - lo + 1
+    if size < 3:
+        terms = [(rem * base + lifts[g], m_head * rem, c_lo, c_hi, suffix)
+                 for g, rem, c_lo, c_hi, suffix in entries]
+        counts, start, stop = [0] * size, 0, size
+    else:
+        # a difference array: steps[i] is the change of the folded prefixes'
+        # total from candidate i - 1 to candidate i, v = hi - i
+        steps = [0] * size
+        terms, flat, dense_hi, dense_lo = [], 0, 0, 0
+        dw_hi, dw_lo = hi * slope - base, lo * slope - base
+        for g, rem, c_lo, c_hi, suffix in entries:
+            a, step = rem * base + lifts[g], m_head * rem
+            t = -((a - hi * step) // dw_hi)
+            u = -((a - lo * step) // dw_lo)
+            t = c_lo if t < c_lo else c_hi + 1 if t > c_hi else t
+            u = c_lo if u < c_lo else c_hi + 1 if u > c_hi else u
+            if t == u:
+                if t <= c_hi:
+                    flat += suffix[t - c_lo]
+            elif u < t and 2 * (t - u) < size:
+                # levels t-1 down to u switch on as v falls, each at the
+                # largest v with v * q <= r
+                prev = suffix[t - c_lo] if t <= c_hi else 0
+                flat += prev
+                r, q = a - t * base, step - t * slope
+                for j in range(t - c_lo - 1, u - c_lo - 1, -1):
+                    r += base
+                    q += slope
+                    steps[hi - r // q] += suffix[j] - prev
+                    prev = suffix[j]
+            elif t < u and 2 * (u - t) < size:
+                # levels u-1 down to t switch off as v falls, each below the
+                # least v with v * q <= -r
+                flat += suffix[t - c_lo]
+                prev = suffix[u - c_lo] if u <= c_hi else 0
+                r, q = u * base - a, step - u * slope
+                for j in range(u - c_lo - 1, t - c_lo - 1, -1):
+                    r -= base
+                    q += slope
+                    steps[hi + 1 + r // q] -= suffix[j] - prev
+                    prev = suffix[j]
+            else:
+                terms.append((a, step, c_lo, c_hi, suffix))
+                dense_hi += suffix[t - c_lo] if t <= c_hi else 0
+                dense_lo += suffix[u - c_lo] if u <= c_hi else 0
+        steps[0] = flat
+        counts = list(itertools.accumulate(steps))
+        counts[0] += dense_hi
+        counts[-1] += dense_lo
+        start, stop = 1, size - 1
+    if not terms:
+        return counts
+    for i in range(start, stop):
+        v = hi - i
         dw = v * slope - base
-        total = 0
+        total = counts[i]
         for a, step, c_lo, c_hi, suffix in terms:
             t = -((a - v * step) // dw)
             if t <= c_hi:
                 total += suffix[t - c_lo if t > c_lo else 0]
-        counts.append(total)
+        counts[i] = total
     return counts
 
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -238,6 +238,89 @@ def test_threshold_kernel_matches_dp_and_brute(case):
     lo = max(base // (m_head + den) + 1, head - 3)
     counts = _row_counts(table, (mults, tuple(prefix), base, head, lo))
     assert counts[0] == count and len(counts) == head - lo + 1
+
+
+def _row_and_oracle(mults, prefix, base, hi, lo, k):
+    """The kernel's counts of one row, and the per-candidate oracle's, v = hi..lo."""
+    m_head, den = mults[-2:]
+    scaled = [tuple(h * den for h in prefix) + (v * den, base - m_head * v) for v in range(hi, lo - 1, -1)]
+    counts = _row_counts(_threshold_table(mults, k), (mults, prefix, base, hi, lo))
+    return counts, [threshold_count(mults, s, k) for s in scaled], scaled
+
+
+def _compositions(mults, k):
+    return [c for c in product(*(range(min(m, k) + 1) for m in mults)) if sum(c) == k]
+
+
+def _thresholds(mults, scaled, k):
+    """Per feasible prefix (c_1..c_{d-2}), the least part d-1 with a nonnegative sum, or one past its top."""
+    least = {}
+    for comp in sorted(_compositions(mults, k), key=lambda c: (c[:-2], -c[-2])):
+        least.setdefault(comp[:-2], comp[-2] + 1)
+        if sum(c * w for c, w in zip(comp, scaled)) >= 0:
+            least[comp[:-2]] = comp[-2]
+    return least
+
+
+@st.composite
+def long_rows(draw):
+    """(mults, prefix, base, hi, lo, k): one whole row at value_range 20 or 40, d = 3 or 4, as rows() makes it."""
+    d = draw(st.sampled_from((3, 4)))
+    top = draw(st.sampled_from((20, 40)))
+    mults = tuple(draw(st.lists(st.integers(min_value=1, max_value=4), min_size=d, max_size=d)))
+    k = draw(st.integers(min_value=1, max_value=sum(mults)))
+    heads = draw(st.lists(st.integers(min_value=1 - top, max_value=top), min_size=d - 2,
+                          max_size=d - 2, unique=True))
+    prefix = tuple(sorted(heads, reverse=True))
+    *prefix_mults, m_head, den = mults
+    base = -sum(m * h for m, h in zip(prefix_mults, prefix))
+    hi, lo = prefix[-1] - 1, max(base // (m_head + den) + 1, -top)
+    assume(lo <= hi)
+    return mults, prefix, base, hi, lo, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_rows())
+def test_row_kernel_matches_the_oracle_along_whole_long_rows(case):
+    *row, k = case
+    counts, oracle, _ = _row_and_oracle(*row, k)
+    assert counts == oracle
+
+
+@pytest.mark.parametrize(
+    "n,k,v,mults,prefix,size,edge",
+    [
+        # rows of one, two and three candidates, which the kernel treats apart
+        (7, 3, 20, (1, 1, 5), (1,), 1, None),
+        (7, 3, 20, (1, 1, 5), (2,), 2, None),
+        (7, 3, 20, (1, 1, 5), (3,), 3, None),
+        (8, 3, 20, (1, 1, 1, 5), (19, -1), 1, None),
+        (8, 3, 20, (1, 1, 1, 5), (20, -1), 2, None),
+        (8, 3, 20, (1, 1, 1, 5), (20, 0), 3, None),
+        # a composition sum exactly zero at hi or at lo, where the count changes
+        (8, 3, 20, (3, 2, 3), (4,), 6, "hi"),
+        (7, 3, 40, (1, 3, 1, 2), (39, 19), 50, "hi"),
+        (7, 3, 40, (4, 2, 1), (40,), 80, "lo"),
+        (7, 3, 40, (2, 2, 2, 1), (40, 39), 79, "lo"),
+        # a prefix whose threshold moves by exactly half the row's length
+        (7, 3, 20, (1, 4, 2), (4,), 4, "half"),
+        (8, 3, 20, (1, 1, 4, 2), (6, 3), 4, "half"),
+    ],
+)
+def test_row_kernel_matches_the_oracle_on_edge_rows(n, k, v, mults, prefix, size, edge):
+    space = SearchSpace(n=n, k=k, max_distinct=len(mults), value_range=v)
+    row = next(r for r in space.rows() if r[:2] == (mults, prefix))
+    counts, oracle, scaled = _row_and_oracle(*row, k)
+    assert counts == oracle and len(counts) == size
+    zero = {i for i, s in enumerate(scaled)
+            if any(sum(c * w for c, w in zip(comp, s)) == 0 for comp in _compositions(mults, k))}
+    if edge == "hi":
+        assert 0 in zero and counts[0] != counts[1]
+    if edge == "lo":
+        assert size - 1 in zero and counts[-1] != counts[-2]
+    if edge == "half":
+        at_hi, at_lo = _thresholds(mults, scaled[0], k), _thresholds(mults, scaled[-1], k)
+        assert any(2 * abs(at_hi[g] - at_lo[g]) == size for g in at_hi)
 
 
 @pytest.mark.parametrize(
