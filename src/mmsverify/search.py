@@ -126,7 +126,6 @@ class SearchReport(_Record):
     violation: bool
     candidates_examined: int
     provenance: Mapping[str, int]
-    reverified_dp: bool
     recount_engine: str
 
     @property
@@ -146,10 +145,7 @@ class SearchReport(_Record):
             "bound": str(self.bound),
             "violation": self.violation,
             "candidates_examined": self.candidates_examined,
-            "reverified": {
-                "count_nonnegative": self.recount_engine,
-                "dp_both_orders": self.reverified_dp,
-            },
+            "reverified": {"count_nonnegative": self.recount_engine},
             "provenance": dict(self.provenance),
             "verdict": self.verdict,
         }
@@ -282,7 +278,8 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
     is emitted, the winner is re-counted by count_nonnegative_dp in both
     value orders and by count_nonnegative on the expanded vector, whose
     own chooser and budget pick the engine; none of them shares code with
-    the kernel.
+    the kernel. Any disagreement raises RuntimeError, so the report names
+    only the engine count_nonnegative chose.
     """
     charge(space.size(), "grid candidates before the zero-sum filter", "reduce value_range or max_distinct")
     n, k = space.n, space.k
@@ -334,7 +331,6 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
             "max_distinct": space.max_distinct,
             "value_range": space.value_range,
         },
-        reverified_dp=True,
         recount_engine=recount.engine,
     )
 

@@ -222,7 +222,7 @@ def test_criterion_10_scalar_inequality_suite():
 def test_criterion_11_counterexample_search():
     report = find_counterexample(7, 1, 40)
     assert report.bound == binomial(21, 6) == 54264
-    assert report.reverified_dp
+    assert report.to_dict()["reverified"] == {"count_nonnegative": report.recount_engine}
     # independent re-count of the reported winner
     assert count_nonnegative_dp(report.best_pattern, 7) == report.best_count
     assert (

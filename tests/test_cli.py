@@ -358,11 +358,11 @@ def test_search_refuses_flags_it_would_ignore(argv, flag):
     "argv,digest",
     [
         (["--counterexample", "-k", "7", "-r", "1", "--value-range", "20"],
-         "ea3f38e6b30fa92f7c73c0cd9e952574d08196d5b710f83054a082c11bc42ed4"),
+         "06f322991971b151869132efecd48bf4e199350966d184637e121af6105e6a12"),
         (["--n", "22", "-k", "7", "--max-distinct", "3", "--value-range", "10"],
-         "889916cb732fb63646459ab3c130b0d0a230666d88577bd144ae6685420dc80c"),
+         "bfa58c6c6ed926356fdf68098a24a513320ef70d89e3aceed26c15830beb12de"),
         (["--n", "14", "-k", "4", "--max-distinct", "4", "--value-range", "4"],
-         "58e2b295684b31e81de1fb9c004049cfc35dfa2baee9792e3b8fe8c97945ed5d"),
+         "26972134faa89746eb9955a4336a7dc6638d0676fe26aa0c8928210ab9ae1dd6"),
     ],
     ids=["counterexample-k7-r1-v20", "n22-k7-d3-v10", "n14-k4-d4-v4"],
 )

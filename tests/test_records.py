@@ -63,9 +63,9 @@ RECORDS = {
                   {"max_distinct": 2, "value_range": 6}),
     SearchReport: (
         ("n", "k", "best_pattern", "best_count", "bound", "violation", "candidates_examined",
-         "provenance", "reverified_dp", "recount_engine"),
-        (2, 1, PATTERN, 1, 1, False, 5, {"n": 2}, True, "enumeration"),
-        (2, 1, PATTERN, 1, 1, False, 6, {"n": 2}, True, "generating-function"),
+         "provenance", "recount_engine"),
+        (2, 1, PATTERN, 1, 1, False, 5, {"n": 2}, "enumeration"),
+        (2, 1, PATTERN, 1, 1, False, 6, {"n": 2}, "generating-function"),
         {},
     ),
     StructureMatrix: (

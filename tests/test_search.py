@@ -75,7 +75,7 @@ def test_two_value_sweep_finds_star_minimum():
     assert not report.violation
     # the winner is star-shaped: one positive value, five equal negatives
     assert [m for _, m in report.best_pattern.pairs] == [1, 5]
-    assert report.reverified_dp and report.recount_engine in (ENGINE_GF, ENGINE_ENUM)
+    assert report.recount_engine in (ENGINE_GF, ENGINE_ENUM)
     # independent re-count of the winner
     values = report.best_pattern.expand().values
     assert brute_count(values, 2) == 5
@@ -162,10 +162,7 @@ def test_every_winner_is_recounted_once_by_count_nonnegative(monkeypatch, n, k, 
     monkeypatch.setattr(search, "count_nonnegative", spy)
     report = sweep_patterns(SearchSpace(n=n, k=k, max_distinct=d, value_range=v))
     assert recounts == [(n, k, report.best_count, report.recount_engine)]
-    assert report.to_dict()["reverified"] == {
-        "count_nonnegative": report.recount_engine,
-        "dp_both_orders": True,
-    }
+    assert report.to_dict()["reverified"] == {"count_nonnegative": report.recount_engine}
     assert report.recount_engine in (ENGINE_GF, ENGINE_ENUM)
 
 
