@@ -569,6 +569,44 @@ def test_violation_exits_1():
     assert doc["report"]["violation"] is True
 
 
+@pytest.mark.parametrize(
+    "weights,argv,count,bound,code",
+    [
+        # C(n-1, k-1) - 1 nonnegative pairs: 1 + 1 against a bound of 2
+        ([1, 1, -2], ["-k", "2"], 1, 2, 1),
+        # p = 6 entries n - p and n - p entries -p at (n, k) = (8, 3): 20 against 21
+        ([2] * 6 + [-6] * 2, ["-k", "3"], 20, 21, 1),
+        # the star meets the bound exactly: 7 = 7 at (8, 2)
+        (None, ["--star", "--n", "8", "-k", "2"], 7, 7, 0),
+    ],
+    ids=["one-below-at-n3-k2", "two-valued-n8-k3-p6", "star-n8-k2"],
+)
+def test_count_exit_code_at_the_bound(tmp_path, weights, argv, count, bound, code):
+    if weights is not None:
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"weights": weights}))
+        argv = ["--weights", str(path), *argv]
+    doc, exit_code = run_json("count", *argv)
+    report = doc["report"]
+    assert (report["nonnegative_count"], report["bound_comparisons"][0]["value"]) == (str(count), str(bound))
+    assert exit_code == code
+
+
+@pytest.mark.parametrize(
+    "argv,count,bound,code",
+    [
+        (["--n", "5", "-k", "2", "--max-distinct", "3", "--value-range", "4"], 3, 4, 1),
+        (["--n", "10", "-k", "3", "--max-distinct", "3", "--value-range", "4"], 35, 36, 1),
+        (["--n", "6", "-k", "2"], 5, 5, 0),
+    ],
+    ids=["one-below-n5-k2", "one-below-n10-k3", "default-grid-meets-n6-k2"],
+)
+def test_search_exit_code_at_the_bound(argv, count, bound, code):
+    doc, exit_code = run_json("search", *argv)
+    report = doc["report"]
+    assert (report["best_count"], report["bound"], exit_code) == (str(count), str(bound), code)
+
+
 def test_text_format_has_runtime():
     out, err, code = run_captured(["count", "--star", "--n", "8", "-k", "2"])
     assert code == 0
