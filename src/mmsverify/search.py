@@ -22,9 +22,9 @@ inequality in v holds. Each prefix is therefore evaluated at the two ends of
 the row: if its threshold stays put it adds one constant to the row; if it
 crosses fewer levels than half the row, each crossed level adds its weight
 from the v where its inequality flips, one floor division per level; only
-the rest are evaluated at every v. A row of L candidates costs
-O(k^(d-2)) work plus the levels crossed, where evaluating every candidate
-costs O(L * k^(d-2)).
+the rest are evaluated at every v. On a row of L candidates a prefix that
+crosses c levels so costs O(1 + c) work, against O(L) for evaluating it at
+every candidate, and never more than O(L).
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import run_captured
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
@@ -36,3 +37,10 @@ def test_readme_python_blocks_run():
             [sys.executable, "-c", block], capture_output=True, text=True, env=env, cwd=REPO_ROOT
         )
         assert done.returncode == 0, (block, done.stderr)
+
+
+def test_readme_cli_example_prints_what_the_cli_prints():
+    # the first shell example and the JSON document shown under it
+    text = (REPO_ROOT / "README.md").read_text()
+    command, shown = re.search(r"^```sh\nmmsverify (.*?)\n```\n\n```json\n(.*?)^```", text, re.M | re.S).groups()
+    assert run_captured(command.split()) == (shown, "", 0)
