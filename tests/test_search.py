@@ -309,12 +309,14 @@ def test_row_kernel_matches_the_oracle_on_edge_rows(n, k, v, mults, prefix, size
     row = next(r for r in space.rows() if r[:2] == (mults, prefix))
     counts, oracle, scaled = _row_and_oracle(*row, k)
     assert counts == oracle and len(counts) == size
-    zero = {i for i, s in enumerate(scaled)
-            if any(sum(c * w for c, w in zip(comp, s)) == 0 for comp in _compositions(mults, k))}
+
+    def zero_sum_at(i):
+        return any(sum(c * w for c, w in zip(comp, scaled[i])) == 0 for comp in _compositions(mults, k))
+
     if edge == "hi":
-        assert 0 in zero and counts[0] != counts[1]
+        assert zero_sum_at(0) and counts[0] != counts[1]
     if edge == "lo":
-        assert size - 1 in zero and counts[-1] != counts[-2]
+        assert zero_sum_at(-1) and counts[-1] != counts[-2]
     if edge == "half":
         at_hi, at_lo = _thresholds(mults, scaled[0], k), _thresholds(mults, scaled[-1], k)
         assert any(2 * abs(at_hi[g] - at_lo[g]) == size for g in at_hi)
