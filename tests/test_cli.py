@@ -403,6 +403,28 @@ def test_scheme_json_is_pinned(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["--kind", "inclusion", "--n", "16", "-j", "2", "-k", "5"],
+         "d303fb3ed0030ed6862fdffc9c06c5df1df7be2132f9d978a51b0c662f372d1e"),
+        (["--kind", "kneser", "--n", "12", "-j", "3", "-k", "4"],
+         "afe3c232f5768f836bb091c9532f6d138efc6716fe8b53f151ca5ed615c901b0"),
+        (["--kind", "kneser", "--n", "8", "-j", "0", "-k", "3"],
+         "96489119573f3d8413836d35c5b9b59cfadf9bde40b916e19ee3fc5e8b4ae8c6"),
+    ],
+    ids=["inclusion-n16-j2-k5", "kneser-n12-j3-k4", "kneser-n8-j0-k3"],
+)
+def test_spectrum_text_is_pinned(argv, digest):
+    # every line but the measured runtime, byte for byte
+    out, err, code = run_captured(["spectrum", *argv, "--format", "text"])
+    assert (err, code) == ("", 0)
+    command, verdict, runtime, rest = out.split("\n", 3)
+    assert runtime.startswith("runtime_ms: ")
+    timeless = "\n".join((command, verdict, rest))
+    assert hashlib.sha256(timeless.encode()).hexdigest() == digest
+
+
 def test_input_errors_exit_2(tmp_path):
     missing = tmp_path / "nope.json"
     out, err, code = run_captured(["count", "--weights", str(missing), "-k", "2"])
