@@ -18,7 +18,7 @@ from mmsverify.scheme import subsets_colex, verify_factorization
 
 def print_matrix(M, row_labels, col_labels):
     print("       " + " ".join(f"{''.join(map(str, c)):>6}" for c in col_labels))
-    for label, row in zip(row_labels, M.rows):
+    for label, row in zip(row_labels, M.dense_rows()):
         cells = " ".join(f"{v:>6}" for v in row[: len(col_labels)])
         print(f"{''.join(map(str, label)):>6} {cells}")
 

@@ -25,7 +25,7 @@ from .lemmas import (
     verify_scalar_inequalities,
     verify_second_block_bound,
 )
-from .report import VERDICT_VERIFIED, VERDICT_VIOLATED, exact_str
+from .report import VERDICT_VERIFIED, VERDICT_VIOLATED, BitRow, exact_str
 from .scheme import (
     build_structure_matrix,
     verify_eigenvector,
@@ -192,16 +192,16 @@ def _echo(argv: Sequence[str]) -> str:
     return " ".join(kept)
 
 
-_ARRAY_OR_OBJECT = (dict, list, tuple)
+_ARRAY_OR_OBJECT = (dict, list, tuple, BitRow)
 
 
 def _all_scalars(items) -> bool:
-    # the types of a 4,000-entry matrix row are one set, built without a Python-level loop
+    # the types of a long array (spectrum's 4,368 column subsets) are one set, built without a Python loop
     return not any(issubclass(t, _ARRAY_OR_OBJECT) for t in set(map(type, items)))
 
 
 def _text_block(value, indent: int):
-    """Lines of the text rendering of value at indent; an array of scalars is one chunk."""
+    """Lines of the text rendering of value at indent; an array of scalars, or a BitRow, is one chunk."""
     pad = "  " * indent
     if isinstance(value, dict):
         for key in sorted(value):
@@ -212,6 +212,10 @@ def _text_block(value, indent: int):
             else:
                 rendered = item if not isinstance(item, _ARRAY_OR_OBJECT) else "{}" if item == {} else "[]"
                 yield f"{pad}{key}: {rendered}\n"
+    elif isinstance(value, BitRow):
+        if value:
+            item = f"{pad}- "
+            yield item + f"\n{item}".join(value.digits()) + "\n"
     elif isinstance(value, (list, tuple)) and _all_scalars(value):
         yield "".join([f"{pad}- {item}\n" for item in value])
     elif isinstance(value, (list, tuple)):
@@ -230,17 +234,21 @@ def _json(value, pad: str = ""):
 
     Any indent selects the pure-Python encoder for the whole document, so
     instead each container whose items are all scalars is one call of the C
-    encoder, with the newline and the next indent in its item separator.
-    Only nested containers recurse. Report keys are strings, so a key is
-    encoded on its own as a JSON string.
+    encoder, with the newline and the next indent in its item separator; a
+    BitRow's body is its digits joined by that separator. Only nested
+    containers recurse. Report keys are strings, so a key is encoded on its
+    own as a JSON string.
     """
     if not isinstance(value, _ARRAY_OR_OBJECT) or not value:
-        yield json.dumps(value)
+        yield "[]" if isinstance(value, BitRow) else json.dumps(value)
         return
     is_dict = isinstance(value, dict)
     inner = pad + "  "
     sep = ",\n" + inner
     opening, closing = "{}" if is_dict else "[]"
+    if isinstance(value, BitRow):
+        yield f"[\n{inner}{sep.join(value.digits())}\n{pad}]"
+        return
     if _all_scalars(value.values() if is_dict else value):
         body = json.dumps(value, sort_keys=True, separators=(sep, ": "))[1:-1]
         yield f"{opening}\n{inner}{body}\n{pad}{closing}"

@@ -14,6 +14,7 @@ from typing import Any
 from .combinat import _Record
 
 __all__ = [
+    "BitRow",
     "Claim",
     "LemmaReport",
     "Precondition",
@@ -52,6 +53,26 @@ def exact_str(value: Any) -> Any:
     if isinstance(value, dict):
         return {k: exact_str(v) for k, v in value.items()}
     return str(value) if not isinstance(value, (str, float)) else value
+
+
+class BitRow:
+    """A 0/1 array of width entries packed in an int, bit c holding entry c.
+
+    Renderers print it as that array, straight from the int's binary digits.
+    """
+
+    __slots__ = ("bits", "width")
+
+    def __init__(self, bits: int, width: int) -> None:
+        self.bits = bits
+        self.width = width
+
+    def __len__(self) -> int:
+        return self.width
+
+    def digits(self) -> str:
+        """The entries' digits, entry 0 first."""
+        return format(self.bits, f"0{self.width}b")[::-1] if self.width else ""
 
 
 class Precondition(_Record):

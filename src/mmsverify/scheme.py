@@ -5,11 +5,13 @@ k-subset S; the Kneser variant Wbar marks Y disjoint from S. Their exact
 integer product Wbar^T W depends only on intersection sizes, and the vector
 of k-subset sums of a zero-sum weight vector is an eigenvector of it.
 Subsets are indexed in combinat.colex order. The checks pack, once, the n
-rows "subsets holding i" into one int each; an inclusion row is the AND of
-its subset's rows, a Kneser row the complement of their OR, and an inner
-product is an AND and a popcount. Sums of b by overlap with a block come
-from counting's divided pass. Before any work, ENUM_BUDGET caps the
-entries built or packed, the pass steps and the factorization's pairs.
+rows "subsets holding i" into one int each, bit c for the c-th subset; an
+inclusion row is the AND of its subset's rows, a Kneser row the complement
+of their OR, and an inner product is an AND and a popcount. A
+StructureMatrix keeps its rows packed the same way, and the CLI prints each
+from its int. Sums of b by overlap with a block come from counting's
+divided pass. Before any work, ENUM_BUDGET caps the entries built or
+packed, the pass steps and the factorization's pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 
 from .combinat import _Record, binomial, charge, colex
 from .counting import _divided_pass, _divided_steps, _pass_steps, _size_pass
-from .report import Claim, LemmaReport, Precondition, claim
+from .report import BitRow, Claim, LemmaReport, Precondition, claim
 from .weights import WeightVector
 
 __all__ = [
@@ -83,47 +85,56 @@ def _miss(rows: list[int], full: int, Y: Sequence[int]) -> int:
 
 
 class StructureMatrix(_Record):
-    """Dense 0/1 matrix over (j-subsets) x (k-subsets), colex indexed."""
+    """0/1 matrix over (j-subsets) x (k-subsets), colex indexed, one packed int per row.
+
+    Bit c of rows[r] is entry (r, c): 1 when the r-th j-subset lies in
+    (inclusion) or misses (kneser) the c-th k-subset. dense_rows() gives
+    the rows as tuples of 0/1 entries.
+    """
 
     kind: str  # inclusion | kneser
     n: int
     j: int
     k: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.rows), binomial(self.n, self.k)
 
+    def dense_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows unpacked, entry c of row r being bit c of rows[r]."""
+        width = binomial(self.n, self.k)
+        return tuple(_unpack(row, width) for row in self.rows)
+
     def to_dict(self) -> dict:
+        width = binomial(self.n, self.k)
         return {
             "type": "structure-matrix",
             "kind": self.kind,
             "n": self.n,
             "j": self.j,
             "k": self.k,
-            "shape": list(self.shape),
+            "shape": [len(self.rows), width],
             # tuples, not copies: a renderer prints them as arrays
             "row_index": subsets_colex(self.n, self.j),
             "col_index": subsets_colex(self.n, self.k),
-            "rows": self.rows,
+            "rows": [BitRow(row, width) for row in self.rows],
         }
 
 
 def build_structure_matrix(kind: str, n: int, j: int, k: int) -> StructureMatrix:
-    """Materialize the inclusion or Kneser matrix densely, each row unpacked from singleton rows."""
+    """The inclusion or Kneser matrix, each row packed from the singleton rows."""
     if kind not in ("inclusion", "kneser"):
         raise ValueError(f"unknown kind {kind!r}")
     if not (0 <= j <= k <= n):
         raise ValueError(f"need 0 <= j <= k <= n, got j={j}, k={k}, n={n}")
     charge(binomial(n, j) * binomial(n, k), f"entries of C({n},{j}) x C({n},{k}) rows")
-    width = binomial(n, k)
     # at j = 0 the one row, the empty set's, is all ones for either kind;
     # for 0 < j < n the n singleton rows are no more than the C(n, j) rows
-    singles, full = _singletons(n, k) if j else ([], (1 << width) - 1)
+    singles, full = _singletons(n, k) if j else ([], (1 << binomial(n, k)) - 1)
     row_of = _meet if kind == "inclusion" else _miss
-    rows = tuple(_unpack(row_of(singles, full, Y), width) for Y in subsets_colex(n, j))
-    return StructureMatrix(kind, n, j, k, rows)
+    return StructureMatrix(kind, n, j, k, tuple(row_of(singles, full, Y) for Y in subsets_colex(n, j)))
 
 
 def bose_mesner_eigenvalue(n: int, k: int, j: int) -> int:
@@ -186,9 +197,10 @@ def verify_factorization(n: int, j: int, k: int) -> LemmaReport:
 def _eigen_claims(X: WeightVector, k: int, js: Sequence[int]) -> tuple[list[Claim], dict]:
     """Claims and witnesses of the eigenvector check at each j in js.
 
-    One (count, sum) pass over y, then per k-subset S a divided pass and
-    a contraction per j, 2(k+1)^2 steps at most; the charge, C(n, k)
-    passes of n(k+1) steps, bounds them while 2(k+1) <= n.
+    One (count, sum) pass over y, then per k-subset S a divided pass,
+    (k+1)^2 steps, and a contraction of k+1 steps per j. The charge is
+    that pass and C(n, k) times the larger of n(k+1) and those per-subset
+    steps.
     """
     n = X.n
     if X.is_zero():
@@ -198,7 +210,11 @@ def _eigen_claims(X: WeightVector, k: int, js: Sequence[int]) -> tuple[list[Clai
             f"eigenvector check needs k < n, got k = n = {n}: the only k-subset is the whole "
             "ground set, whose sum is 0, so b is the zero vector"
         )
-    charge(binomial(n, k) * n * (k + 1), f"C({n},{k}) passes of {n}*{k + 1} steps")
+    per_subset = max(n * (k + 1), _divided_steps(k, k) + (k + 1) * len(js))
+    charge(
+        _pass_steps(n, k) + binomial(n, k) * per_subset,
+        f"steps of one pass over {n} items and C({n},{k}) subsets of {per_subset} steps",
+    )
     y, _ = X.scaled_ints()
     b = colex(y, k)
     coeffs = {j: [binomial(k - m, j) for m in range(k + 1)] for j in js}

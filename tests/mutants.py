@@ -30,6 +30,8 @@ MUTANTS = (
      "count_nonnegative reads a count of C(n-1, k-1) - 1 as satisfying the bound"),
     ("src/mmsverify/search.py", "violation=b_count < bound", "violation=b_count + 1 < bound",
      "sweep_patterns reads a winner one below the bound as no violation"),
+    ("src/mmsverify/lemmas.py", 'count, ">=", bound', 'count + 1, ">=", bound',
+     "verify_mms_bound reads a count of C(n-1, k-1) - 1 as meeting the theorem's bound"),
 )
 
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_out")

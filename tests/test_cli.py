@@ -629,6 +629,32 @@ def test_search_exit_code_at_the_bound(argv, count, bound, code):
     assert (report["best_count"], report["bound"], exit_code) == (str(count), str(bound), code)
 
 
+@pytest.mark.parametrize(
+    "weights,argv,count,bound,satisfied,verdict",
+    [
+        ([1, 1, -2], ["-k", "2"], 1, 2, False, "preconditions-not-met"),
+        ([2] * 6 + [-6] * 2, ["-k", "3"], 20, 21, False, "preconditions-not-met"),
+        (None, ["--star", "--n", "8", "-k", "2"], 7, 7, True, "preconditions-not-met"),
+        (None, ["--star", "--n", "32", "-k", "2"], 31, 31, True, "verified"),
+    ],
+    ids=["one-below-at-n3-k2", "two-valued-n8-k3-p6", "star-n8-k2", "star-n32-k2"],
+)
+def test_theorem_claim_at_the_bound(tmp_path, weights, argv, count, bound, satisfied, verdict):
+    # below n >= 8k^2 the verdict, and so the exit code, is 2 whatever the
+    # count, so the main claim's own flag is what holds the count to the bound
+    if weights is not None:
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"weights": weights}))
+        argv = ["--weights", str(path), *argv]
+    doc, exit_code = run_json("verify", "--lemma", "theorem", *argv)
+    report = doc["report"]
+    main = report["claims"][0]
+    assert main["description"] == "nonnegative count >= C(n-1,k-1)"
+    assert (report["extra"]["count"], report["extra"]["bound"]) == (str(count), str(bound))
+    assert (main["lhs"], main["rhs"], main["satisfied"]) == (str(count), str(bound), satisfied)
+    assert (doc["verdict"], exit_code) == (verdict, 0 if verdict == "verified" else 2)
+
+
 def test_text_format_has_runtime():
     out, err, code = run_captured(["count", "--star", "--n", "8", "-k", "2"])
     assert code == 0

@@ -23,8 +23,8 @@ from mmsverify.counting import (
     restricted_sum,
 )
 from mmsverify.lemmas import single_overlap_coefficient
-from mmsverify.scheme import verify_eigenvector_all, verify_wilson_identities
-from mmsverify.weights import normalize
+from mmsverify.scheme import verify_eigenvector, verify_eigenvector_all, verify_wilson_identities
+from mmsverify.weights import gen_random_zero_sum, normalize
 
 from _oracles import (
     brute_count,
@@ -324,6 +324,37 @@ def test_pass_and_dp_charges_bound_the_units_they_count(X, data):
     pairs = [(w, len(list(run))) for w, run in groupby(y)]
     for order in (pairs, pairs[::-1]):
         assert dp_steps(order, k, counting._STEP_BITS)[1] <= _dp_updates(order, k)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_eigenvector_charges_bound_the_steps_they_count(n):
+    # every pass, division, profile and contraction step of each call, at
+    # every k < n and j <= k; near k = n - 1 the checks of every j take up
+    # to twice C(n, k) passes of n(k+1) steps
+    X = gen_random_zero_sum(n, 20, seed=n)
+    y, _ = X.scaled_ints()
+    counted = []
+
+    def size_pass(items, k):
+        counted.append(pass_steps(items, k))
+        return _size_pass(items, k)
+
+    def divided_pass(full, items, k):
+        counted.append(divided_steps(items, k))
+        return _divided_pass(full, items, k)
+
+    def mul(a, b):
+        counted.append(1)
+        return a * b
+
+    with patch.multiple(scheme, _size_pass=size_pass, _divided_pass=divided_pass, mul=mul):
+        for k in range(1, n):
+            for call in [lambda: verify_eigenvector_all(X, k)] + [
+                lambda j=j: verify_eigenvector(X, j, k) for j in range(k + 1)
+            ]:
+                counted.clear()
+                (charged,) = _charges(scheme, call)
+                assert len(counted) > binomial(n, k) and sum(counted) <= charged, (n, k)
 
 
 def test_dp_charge_weighs_wide_products():

@@ -70,8 +70,8 @@ RECORDS = {
     ),
     StructureMatrix: (
         ("kind", "n", "j", "k", "rows"),
-        ("inclusion", 2, 1, 1, ((1, 0), (0, 1))),
-        ("kneser", 2, 1, 1, ((0, 1), (1, 0))),
+        ("inclusion", 2, 1, 1, (0b01, 0b10)),
+        ("kneser", 2, 1, 1, (0b10, 0b01)),
         {},
     ),
 }

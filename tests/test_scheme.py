@@ -26,15 +26,16 @@ def test_subsets_colex_ordering():
 
 
 def test_structure_matrices_match_brute():
+    # row r packs entry (r, c) in bit c; dense_rows() gives the entries back
     for n in range(2, 9):
         for k in range(1, n + 1):
             for j in range(0, k + 1):
-                inc = build_structure_matrix("inclusion", n, j, k)
-                assert inc.rows == tuple(
-                    tuple(r) for r in brute_inclusion_matrix(n, j, k)
-                )
-                kn = build_structure_matrix("kneser", n, j, k)
-                assert kn.rows == tuple(tuple(r) for r in brute_kneser_matrix(n, j, k))
+                for kind, brute in (("inclusion", brute_inclusion_matrix), ("kneser", brute_kneser_matrix)):
+                    want = brute(n, j, k)
+                    M = build_structure_matrix(kind, n, j, k)
+                    assert M.rows == tuple(sum(v << c for c, v in enumerate(r)) for r in want)
+                    assert M.dense_rows() == tuple(tuple(r) for r in want)
+                    assert M.shape == (binomial(n, j), binomial(n, k))
 
 
 def test_build_structure_matrix_input_errors():
@@ -51,7 +52,7 @@ def test_build_at_j_0_packs_no_singleton_rows():
     # for it would take 1,500 times the charged entries
     started = time.perf_counter()
     for kind in ("inclusion", "kneser"):
-        assert build_structure_matrix(kind, 1500, 0, 2).rows == ((1,) * binomial(1500, 2),)
+        assert build_structure_matrix(kind, 1500, 0, 2).rows == ((1 << binomial(1500, 2)) - 1,)
     assert time.perf_counter() - started < 2.0
 
 
