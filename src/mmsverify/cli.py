@@ -214,8 +214,8 @@ def _text_block(value, indent: int):
                 yield f"{pad}{key}: {rendered}\n"
     elif isinstance(value, BitRow):
         if value:
-            item = f"{pad}- "
-            yield item + f"\n{item}".join(value.digits()) + "\n"
+            dash = f"{pad}- "
+            yield dash + f"\n{dash}".join(value.digits()) + "\n"
     elif isinstance(value, (list, tuple)) and _all_scalars(value):
         yield "".join([f"{pad}- {item}\n" for item in value])
     elif isinstance(value, (list, tuple)):

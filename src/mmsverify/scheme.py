@@ -134,7 +134,8 @@ def build_structure_matrix(kind: str, n: int, j: int, k: int) -> StructureMatrix
     # for 0 < j < n the n singleton rows are no more than the C(n, j) rows
     singles, full = _singletons(n, k) if j else ([], (1 << binomial(n, k)) - 1)
     row_of = _meet if kind == "inclusion" else _miss
-    return StructureMatrix(kind, n, j, k, tuple(row_of(singles, full, Y) for Y in subsets_colex(n, j)))
+    rows = tuple(row_of(singles, full, Y) for Y in subsets_colex(n, j))
+    return StructureMatrix(kind, n, j, k, rows)
 
 
 def bose_mesner_eigenvalue(n: int, k: int, j: int) -> int:

@@ -332,7 +332,6 @@ def test_eigenvector_charges_bound_the_steps_they_count(n):
     # every k < n and j <= k; near k = n - 1 the checks of every j take up
     # to twice C(n, k) passes of n(k+1) steps
     X = gen_random_zero_sum(n, 20, seed=n)
-    y, _ = X.scaled_ints()
     counted = []
 
     def size_pass(items, k):
