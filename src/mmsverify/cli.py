@@ -25,7 +25,7 @@ from .lemmas import (
     verify_scalar_inequalities,
     verify_second_block_bound,
 )
-from .report import VERDICT_VERIFIED, VERDICT_VIOLATED, BitRow, exact_str
+from .report import VERDICT_VERIFIED, VERDICT_VIOLATED, BitRow, ColexIndex, exact_str
 from .scheme import (
     build_structure_matrix,
     verify_eigenvector,
@@ -192,7 +192,7 @@ def _echo(argv: Sequence[str]) -> str:
     return " ".join(kept)
 
 
-_ARRAY_OR_OBJECT = (dict, list, tuple, BitRow)
+_ARRAY_OR_OBJECT = (dict, list, tuple, BitRow, ColexIndex)
 
 
 def _all_scalars(items) -> bool:
@@ -216,6 +216,10 @@ def _text_block(value, indent: int):
         if value:
             dash = f"{pad}- "
             yield dash + f"\n{dash}".join(value.digits()) + "\n"
+    elif isinstance(value, ColexIndex):
+        row = f"{pad}-\n" + f"{pad}  - {{}}\n" * value.m
+        for subset in value:
+            yield row.format(*subset)
     elif isinstance(value, (list, tuple)) and _all_scalars(value):
         yield "".join([f"{pad}- {item}\n" for item in value])
     elif isinstance(value, (list, tuple)):
@@ -235,9 +239,10 @@ def _json(value, pad: str = ""):
     Any indent selects the pure-Python encoder for the whole document, so
     instead each container whose items are all scalars is one call of the C
     encoder, with the newline and the next indent in its item separator; a
-    BitRow's body is its digits joined by that separator. Only nested
-    containers recurse. Report keys are strings, so a key is encoded on its
-    own as a JSON string.
+    BitRow's body is its digits joined by that separator, and a ColexIndex
+    writes each subset from one format template. Only nested containers
+    recurse. Report keys are strings, so a key is encoded on its own as a
+    JSON string.
     """
     if not isinstance(value, _ARRAY_OR_OBJECT) or not value:
         yield "[]" if isinstance(value, BitRow) else json.dumps(value)
@@ -246,14 +251,22 @@ def _json(value, pad: str = ""):
     inner = pad + "  "
     sep = ",\n" + inner
     opening, closing = "{}" if is_dict else "[]"
+    head = f"{opening}\n{inner}"
     if isinstance(value, BitRow):
         yield f"[\n{inner}{sep.join(value.digits())}\n{pad}]"
+        return
+    if isinstance(value, ColexIndex):
+        deep = inner + "  "
+        row = f"[\n{deep}" + f",\n{deep}".join(["{}"] * value.m) + f"\n{inner}]" if value.m else "[]"
+        for subset in value:
+            yield head + row.format(*subset)
+            head = sep
+        yield f"\n{pad}]"
         return
     if _all_scalars(value.values() if is_dict else value):
         body = json.dumps(value, sort_keys=True, separators=(sep, ": "))[1:-1]
         yield f"{opening}\n{inner}{body}\n{pad}{closing}"
         return
-    head = f"{opening}\n{inner}"
     for key in sorted(value) if is_dict else range(len(value)):
         yield head + (f"{json.dumps(key)}: " if is_dict else "")
         yield from _json(value[key], inner)

@@ -11,11 +11,12 @@ import operator
 from fractions import Fraction
 from typing import Any
 
-from .combinat import _Record
+from .combinat import _Record, binomial, colex
 
 __all__ = [
     "BitRow",
     "Claim",
+    "ColexIndex",
     "LemmaReport",
     "Precondition",
     "VERDICT_PRECONDITIONS",
@@ -73,6 +74,37 @@ class BitRow:
     def digits(self) -> str:
         """The entries' digits, entry 0 first."""
         return format(self.bits, f"0{self.width}b")[::-1] if self.width else ""
+
+
+class ColexIndex:
+    """The m-subsets of range(n) as index tuples, in colex order, made as they are read.
+
+    The subsets with top index t are the first C(t, m-1) of the colex
+    (m-1)-subsets of range(n-1), each joined to (t,). That one list, of
+    C(n-1, m-1) tuples, is built (and charged) when the index is made, and
+    the C(n, m) tuples of the whole are never held. Renderers print it as
+    the array of those tuples.
+    """
+
+    __slots__ = ("n", "m", "_lower")
+
+    def __init__(self, n: int, m: int) -> None:
+        self.n = n
+        self.m = m
+        self._lower = colex([(i,) for i in range(n - 1)], m - 1, ()) if m else []
+
+    def __len__(self) -> int:
+        return binomial(self.n, self.m)
+
+    def __iter__(self):
+        m = self.m
+        if not m:
+            yield ()
+            return
+        for t in range(m - 1, self.n):
+            top = (t,)
+            for s in self._lower[: binomial(t, m - 1)]:
+                yield s + top
 
 
 class Precondition(_Record):

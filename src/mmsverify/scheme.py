@@ -9,9 +9,13 @@ rows "subsets holding i" into one int each, bit c for the c-th subset; an
 inclusion row is the AND of its subset's rows, a Kneser row the complement
 of their OR, and an inner product is an AND and a popcount. A
 StructureMatrix keeps its rows packed the same way, and the CLI prints each
-from its int. Sums of b by overlap with a block come from counting's
-divided pass. Before any work, ENUM_BUDGET caps the entries built or
-packed, the pass steps and the factorization's pairs.
+from its int; its row and column index arrays are ColexIndex objects,
+made as they are printed. Sums of b by overlap with a block come from
+counting's divided pass. A k-subset's own pass depends on it only through
+its sum b_S, and so does its overlap profile, so the eigenvector check
+makes one divided pass per distinct b_S. Before any work, ENUM_BUDGET
+caps the entries built or packed, the pass steps and the factorization's
+pairs.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Sequence
 
 from .combinat import _Record, binomial, charge, colex
 from .counting import _divided_pass, _divided_steps, _pass_steps, _size_pass
-from .report import BitRow, Claim, LemmaReport, Precondition, claim
+from .report import BitRow, Claim, ColexIndex, LemmaReport, Precondition, claim
 from .weights import WeightVector
 
 __all__ = [
@@ -116,9 +120,8 @@ class StructureMatrix(_Record):
             "j": self.j,
             "k": self.k,
             "shape": [len(self.rows), width],
-            # tuples, not copies: a renderer prints them as arrays
-            "row_index": subsets_colex(self.n, self.j),
-            "col_index": subsets_colex(self.n, self.k),
+            "row_index": ColexIndex(self.n, self.j),
+            "col_index": ColexIndex(self.n, self.k),
             "rows": [BitRow(row, width) for row in self.rows],
         }
 
@@ -198,10 +201,14 @@ def verify_factorization(n: int, j: int, k: int) -> LemmaReport:
 def _eigen_claims(X: WeightVector, k: int, js: Sequence[int]) -> tuple[list[Claim], dict]:
     """Claims and witnesses of the eigenvector check at each j in js.
 
-    One (count, sum) pass over y, then per k-subset S a divided pass,
-    (k+1)^2 steps, and a contraction of k+1 steps per j. The charge is
-    that pass and C(n, k) times the larger of n(k+1) and those per-subset
-    steps.
+    One (count, sum) pass over y, then a divided pass, (k+1)^2 steps, and a
+    contraction of k+1 steps per j for each distinct k-subset sum b_S: the
+    pass over S's own k items is (C(k, a), C(k-1, a-1) b_S) at every size
+    a, so the overlap profile of S, and each j's left-hand side, depends
+    on S only through b_S. Every S is compared with eig_j * b_S, and the
+    witness is the first failing S in colex order. The charge, an upper
+    bound, is that pass and C(n, k) times the larger of n(k+1) and those
+    per-sum steps.
     """
     n = X.n
     if X.is_zero():
@@ -223,16 +230,19 @@ def _eigen_claims(X: WeightVector, k: int, js: Sequence[int]) -> tuple[list[Clai
     mism = {j: 0 for j in js}
     witness: dict = {}
     full = _size_pass(y, k)
+    lhs_of: dict[int, dict[int, int]] = {}  # b_S -> the left-hand side at each j
     for S, bs in zip(subsets_colex(n, k), b):
-        prof = _divided_pass(full, [y[i] for i in S], k)
+        lhs = lhs_of.get(bs)
+        if lhs is None:
+            prof = _divided_pass(full, [y[i] for i in S], k)
+            lhs = lhs_of[bs] = {j: sum(map(mul, coeffs[j], prof)) for j in js}
         for j in js:
-            lhs = sum(map(mul, coeffs[j], prof))
-            if lhs != eigs[j] * bs:
+            if lhs[j] != eigs[j] * bs:
                 mism[j] += 1
                 if j not in witness:
                     witness[j] = {
                         "S": list(S),
-                        "lhs": lhs,
+                        "lhs": lhs[j],
                         "rhs": eigs[j] * bs,
                     }
     claims = [
@@ -253,7 +263,8 @@ def verify_eigenvector(X: WeightVector, j: int, k: int) -> LemmaReport:
     """Check the j-th product matrix maps b to eigenvalue * b, exactly.
 
     Matrix-free: for each row the intersection-size profile of b comes from
-    one divided pass and is contracted against the closed-form coefficients.
+    one divided pass per distinct subset sum and is contracted against the
+    closed-form coefficients.
     """
     n = X.n
     if not (1 <= k <= n and 0 <= j <= k):

@@ -163,6 +163,29 @@ def brute_counts_all_k(int_values):
     return counts
 
 
+def eigen_per_subset(y, k, eigs, size_pass, divided_pass):
+    """({j: mismatches}, {j: first witness}) of the eigenvector check, one divided pass per k-subset.
+
+    The per-subset loop of the check, given the package's two passes: for
+    every k-subset S of range(len(y)), in colex order by sorting, the
+    overlap profile of S is divided_pass(size_pass(y, k), S's values, k),
+    and its contraction with C(k - t, j) at each j in eigs is held
+    against eigs[j] * b_S.
+    """
+    full = size_pass(y, k)
+    mism = {j: 0 for j in eigs}
+    witness = {}
+    for S in sorted(combinations(range(len(y)), k), key=lambda t: t[::-1]):
+        bs = sum(y[i] for i in S)
+        prof = divided_pass(full, [y[i] for i in S], k)
+        for j, eig in eigs.items():
+            lhs = sum(comb(k - t, j) * p for t, p in enumerate(prof))
+            if lhs != eig * bs:
+                mism[j] += 1
+                witness.setdefault(j, {"S": list(S), "lhs": lhs, "rhs": eig * bs})
+    return mism, witness
+
+
 def brute_inclusion_matrix(n, j, k):
     """Rows indexed by j-sets, columns by k-sets, both in colex order."""
     jsets = sorted(combinations(range(n), j), key=lambda t: t[::-1])

@@ -10,7 +10,9 @@ then replaces its target text, which must occur exactly once in its file,
 and the suite runs again with -x. A mutant that some test fails is killed;
 one that passes every test survives, and the runner exits 1.
 tests/test_mutants.py checks in Tier-1 that every target still occurs
-exactly once in src/, so the list cannot go stale unnoticed.
+exactly once in src/, so the list cannot go stale unnoticed. The runs here
+leave that test out: every mutant removes its target, so it would fail it
+and count as killed whatever the other tests do.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ MUTANTS = (
      "sweep_patterns reads a winner one below the bound as no violation"),
     ("src/mmsverify/lemmas.py", 'count, ">=", bound', 'count + 1, ">=", bound',
      "verify_mms_bound reads a count of C(n-1, k-1) - 1 as meeting the theorem's bound"),
+    ("src/mmsverify/scheme.py", "if lhs[j] != eigs[j] * bs:", "if lhs[j] > eigs[j] * bs:",
+     "the eigenvector check reads a left-hand side below eig_j * b_S as equal to it"),
+    ("src/mmsverify/lemmas.py", "if s >= 0:", "if s > 0:",
+     "simulate_partition's folded trials read a block of sum 0 as negative"),
 )
 
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_out")
@@ -42,7 +48,7 @@ def run_suite(root: Path) -> tuple[bool, float, str]:
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"],
+         "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"],
         cwd=root, capture_output=True, text=True,
     )
     failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")]

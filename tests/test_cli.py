@@ -322,6 +322,21 @@ def test_partition_negative_seed_exits_2():
     assert "seed must be >= 0" in err
 
 
+@pytest.mark.parametrize("trials", range(1, 6))
+def test_partition_with_zero_sample_variance_is_not_a_violation(trials):
+    # Z = 3 in each of the first trials, away from E[Z] = 79/28: the
+    # five-standard-error band is empty, so the claim is vacuous, not failed
+    doc, code = run_json("verify", "--lemma", "partition", "--random", "--n", "12", "-k", "3",
+                         "--trials", str(trials))
+    assert code == 0 and doc["verdict"] == "verified"
+    report = doc["report"]
+    assert report["extra"]["std_error"] == 0.0 and report["extra"]["min_Z"] == "3"
+    assert (report["extra"]["empirical_mean"], report["extra"]["exact_expectation"]) == ("3", "79/28")
+    tolerance = report["claims"][1]
+    assert tolerance["satisfied"] is True and tolerance["lhs"] is None
+    assert tolerance["note"].startswith("vacuous: zero sample variance leaves the five-standard-error band empty")
+
+
 @pytest.mark.parametrize(
     "argv,digest",
     [

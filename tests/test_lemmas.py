@@ -196,12 +196,16 @@ def _thirds(n, seed):
 
 def test_simulate_partition_is_one_stream_of_consecutive_shuffles():
     # (13, 3) and (26, 5) leave r = 1 index to U besides T, (12, 3) none.
-    # Trials 1 to 4 straddle the three witness trials; (19, 2) and (18, 1)
+    # Trials 1 to 4 straddle the three witness trials and the first pass
+    # that folds the block sums into the shuffle; (19, 2) and (18, 1)
     # leave 16 and 17 indices, where the draw width steps from 5 bits to 4
     # and the 5-bit draws are rejected about half the time; (26, 5) and (34, 4), the
-    # latter on rationals, are the benchmark's shapes.
+    # latter on rationals, are the benchmark's shapes. At k = 1 the bottom
+    # block is position 0 alone, (8, 4) and (11, 5) leave one block, the
+    # latter with r = 1, and (2, 1) one block of position 0.
     cases = [(13, 3, 1, 700), (12, 3, 9, 500), (26, 5, 4, 300)]
-    cases += [(13, 3, seed, trials) for seed, trials in ((2, 1), (3, 2), (4, 3), (5, 4))]
+    for n, k in ((13, 3), (7, 1), (8, 4), (11, 5), (2, 1), (5, 1)):
+        cases += [(n, k, seed, trials) for seed, trials in ((2, 1), (3, 2), (4, 3), (5, 4), (6, 40))]
     cases += [(19, 2, 6, 400), (18, 1, 7, 400), (26, 5, 11, 3000), (34, 4, 12, 2000)]
     for n, k, seed, trials in cases:
         X = _thirds(n, seed) if n == 34 else gen_random_zero_sum(n, 20, seed=seed)

@@ -24,7 +24,7 @@ from mmsverify.counting import (
 )
 from mmsverify.lemmas import single_overlap_coefficient
 from mmsverify.scheme import verify_eigenvector, verify_eigenvector_all, verify_wilson_identities
-from mmsverify.weights import gen_random_zero_sum, normalize
+from mmsverify.weights import gen_random_zero_sum, gen_star, normalize
 
 from _oracles import (
     brute_count,
@@ -35,6 +35,7 @@ from _oracles import (
     divided_steps,
     dp_steps,
     dp_updates,
+    eigen_per_subset,
     gf_units,
     pass_steps,
     pattern_pairs,
@@ -326,13 +327,20 @@ def test_pass_and_dp_charges_bound_the_units_they_count(X, data):
         assert dp_steps(order, k, counting._STEP_BITS)[1] <= _dp_updates(order, k)
 
 
+def _distinct_sums(y, k):
+    return len({sum(y[i] for i in S) for S in combinations(range(len(y)), k)})
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_eigenvector_charges_bound_the_steps_they_count(n):
     # every pass, division, profile and contraction step of each call, at
-    # every k < n and j <= k; near k = n - 1 the checks of every j take up
-    # to twice C(n, k) passes of n(k+1) steps
+    # every k < n and j <= k, with one divided pass per distinct subset sum;
+    # near k = n - 1 the checks of every j take up to twice C(n, k) passes
+    # of n(k+1) steps
     X = gen_random_zero_sum(n, 20, seed=n)
+    y, _ = X.scaled_ints()
     counted = []
+    divided = []
 
     def size_pass(items, k):
         counted.append(pass_steps(items, k))
@@ -340,6 +348,7 @@ def test_eigenvector_charges_bound_the_steps_they_count(n):
 
     def divided_pass(full, items, k):
         counted.append(divided_steps(items, k))
+        divided.append(k)
         return _divided_pass(full, items, k)
 
     def mul(a, b):
@@ -352,8 +361,62 @@ def test_eigenvector_charges_bound_the_steps_they_count(n):
                 lambda j=j: verify_eigenvector(X, j, k) for j in range(k + 1)
             ]:
                 counted.clear()
+                divided.clear()
                 (charged,) = _charges(scheme, call)
-                assert len(counted) > binomial(n, k) and sum(counted) <= charged, (n, k)
+                assert len(divided) == _distinct_sums(y, k) and sum(counted) <= charged, (n, k)
+
+
+@st.composite
+def two_valued_vectors(draw, n_max=9):
+    """p copies of (n - p) * c and n - p copies of -p * c: zero-sum, two values."""
+    n = draw(st.integers(min_value=2, max_value=n_max))
+    p = draw(st.integers(min_value=1, max_value=n - 1))
+    c = draw(st.sampled_from((1, 3, Fraction(1, 2))))
+    return normalize([(n - p) * c] * p + [-p * c] * (n - p))
+
+
+eigen_vectors = st.one_of(
+    zero_sum_vectors(n_min=2, n_max=9, magnitude=12),
+    rational_vectors(n_max=9),
+    st.integers(min_value=2, max_value=9).map(gen_star),
+    two_valued_vectors(),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(eigen_vectors, st.data())
+def test_per_sum_profiles_match_the_per_subset_oracle(X, data):
+    # the mismatch counts and witnesses of every j, with the true eigenvalues
+    # and with each patched off by one, are the oracle's, and each call makes
+    # exactly one divided pass per distinct k-subset sum
+    assume(X.n >= 2 and not X.is_zero())
+    n = X.n
+    k = data.draw(st.integers(min_value=1, max_value=n - 1))
+    y, _ = X.scaled_ints()
+    real = scheme.bose_mesner_eigenvalue
+    calls = []
+
+    def divided_pass(full, items, k):
+        calls.append(sum(items))
+        return _divided_pass(full, items, k)
+
+    for off in (0, 1):
+        eigs = {j: real(n, k, j) + off for j in range(k + 1)}
+        mism, witness = eigen_per_subset(y, k, eigs, _size_pass, _divided_pass)
+        assert off or not any(mism.values())
+        with patch.multiple(
+            scheme, _divided_pass=divided_pass, bose_mesner_eigenvalue=lambda n, k, j: real(n, k, j) + off
+        ):
+            calls.clear()
+            report = verify_eigenvector_all(X, k)
+            assert len(calls) == len(set(calls)) == _distinct_sums(y, k)
+            assert [c.lhs for c in report.claims[1:]] == [mism[j] for j in range(k + 1)]
+            assert (report.witness or {}) == witness
+            for j in range(k + 1):
+                calls.clear()
+                report = verify_eigenvector(X, j, k)
+                assert len(calls) == _distinct_sums(y, k)
+                assert report.claims[1].lhs == mism[j] and report.witness == witness.get(j)
 
 
 def test_dp_charge_weighs_wide_products():

@@ -7,6 +7,7 @@ both are written chunk by chunk, never held whole.
 import json
 import sys
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from _oracles import render_text
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmsverify import cli
-from mmsverify.report import BitRow
+from mmsverify.report import BitRow, ColexIndex
 
 TRICKY_TEXT = ('quo"te', "back\\slash", "tab\tnew\nline\x00\x1f", "café ∀ε", "\U0001d49c", "")
 
@@ -78,35 +79,46 @@ def test_streamed_text_equals_one_string_renderer(inputs, report):
 
 
 def _bits(value):
-    """json.dumps's default hook: a BitRow is the list of its entries."""
+    """json.dumps's default hook: a BitRow is the list of its entries, a ColexIndex the list of its subsets."""
     if isinstance(value, BitRow):
         return [value.bits >> c & 1 for c in range(value.width)]
+    if isinstance(value, ColexIndex):
+        return [list(subset) for subset in value]
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _unpacked(value):
-    """value with every BitRow replaced by the list of its entries."""
+    """value with every BitRow and ColexIndex replaced by the list _bits makes of it."""
     if isinstance(value, dict):
         return {key: _unpacked(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_unpacked(item) for item in value]
-    return _bits(value) if isinstance(value, BitRow) else value
+    return _bits(value) if isinstance(value, (BitRow, ColexIndex)) else value
 
 
 bit_rows = st.integers(0, 140).flatmap(
     lambda width: st.integers(0, (1 << width) - 1).map(lambda bits: BitRow(bits, width))
 )
+colex_indexes = st.integers(0, 7).flatmap(lambda n: st.integers(0, n).map(lambda m: ColexIndex(n, m)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.recursive(bit_rows | scalars, lambda inner: st.lists(inner, max_size=4)
+@given(st.recursive(bit_rows | colex_indexes | scalars, lambda inner: st.lists(inner, max_size=4)
                     | st.dictionaries(keys, inner, max_size=4), max_leaves=12))
 def test_bit_rows_render_as_arrays_of_their_entries(report):
-    # width 0 and a top bit of 0 included; bit c is entry c
+    # width 0 and a top bit of 0 included; bit c is entry c. A ColexIndex
+    # renders as the array of its subsets, m = 0 (one empty subset) included
     doc = _text_doc(report)
     want = json.dumps(doc, sort_keys=True, indent=2, default=_bits) + "\n"
     assert "".join(cli._render(doc, "json")) == want
     assert "".join(cli._render(doc, "text")) == render_text(_unpacked(doc))
+
+
+def test_colex_index_lists_the_subsets_in_colex_order():
+    for n in range(7):
+        for m in range(n + 1):
+            want = sorted(combinations(range(n), m), key=lambda t: t[::-1])
+            assert list(ColexIndex(n, m)) == want and len(ColexIndex(n, m)) == len(want)
 
 
 def test_every_subcommand_document_renders_as_indented_dumps(monkeypatch, tmp_path):
@@ -149,10 +161,11 @@ class _CountingSink:
         pass
 
 
-# tracemalloc peak of one spectrum run at (16, 2, 5): 730-890 kB (json) and
-# 435-545 kB (text) on Python 3.11, the higher figure in a fresh process; the
-# rows took 4.2 MB when they were tuples of 0/1 entries
-@pytest.mark.parametrize("fmt,bound", [("json", 1_000_000), ("text", 650_000)], ids=["json", "text"])
+# tracemalloc peak of one spectrum run at (16, 2, 5): 513 kB (json) and
+# 503 kB (text) in a fresh process on Python 3.11; json took 730-890 kB when
+# the column index was a whole list of 4,368 tuples, and the rows took
+# 4.2 MB when they were tuples of 0/1 entries
+@pytest.mark.parametrize("fmt,bound", [("json", 650_000), ("text", 650_000)], ids=["json", "text"])
 def test_spectrum_prints_within_a_fixed_peak(monkeypatch, fmt, bound):
     argv = ["spectrum", "--kind", "inclusion", "--n", "16", "-j", "2", "-k", "5", "--format", fmt]
     sink = _CountingSink()
