@@ -1,13 +1,15 @@
 """Exact combinatorics kernel: binomials, the budget, colex order and value records.
 
 Everything here is arbitrary-precision integer arithmetic. colex() is the
-one subset-list builder: every list of subset sums, bitmasks or index
-tuples in the package, the two-list counter's included, comes from it in
-colex order.
+one subset-list builder: every list of subset sums or bitmasks in the
+package, the two-list counter's included, comes from it in colex order.
+Index tuples come from subsets_colex, which reads itertools.combinations
+backwards instead of concatenating tuples level by level.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 from typing import Any, Sequence
 
@@ -153,3 +155,19 @@ def colex(items: Sequence[Any], k: int, empty: Any = 0) -> list[Any]:
         level = nxt
     return level
 
+
+def subsets_colex(n: int, m: int) -> list[tuple[int, ...]]:
+    """All m-subsets of {0..n-1} as index tuples in colex order (m = 0 gives the empty set).
+
+    Lex order over the ground read backwards is colex order reversed, so
+    each tuple of combinations(range(n-1, -1, -1), m) is read backwards
+    and the list reversed: one tuple made per subset, where colex's levels
+    would concatenate about m^3/3 elements at m near n. It is charged as
+    colex([(i,) for i in range(n)], m, ()) is.
+    """
+    if not 0 <= m <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={m}, n={n}")
+    charge(binomial(n + 1, m), f"colex levels of the C({n},{m}) subsets")
+    out = [S[::-1] for S in combinations(range(n - 1, -1, -1), m)]
+    out.reverse()
+    return out

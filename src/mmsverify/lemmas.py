@@ -247,9 +247,10 @@ def simulate_partition(
     rather than their indices; only the three witness trials swap the
     indices, so every report is the one that shuffling the indices in
     every trial gives. From trial 3 on each block's sum is added up as
-    the pass fixes its positions, and Z is counted from those sums
-    without slicing the list. Python does not promise shuffle's draws across
-    versions; test_simulate_partition_is_one_stream_of_consecutive_shuffles
+    the pass fixes its positions, and Z is counted as each block ends,
+    with no list of sums and no slicing. Python does not promise
+    shuffle's draws across versions;
+    test_simulate_partition_is_one_stream_of_consecutive_shuffles
     replays random.Random.shuffle itself and guards the equivalence.
     Z >= 1 must hold in every trial, and the empirical mean is held against the
     exact expectation (m-1) |F| / C((m-1)k, k) within five standard errors.
@@ -302,22 +303,24 @@ def simulate_partition(
     # random.Random.shuffle's own draws, inlined: from the last position i
     # down to 1, j = getrandbits((i + 1).bit_length()), redrawn while j > i,
     # then positions i and j swap
-    plan = [(i, i + 1, (i + 1).bit_length()) for i in range(len(rest) - 1, 0, -1)]
+    plan = [(i, (i + 1).bit_length()) for i in range(len(rest) - 1, 0, -1)]
     # a pass fixes position i once it has swapped, and block b is positions
     # bk..bk+k-1, so from trial 3 on the value swapped into i joins its
     # block's sum. block_plans holds the plan's steps block by block, top
-    # block first; the bottom block's lack position 0 (all of it at k = 1),
-    # whose value joins that block's sum when the pass ends
+    # block first. The bottom block's steps end with (0, 0), which adds
+    # vals[0] to its sum: getrandbits(0) is 0 and takes nothing from the
+    # stream
     block_plans = [plan[a : a + k] for a in range(0, blocks * k, k)]
+    block_plans[-1].append((0, 0))
     perm = rest[:]
     cuts = range(0, blocks * k, k)
     tally = [0] * (blocks + 1)
     samples: list[dict] = []
     for t in range(trials):
         if t < 3:  # the witness trials swap the indices; trial 0 binds vals
-            for i, bound, width in plan:
+            for i, width in plan:
                 j = draw(width)
-                while j >= bound:
+                while j > i:
                     j = draw(width)
                 perm[i], perm[j] = perm[j], perm[i]
             vals = [y[i] for i in perm]
@@ -328,21 +331,17 @@ def simulate_partition(
             parts = [sorted(perm[a : a + k]) for a in cuts]
             samples.append({"trial": t, "permutation": perm[:], "parts": parts, "Z": z})
         else:
-            sums = []
+            z = 0
             for steps in block_plans:
                 s = 0
-                for i, bound, width in steps:
+                for i, width in steps:
                     j = draw(width)
-                    while j >= bound:
+                    while j > i:
                         j = draw(width)
                     v = vals[j]
                     vals[j] = vals[i]
                     vals[i] = v
                     s += v
-                sums.append(s)
-            sums[-1] += vals[0]
-            z = 0
-            for s in sums:
                 if s >= 0:
                     z += 1
         tally[z] += 1

@@ -11,7 +11,7 @@ import operator
 from fractions import Fraction
 from typing import Any
 
-from .combinat import _Record, binomial, colex
+from .combinat import _Record, binomial, subsets_colex
 
 __all__ = [
     "BitRow",
@@ -91,10 +91,22 @@ class ColexIndex:
     def __init__(self, n: int, m: int) -> None:
         self.n = n
         self.m = m
-        self._lower = colex([(i,) for i in range(n - 1)], m - 1, ()) if m else []
+        self._lower = subsets_colex(n - 1, m - 1) if m else []
 
     def __len__(self) -> int:
         return binomial(self.n, self.m)
+
+    def __getitem__(self, c: int) -> tuple[int, ...]:
+        """The c-th subset: its top index t has C(t, m) <= c < C(t+1, m)."""
+        if not 0 <= c < len(self):
+            raise IndexError(f"colex index {c} out of range for C({self.n},{self.m})")
+        m = self.m
+        if not m:
+            return ()
+        t = m - 1
+        while binomial(t + 1, m) <= c:
+            t += 1
+        return self._lower[c - binomial(t, m)] + (t,)
 
     def __iter__(self):
         m = self.m

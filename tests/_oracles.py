@@ -205,6 +205,18 @@ def brute_kneser_matrix(n, j, k):
     ]
 
 
+def singleton_rows(n, m):
+    """(rows, full) over the colex m-subsets of range(n), by testing each subset's mask for each index.
+
+    Bit c of row i is 1 when the c-th m-subset holds i; full has all
+    C(n, m) bits set. The shift-built rows of scheme._singletons are held
+    to these.
+    """
+    masks = [sum(1 << i for i in S) for S in sorted(combinations(range(n), m), key=lambda t: t[::-1])]
+    rows = [sum(1 << c for c, mask in enumerate(masks) if mask >> i & 1) for i in range(n)]
+    return rows, (1 << len(masks)) - 1
+
+
 def bose_mesner_entry(S, T, j):
     """Closed-form entry C(k - |S intersect T|, j) of the j-th product matrix, for two KSubsets."""
     if S.n != T.n or S.k != T.k:

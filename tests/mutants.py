@@ -34,10 +34,14 @@ MUTANTS = (
      "sweep_patterns reads a winner one below the bound as no violation"),
     ("src/mmsverify/lemmas.py", 'count, ">=", bound', 'count + 1, ">=", bound',
      "verify_mms_bound reads a count of C(n-1, k-1) - 1 as meeting the theorem's bound"),
-    ("src/mmsverify/scheme.py", "if lhs[j] != eigs[j] * bs:", "if lhs[j] > eigs[j] * bs:",
+    ("src/mmsverify/scheme.py", "a + slope * bs != eigs[j] * bs", "a + slope * bs > eigs[j] * bs",
      "the eigenvector check reads a left-hand side below eig_j * b_S as equal to it"),
     ("src/mmsverify/lemmas.py", "if s >= 0:", "if s > 0:",
      "simulate_partition's folded trials read a block of sum 0 as negative"),
+    ("src/mmsverify/scheme.py", "coef_b = binomial(n - j - 1, k - j)", "coef_b = binomial(n - j, k - j)",
+     "Wilson's identity (b) is held against the wrong coefficient C(n-j, k-j)"),
+    ("src/mmsverify/scheme.py", "coef_c = -binomial(n - k - 1, j - 1)", "coef_c = -binomial(n - k, j - 1)",
+     "Wilson's identity (c) is held against the wrong coefficient -C(n-k, j-1)"),
 )
 
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_out")

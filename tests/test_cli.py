@@ -74,7 +74,7 @@ def test_generators_over_size_limit_exit_2_before_allocating():
 def test_eigenvector_over_pair_budget_exits_2_with_a_message():
     for extra in ([], ["-j", "2"]):
         started = time.perf_counter()
-        out, err, code = run_captured(["verify", "--lemma", "eigenvector", "--random", "--n", "30", "-k", "5", *extra])
+        out, err, code = run_captured(["verify", "--lemma", "eigenvector", "--random", "--n", "30", "-k", "8", *extra])
         assert time.perf_counter() - started < 1.0
         assert code == 2
         assert out == ""

@@ -1,5 +1,7 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, groupby
+from operator import mul
 from unittest.mock import patch
 
 import pytest
@@ -29,6 +31,7 @@ from mmsverify.weights import gen_random_zero_sum, gen_star, normalize
 from _oracles import (
     brute_count,
     brute_family,
+    brute_kneser_matrix,
     brute_overlap_profile,
     brute_restricted_sum,
     colex_entries,
@@ -42,6 +45,7 @@ from _oracles import (
     rank_colex,
     satisfies,
     size_pass_closed_form,
+    transpose,
     unrank_colex,
 )
 
@@ -327,18 +331,15 @@ def test_pass_and_dp_charges_bound_the_units_they_count(X, data):
         assert dp_steps(order, k, counting._STEP_BITS)[1] <= _dp_updates(order, k)
 
 
-def _distinct_sums(y, k):
-    return len({sum(y[i] for i in S) for S in combinations(range(len(y)), k)})
-
-
 @pytest.mark.parametrize("n", range(2, 13))
 def test_eigenvector_charges_bound_the_steps_they_count(n):
-    # every pass, division, profile and contraction step of each call, at
-    # every k < n and j <= k, with one divided pass per distinct subset sum;
-    # near k = n - 1 the checks of every j take up to twice C(n, k) passes
-    # of n(k+1) steps
+    # every pass, division and contraction step, every entry of colex's
+    # levels, each k-subset counted into the multiplicities, each distinct
+    # sum read or weighed and, once some j fails, the witnesses' first-index
+    # table and index list; at every k < n and j <= k, with the true
+    # eigenvalues and with each one off by one, and exactly two divided
+    # passes per call
     X = gen_random_zero_sum(n, 20, seed=n)
-    y, _ = X.scaled_ints()
     counted = []
     divided = []
 
@@ -355,15 +356,86 @@ def test_eigenvector_charges_bound_the_steps_they_count(n):
         counted.append(1)
         return a * b
 
-    with patch.multiple(scheme, _size_pass=size_pass, _divided_pass=divided_pass, mul=mul):
-        for k in range(1, n):
-            for call in [lambda: verify_eigenvector_all(X, k)] + [
-                lambda j=j: verify_eigenvector(X, j, k) for j in range(k + 1)
-            ]:
-                counted.clear()
-                divided.clear()
-                (charged,) = _charges(scheme, call)
-                assert len(divided) == _distinct_sums(y, k) and sum(counted) <= charged, (n, k)
+    class Tally(Counter):
+        def __iter__(self):
+            for value in super().__iter__():
+                counted.append(1)
+                yield value
+
+        def __getitem__(self, value):
+            counted.append(1)
+            return super().__getitem__(value)
+
+    def tally(values):
+        counted.append(len(values))
+        return Tally(values)
+
+    real = scheme.bose_mesner_eigenvalue
+    for off in (0, 1):
+        with patch.multiple(
+            scheme,
+            _size_pass=size_pass,
+            _divided_pass=divided_pass,
+            mul=mul,
+            Counter=tally,
+            colex=lambda items, c, empty=0: colex_entries(items, c, empty, counted),
+            bose_mesner_eigenvalue=lambda n, k, j: real(n, k, j) + off,
+        ):
+            for k in range(1, n):
+                for call in [lambda: verify_eigenvector_all(X, k)] + [
+                    lambda j=j: verify_eigenvector(X, j, k) for j in range(k + 1)
+                ]:
+                    counted.clear()
+                    divided.clear()
+                    reports = []
+                    (charged,) = _charges(scheme, lambda: reports.append(call()))
+                    if reports[0].witness is not None:  # the first-index table and ColexIndex's list
+                        counted.append(binomial(n, k) + binomial(n - 1, k - 1))
+                    assert len(divided) == 2 and sum(counted) <= charged, (n, k, off)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kneser_apply_is_the_kneser_transpose_times_any_vector(data):
+    # arbitrary integer vectors, not only j-subset sums: the transform must
+    # not lean on bj being a subset-sum vector
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    for j in range(k + 1):
+        size = binomial(n, j)
+        bj = data.draw(st.lists(st.integers(-(10**12), 10**12), min_size=size, max_size=size))
+        columns = transpose(brute_kneser_matrix(n, j, k))
+        assert scheme._kneser_apply(n, j, k, bj) == [sum(map(mul, col, bj)) for col in columns], (n, j, k)
+
+
+def test_zeta_entries_stay_within_wilsons_charge():
+    # every entry the truncated zeta transform builds for Wilson (c): each
+    # level's sums, colex's levels at j = 1 and the constant lists, with
+    # each call's result counted once more, against the packed rows that
+    # verify_wilson_identities charges
+    built = []
+    real_zeta = scheme._zeta
+
+    def zeta(*args):
+        out = real_zeta(*args)
+        built.append(len(out))
+        return out
+
+    def add(a, b):
+        built.append(1)
+        return a + b
+
+    spies = {"_zeta": zeta, "add": add, "colex": lambda items, c, empty=0: colex_entries(items, c, empty, built)}
+    for n in range(2, 9):
+        X = gen_random_zero_sum(n, 9, seed=n)
+        y, _ = X.scaled_ints()
+        for k in range(1, n + 1):
+            for j in range(k + 1):
+                rows, _ = _charges(scheme, lambda: verify_wilson_identities(X, j, k))
+                built.clear()
+                with patch.multiple(scheme, **spies):
+                    scheme._kneser_apply(n, j, k, colex(y, j))
+                assert sum(built) <= rows, (n, j, k)
 
 
 @st.composite
@@ -388,7 +460,7 @@ eigen_vectors = st.one_of(
 def test_per_sum_profiles_match_the_per_subset_oracle(X, data):
     # the mismatch counts and witnesses of every j, with the true eigenvalues
     # and with each patched off by one, are the oracle's, and each call makes
-    # exactly one divided pass per distinct k-subset sum
+    # exactly two divided passes, of k zeros and of a one and k - 1 zeros
     assume(X.n >= 2 and not X.is_zero())
     n = X.n
     k = data.draw(st.integers(min_value=1, max_value=n - 1))
@@ -409,13 +481,13 @@ def test_per_sum_profiles_match_the_per_subset_oracle(X, data):
         ):
             calls.clear()
             report = verify_eigenvector_all(X, k)
-            assert len(calls) == len(set(calls)) == _distinct_sums(y, k)
+            assert calls == [0, 1]
             assert [c.lhs for c in report.claims[1:]] == [mism[j] for j in range(k + 1)]
             assert (report.witness or {}) == witness
             for j in range(k + 1):
                 calls.clear()
                 report = verify_eigenvector(X, j, k)
-                assert len(calls) == _distinct_sums(y, k)
+                assert calls == [0, 1]
                 assert report.claims[1].lhs == mism[j] and report.witness == witness.get(j)
 
 

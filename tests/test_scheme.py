@@ -16,13 +16,26 @@ from mmsverify.scheme import (
 )
 from mmsverify.weights import gen_random_zero_sum, gen_star, normalize
 
-from _oracles import bose_mesner_entry, brute_inclusion_matrix, brute_kneser_matrix, matmul, transpose
+from _oracles import (
+    bose_mesner_entry,
+    brute_inclusion_matrix,
+    brute_kneser_matrix,
+    matmul,
+    singleton_rows,
+    transpose,
+)
 
 
 def test_subsets_colex_ordering():
     got = subsets_colex(4, 2)
     assert got == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
     assert subsets_colex(5, 0) == [()]
+
+
+def test_shifted_singleton_rows_match_the_mask_testing_oracle():
+    for n in range(11):
+        for m in range(n + 1):
+            assert scheme._singletons(n, m) == singleton_rows(n, m), (n, m)
 
 
 def test_structure_matrices_match_brute():
@@ -173,12 +186,12 @@ def test_star_is_genuine_eigenvector_case():
 def test_pair_loops_refuse_over_budget_fast():
     # C(24,12)^2 pairs are far over the enumeration budget, although the
     # factorization's C(24,0) x C(24,12) entries fit it; the eigenvector
-    # checks' C(30,5) passes of 30 * 6 steps (2.6e7) are over it too
+    # checks' C(30,8) subsets of at least 5 steps each (2.9e7) are over it too
     X = gen_random_zero_sum(30, 10, seed=1)
     for check in (
         lambda: verify_factorization(24, 0, 12),
-        lambda: verify_eigenvector(X, 2, 5),
-        lambda: verify_eigenvector_all(X, 5),
+        lambda: verify_eigenvector(X, 2, 8),
+        lambda: verify_eigenvector_all(X, 8),
     ):
         started = time.perf_counter()
         with pytest.raises(ValueError, match="enumeration budget"):
@@ -200,8 +213,8 @@ class _Admitted(Exception):
 
 def test_step_rule_admits_eigenvector_all_at_16_5_and_18_5(monkeypatch):
     # the step rule is checked before the first pass, so reaching a pass
-    # means admitted; no check runs here. C(20,5) passes of 20 * 6 steps
-    # are 1.9e6.
+    # means admitted; no check runs here. C(20,5) subsets of 15 steps and
+    # colex's levels are about 2.5e5 steps.
     def reached(*args, **kwargs):
         raise _Admitted
 
@@ -212,8 +225,7 @@ def test_step_rule_admits_eigenvector_all_at_16_5_and_18_5(monkeypatch):
 
 
 def test_eigenvector_all_at_1581_1_answers_fast():
-    # 1,581 passes of 1,581 * 2 steps are charged, just under the budget,
-    # but each one-index block's divided pass takes a few steps
+    # 1,581 subsets of 7 steps each and two divided passes of a few steps
     X = gen_random_zero_sum(1581, 100, seed=1)
     started = time.perf_counter()
     assert verify_eigenvector_all(X, 1).verdict == "verified"
