@@ -13,18 +13,18 @@ Kneser row the complement of their OR, and an inner product is an AND and
 a popcount. A StructureMatrix keeps its rows packed the same way, and the
 CLI prints each from its int; its row and column index arrays are
 ColexIndex objects, made as they are printed. Sums of b by overlap with a
-block come from counting's divided pass. A k-subset's left-hand side in
-the eigenvector check is affine in its sum b_S, so two divided passes
-serve every subset. Wilson's identity (c) sums a table of signed superset
-sums over every k-subset at once, by a truncated zeta transform. Before
-any work, ENUM_BUDGET caps the entries built or packed, the pass steps
-and the factorization's pairs.
+block come from counting's divided pass, which is affine in the block's sum
+(_affine): two divided passes give the left-hand side of every row of the
+eigenvector check and of Wilson's identities (b) and (c), and each distinct
+sum is compared once, weighed by how many subsets have it. Before any work,
+ENUM_BUDGET caps the entries built or packed, the pass steps and the
+factorization's pairs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from operator import add, mul
+from operator import mul
 from typing import Sequence
 
 from .combinat import _Record, binomial, charge, colex, subsets_colex
@@ -41,11 +41,6 @@ __all__ = [
     "verify_factorization",
     "verify_wilson_identities",
 ]
-
-
-def masks_colex(n: int, m: int) -> list[int]:
-    """Bitmasks of all m-subsets of {0..n-1} in colex order."""
-    return colex([1 << i for i in range(n)], m)
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -169,7 +164,7 @@ def verify_factorization(n: int, j: int, k: int) -> LemmaReport:
         raise ValueError(f"need 0 <= j <= k <= n, got j={j}, k={k}, n={n}")
     columns = binomial(n, k)
     charge((binomial(n, j) + columns) * columns, f"C({n},{j}) x C({n},{k}) entries and C({n},{k})^2 pairs")
-    km = masks_colex(n, k)
+    km = colex([1 << i for i in range(n)], k)
     ksets = subsets_colex(n, k)
     singles, full = _singletons(n, j)
     incl_cols = [_miss(singles, full, [i for i in range(n) if i not in S]) for S in ksets]
@@ -205,18 +200,39 @@ def verify_factorization(n: int, j: int, k: int) -> LemmaReport:
     )
 
 
+def _affine(full: tuple[list[int], list[int]], size: int, level: int) -> tuple[list[int], list[int]]:
+    """(alpha, slope): entry t of the divided pass of any block of size items with sum s is alpha[t] + slope[t] * s.
+
+    full is a (count, sum) pass over y to level or beyond; the division
+    reads it only to level. A block's own pass is (C(size, a),
+    C(size-1, a-1) s) at every size a, and the division is linear in the
+    sum series, so the blocks of size zeros and of a one and size-1 zeros
+    give alpha and alpha + slope. The empty block has sum 0 and one pass.
+    """
+    alpha = _divided_pass(full, [0] * size, level)
+    if not size:
+        return alpha, [0] * len(alpha)
+    one = _divided_pass(full, [1] + [0] * (size - 1), level)
+    return alpha, [u - a for u, a in zip(one, alpha)]
+
+
+def _mismatches(mult: Counter, a: int, slope: int, coef: int) -> tuple[int, list[int]]:
+    """(count, failing sums): the sums s in mult where the left-hand side a + slope s is not coef s.
+
+    The count weighs each failing sum by its multiplicity. A Counter keeps
+    its sums in order of first appearance, so the first failing sum is
+    that of the first failing subset in colex order.
+    """
+    bad = [s for s in mult if a + slope * s != coef * s]
+    return sum(map(mult.__getitem__, bad)), bad
+
+
 def _eigen_claims(X: WeightVector, k: int, js: Sequence[int]) -> tuple[list[Claim], dict]:
     """Claims and witnesses of the eigenvector check at each j in js.
 
     Row S of (Wbar^T W) b is the contraction, against C(k - t, j), of
-    the divided pass of S's own k items. That pass is (C(k, a),
-    C(k-1, a-1) b_S) at every size a, and the division is linear in the
-    sum series, so each j's left-hand side is alpha_j + beta_j b_S
-    exactly: the divided passes of k zeros and of a one and k-1 zeros
-    give alpha_j and alpha_j + beta_j. Mismatches are counted once per
-    distinct b_S, weighted by its multiplicity; a Counter keeps its sums
-    in order of first appearance, so the first failing one names the
-    witness, the first failing S in colex order. The charge is one pass
+    the divided pass of S's own k items, so each j's left-hand side is
+    alpha_j + beta_j b_S, contracted from _affine. The charge is one pass
     over y, the two divided passes and their contractions at each j,
     colex's levels, the count of zero sums, and per k-subset one step for
     the multiplicity count, two for the witnesses' first-index table and
@@ -241,19 +257,15 @@ def _eigen_claims(X: WeightVector, k: int, js: Sequence[int]) -> tuple[list[Clai
     y, _ = X.scaled_ints()
     b = colex(y, k)
     mult = Counter(b)
-    full = _size_pass(y, k)
     coeffs = {j: [binomial(k - m, j) for m in range(k + 1)] for j in js}
     eigs = {j: bose_mesner_eigenvalue(n, k, j) for j in js}
-    alpha = _divided_pass(full, [0] * k, k)
-    one = _divided_pass(full, [1] + [0] * (k - 1), k)
+    alpha, slopes = _affine(_size_pass(y, k), k, k)
     mism = {}
     witness: dict = {}
     first: dict[int, int] = {}  # b_S -> its first colex index, built at the first failure
     for j in js:
-        a = sum(map(mul, coeffs[j], alpha))
-        slope = sum(map(mul, coeffs[j], one)) - a
-        bad = [bs for bs in mult if a + slope * bs != eigs[j] * bs]
-        mism[j] = sum(map(mult.__getitem__, bad))
+        a, slope = sum(map(mul, coeffs[j], alpha)), sum(map(mul, coeffs[j], slopes))
+        mism[j], bad = _mismatches(mult, a, slope, eigs[j])
         if bad:
             bs = bad[0]
             if not first:  # written from the end, so each sum keeps its smallest index
@@ -278,8 +290,8 @@ def verify_eigenvector(X: WeightVector, j: int, k: int) -> LemmaReport:
     """Check the j-th product matrix maps b to eigenvalue * b, exactly.
 
     Matrix-free: each row's left-hand side is affine in its subset sum,
-    read off two divided passes contracted against the closed-form
-    coefficients.
+    read off _affine's two divided passes contracted against the
+    closed-form coefficients.
     """
     n = X.n
     if not (1 <= k <= n and 0 <= j <= k):
@@ -308,58 +320,6 @@ def verify_eigenvector_all(X: WeightVector, k: int) -> LemmaReport:
     )
 
 
-def _zeta(g: dict[int, int], n: int, m: int, j: int, base: int = 0) -> list[int]:
-    """Over the colex m-subsets S of range(n), the sum of g[base | A] over A inside S with |A| <= j.
-
-    The m-subsets with top index t are the first C(t, m-1) colex
-    (m-1)-subsets S' of range(t), each joined to t, and an A inside
-    S' + {t} either misses t or is t joined to an A' inside S' with
-    |A'| <= j - 1. So, as colex builds its levels, level r adds to each
-    of the first C(t, r-1) entries of level r-1 the matching entry of
-    _zeta(g, t, r-1, j-1, base | 1 << t). At j = 1 that is colex over
-    the singleton weights, and at j = 0 (or m = 0) a constant.
-    """
-    if j == 0 or m == 0:
-        return [g[base]] * binomial(n, m)
-    if j == 1:
-        return colex([g[base | 1 << i] for i in range(n)], m, g[base])
-    level = [g[base]]
-    for r in range(1, m + 1):
-        nxt: list[int] = []
-        for t in range(r - 1, n - m + r):
-            nxt += map(add, level[: binomial(t, r - 1)], _zeta(g, t, r - 1, j - 1, base | 1 << t))
-        level = nxt
-    return level
-
-
-def _kneser_apply(n: int, j: int, k: int, bj: Sequence[int]) -> list[int]:
-    """Wbar_jk^T bj: entry S, over the colex k-subsets, sums bj over the j-subsets missing S.
-
-    By inclusion-exclusion on the actual bj, entry S is the sum over A
-    inside S with |A| <= j of (-1)^|A| U(A), where U(A) sums bj over the
-    j-subsets holding A. The signed U comes from one walk over each
-    j-subset's 2^j subsets: C(n, j) 2^j <= C(n, j) C(n, k) visits, since
-    2^j <= C(2j, j) <= C(n, k) when j <= k and j <= n - k. When j > n - k
-    no j-subset misses a k-subset and every entry is 0, with no visits.
-    Otherwise the truncated zeta transform _zeta sums the table over
-    every S at once. Over every input with n <= 60 that the charges
-    admit, it builds at most 0.625 times (0.45 from n = 4 on) the
-    C(n, j) C(n, k) + n C(n, k) entries that verify_wilson_identities
-    charges for its packed rows.
-    """
-    if j > n - k:
-        return [0] * binomial(n, k)
-    signed: dict[int, int] = {}
-    for ym, bv in zip(masks_colex(n, j), bj):
-        sub = ym
-        while True:
-            signed[sub] = signed.get(sub, 0) + (-bv if sub.bit_count() & 1 else bv)
-            if not sub:
-                break
-            sub = (sub - 1) & ym
-    return _zeta(signed, n, k, j)
-
-
 def verify_wilson_identities(X: WeightVector, j: int, k: int) -> LemmaReport:
     """Exact checks of the three inclusion/Kneser product identities.
 
@@ -370,23 +330,25 @@ def verify_wilson_identities(X: WeightVector, j: int, k: int) -> LemmaReport:
 
     For (a) the n rows of W_1k are packed, one int of C(n, k) bits each,
     and each row of W_jk is the AND of its j-subset's rows, so each entry
-    is one AND and a popcount. (b) takes one pass over y and one divided
-    pass per j-subset, and (c) comes from _kneser_apply. The C(n, j) + n
-    packed rows of C(n, k) entries are charged, and so are the steps of
-    (b)'s passes.
+    is one AND and a popcount. (W_jk b)_Y sums b over the k-subsets
+    meeting Y in j places, entry j of Y's divided pass; (Wbar_jk^T bj)_S
+    sums bj over the j-subsets missing S, entry 0 of S's divided pass at
+    level j. Both are affine in the block's sum, so each identity takes
+    two divided passes from _affine, one pair serving both when j = k,
+    after one pass over y, and compares each distinct sum once. The
+    C(n, j) + n packed rows of C(n, k) entries are charged, and so are
+    the steps of the passes.
     """
     n = X.n
     if not (1 <= k <= n and 0 <= j <= k):
         raise ValueError(f"need 1 <= k <= n and 0 <= j <= k, got n={n}, k={k}, j={j}")
     charge((binomial(n, j) + n) * binomial(n, k), f"entries of C({n},{j}) + {n} packed rows of C({n},{k})")
     charge(
-        _pass_steps(n, k) + binomial(n, j) * _divided_steps(j, k),
-        f"steps of one pass over {n} items and C({n},{j}) divided passes",
+        _pass_steps(n, k) + 2 * (_divided_steps(j, k) + (j < k) * _divided_steps(k, j)),
+        f"steps of one pass over {n} items and the divided passes of blocks of {j} and {k} items",
     )
     y, _ = X.scaled_ints()
     jsets = subsets_colex(n, j)
-    b = colex(y, k)
-    bj = colex(y, j)
 
     # (a) entries of W_jk W_1k^T: count k-supersets of (j-subset union singleton)
     in_val = binomial(n - j, k - j)
@@ -404,17 +366,15 @@ def verify_wilson_identities(X: WeightVector, j: int, k: int) -> LemmaReport:
                 if witness_a is None:
                     witness_a = {"S": list(Y), "t": t, "got": got, "want": want}
 
-    # (b) (W_jk b)_Y, the k-subsets meeting Y in j places, against C(n-j-1, k-j) * b_Y
+    # (b) (W_jk b)_Y against C(n-j-1, k-j) * b_Y, and (c) (Wbar_jk^T bj)_S
+    # against -C(n-k-1, j-1) * b_S; the pass over y to level k serves level j
+    passes = _size_pass(y, k)
+    alpha_b, slope_b = _affine(passes, j, k)
+    alpha_c, slope_c = (alpha_b, slope_b) if j == k else _affine(passes, k, j)
     coef_b = binomial(n - j - 1, k - j)
-    full_pass = _size_pass(y, k)
-    mism_b = 0
-    for Y, bY in zip(jsets, bj):
-        if _divided_pass(full_pass, [y[i] for i in Y], k)[j] != coef_b * bY:
-            mism_b += 1
-
-    # (c) Wbar_jk^T (W_1j^T x) against -C(n-k-1, j-1) * (k-subset sums)
+    mism_b, _ = _mismatches(Counter(colex(y, j)), alpha_b[j], slope_b[j], coef_b)
     coef_c = -binomial(n - k - 1, j - 1)
-    mism_c = sum(1 for lhs, bs in zip(_kneser_apply(n, j, k, bj), b) if lhs != coef_c * bs)
+    mism_c, _ = _mismatches(Counter(colex(y, k)), alpha_c[0], slope_c[0], coef_c)
 
     cj = binomial(n, j)
     return LemmaReport(

@@ -186,6 +186,20 @@ def eigen_per_subset(y, k, eigs, size_pass, divided_pass):
     return mism, witness
 
 
+def wilson_b_per_subset(y, j, k, coef, size_pass, divided_pass):
+    """Mismatches of Wilson's identity (b), one divided pass per j-subset.
+
+    For every j-subset Y of range(len(y)), entry j of Y's divided pass
+    sums b_S over the k-subsets S holding Y; it is held against
+    coef * b_Y.
+    """
+    full = size_pass(y, k)
+    return sum(
+        divided_pass(full, [y[i] for i in Y], k)[j] != coef * sum(y[i] for i in Y)
+        for Y in combinations(range(len(y)), j)
+    )
+
+
 def brute_inclusion_matrix(n, j, k):
     """Rows indexed by j-sets, columns by k-sets, both in colex order."""
     jsets = sorted(combinations(range(n), j), key=lambda t: t[::-1])
@@ -426,6 +440,24 @@ def replay_partition(values, k, rest, rng, trials):
         if t < 3:
             firsts.append(tuple(perm))
     return min(zs), Fraction(sum(zs), trials), firsts
+
+
+def second_block_floor(n, k, b_A):
+    """Lemma 3's floor on the second block's sum, b_A (n - 2k + 1 - (2k - 1)(k - 1)) / (n - 2k + 1)."""
+    gap = n - 2 * k + 1
+    return Fraction(b_A * (gap - (2 * k - 1) * (k - 1)), gap)
+
+
+def contains_top_floor(n, k):
+    """Lemma lotson1's floor on the nonnegative k-subsets through index 0, over a common denominator."""
+    gap = n - 2 * k + 1
+    return Fraction(comb(n - 1, k - 1) * (gap - (6 * k - 3) * (k - 1)), gap)
+
+
+def scalar_final_value(n, k):
+    """The last scalar of the n >= 8k^2 argument, (2(n - 2k + 1) - (8k - 4)(k - 1)) / (n - 2k + 1)."""
+    gap = n - 2 * k + 1
+    return Fraction(2 * gap - (8 * k - 4) * (k - 1), gap)
 
 
 def render_text(doc):

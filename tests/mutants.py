@@ -34,14 +34,23 @@ MUTANTS = (
      "sweep_patterns reads a winner one below the bound as no violation"),
     ("src/mmsverify/lemmas.py", 'count, ">=", bound', 'count + 1, ">=", bound',
      "verify_mms_bound reads a count of C(n-1, k-1) - 1 as meeting the theorem's bound"),
-    ("src/mmsverify/scheme.py", "a + slope * bs != eigs[j] * bs", "a + slope * bs > eigs[j] * bs",
-     "the eigenvector check reads a left-hand side below eig_j * b_S as equal to it"),
+    ("src/mmsverify/scheme.py", "a + slope * s != coef * s", "a + slope * s > coef * s",
+     "the eigenvector check and Wilson (b) and (c) read a left-hand side below the right as equal to it"),
     ("src/mmsverify/lemmas.py", "if s >= 0:", "if s > 0:",
      "simulate_partition's folded trials read a block of sum 0 as negative"),
     ("src/mmsverify/scheme.py", "coef_b = binomial(n - j - 1, k - j)", "coef_b = binomial(n - j, k - j)",
      "Wilson's identity (b) is held against the wrong coefficient C(n-j, k-j)"),
     ("src/mmsverify/scheme.py", "coef_c = -binomial(n - k - 1, j - 1)", "coef_c = -binomial(n - k, j - 1)",
      "Wilson's identity (c) is held against the wrong coefficient -C(n-k, j-1)"),
+    ("src/mmsverify/lemmas.py", "(2 * k - 1) * (k - 1), n - 2 * k + 1)) * b_A",
+     "(2 * k - 1) * (k - 2), n - 2 * k + 1)) * b_A",
+     "lemma 3 holds b_C against (1 - (2k-1)(k-2)/(n-2k+1)) b_A, not the paper's (2k-1)(k-1)"),
+    ("src/mmsverify/lemmas.py", "n >= k * k and count <= bound", "n >= k * k and count < bound",
+     "lemma 3 calls its claim vacuous when the count equals C(n-1, k-1), as on the star"),
+    ("src/mmsverify/lemmas.py", "(6 * k - 3) * (k - 1)", "(6 * k - 4)",
+     "lemma lotson1 holds the count through index 0 against the wrong floor"),
+    ("src/mmsverify/lemmas.py", "(8 * k - 4) * (k - 1)", "(8 * k - 5)",
+     "scalar (c) reports the wrong final value 2 - (8k-5)/(n-2k+1)"),
 )
 
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_out")

@@ -21,7 +21,13 @@ from mmsverify.lemmas import (
 )
 from mmsverify.weights import gen_random_zero_sum, gen_star, normalize
 
-from _oracles import brute_restricted_sum, replay_partition
+from _oracles import (
+    brute_restricted_sum,
+    contains_top_floor,
+    replay_partition,
+    scalar_final_value,
+    second_block_floor,
+)
 
 
 def test_blocks():
@@ -98,6 +104,20 @@ def test_contains_top_bound_star_and_vacuous_branch():
     report = verify_contains_top_bound(flat, 2)
     assert report.verdict == "verified"
     assert "vacuous" in report.claims[0].note
+
+
+def test_conditional_bounds_on_the_star_are_live_with_the_papers_floors():
+    # the star has exactly C(n-1, k-1) nonnegative k-subsets, so at n >= k^2
+    # the conditional claims of lemma 3 and lotson1 are live, not vacuous,
+    # and their right-hand sides are the paper's floors
+    for n, k in ((4, 2), (9, 2), (9, 3), (12, 3), (16, 4), (20, 4)):
+        X = gen_star(n)
+        cond = verify_second_block_bound(X, k).claims[1]
+        assert cond.lhs is not None and cond.satisfied, (n, k)
+        assert cond.rhs == second_block_floor(n, k, sum(X.values[:k])), (n, k)
+        (top,) = verify_contains_top_bound(X, k).claims
+        assert top.lhs == binomial(n - 1, k - 1) and top.satisfied, (n, k)
+        assert top.rhs == contains_top_floor(n, k), (n, k)
 
 
 def test_disjoint_bound_star_frozen():
@@ -261,6 +281,13 @@ def test_scalar_inequalities_exactness():
         assert report.verdict == "verified", (n, k)
         ident = report.claims[0]
         assert ident.satisfied and ident.relation == "=="
+
+
+def test_scalar_final_value_is_the_papers_at_n_equal_8k_squared():
+    for n, k in ((32, 2), (72, 3), (128, 4)):
+        report = verify_scalar_inequalities(n, k)
+        assert report.extra["final_value"] == scalar_final_value(n, k), (n, k)
+        assert report.claims[3].lhs == scalar_final_value(n, k) > 1, (n, k)
 
 
 def test_scalar_chain_equality_at_k2():

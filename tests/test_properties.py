@@ -1,7 +1,6 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, groupby
-from operator import mul
 from unittest.mock import patch
 
 import pytest
@@ -31,7 +30,6 @@ from mmsverify.weights import gen_random_zero_sum, gen_star, normalize
 from _oracles import (
     brute_count,
     brute_family,
-    brute_kneser_matrix,
     brute_overlap_profile,
     brute_restricted_sum,
     colex_entries,
@@ -45,8 +43,8 @@ from _oracles import (
     rank_colex,
     satisfies,
     size_pass_closed_form,
-    transpose,
     unrank_colex,
+    wilson_b_per_subset,
 )
 
 
@@ -280,6 +278,42 @@ def test_divided_pass_at_the_edges(k, block):
     assert got == brute_overlap_profile(y, k, block)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=-(10**9), max_value=10**9), max_size=8))
+def test_divided_pass_is_affine_in_the_block_sum(y):
+    # any integers, not only zero-sum vectors: at every level, every block's
+    # divided pass is alpha + slope * (block sum) entry for entry, with the
+    # kernel given a pass over y to a level at or above its own
+    n = len(y)
+    full = _size_pass(y, n)
+    for level in range(n + 1):
+        own = _size_pass(y, level)
+        kernels = [scheme._affine(full, size, level) for size in range(n + 1)]
+        for mask in range(1 << n):
+            items = [v for i, v in enumerate(y) if mask >> i & 1]
+            alpha, slope = kernels[len(items)]
+            assert _divided_pass(own, items, level) == [a + b * sum(items) for a, b in zip(alpha, slope)]
+
+
+@given(zero_sum_vectors(n_max=8, magnitude=40), st.data())
+def test_wilson_b_matches_the_per_subset_oracle(X, data):
+    # the affine kernel and the per-sum comparison count Wilson (b)'s
+    # mismatches as one divided pass per j-subset does, with the true
+    # coefficient and with one off by one
+    n = X.n
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    j = data.draw(st.integers(min_value=0, max_value=k))
+    y, _ = X.scaled_ints()
+    coef = binomial(n - j - 1, k - j)
+    alpha, slope = scheme._affine(_size_pass(y, k), j, k)
+    mult = Counter(colex(y, j))
+    for off in (0, 1):
+        want = wilson_b_per_subset(y, j, k, coef + off, _size_pass, _divided_pass)
+        assert scheme._mismatches(mult, alpha[j], slope[j], coef + off)[0] == want
+        if not off:
+            assert verify_wilson_identities(X, j, k).claims[1].lhs == want == 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(rational_vectors(), zero_sum_vectors(n_max=12, magnitude=500)), st.data())
 def test_gf_and_two_list_charges_equal_the_units_they_count(X, data):
@@ -323,9 +357,24 @@ def test_pass_and_dp_charges_bound_the_units_they_count(X, data):
     assert pass_steps(y, k) + divided_steps([y[i] for i in block], k) <= charged
     k = max(k, 1)
     j = data.draw(st.integers(min_value=0, max_value=k))
-    rows, charged = _charges(scheme, lambda: verify_wilson_identities(X, j, k))
-    counted = sum(divided_steps([y[i] for i in Y], k) for Y in combinations(range(n), j))
-    assert pass_steps(y, k) + counted <= charged
+    counted, divided = [], []
+
+    def size_pass(items, k):
+        counted.append(pass_steps(items, k))
+        return _size_pass(items, k)
+
+    def divided_pass(full, items, k):
+        counted.append(divided_steps(items, k))
+        divided.append(len(items))
+        return _divided_pass(full, items, k)
+
+    with patch.multiple(scheme, _size_pass=size_pass, _divided_pass=divided_pass):
+        rows, charged = _charges(scheme, lambda: verify_wilson_identities(X, j, k))
+    # one pass over y; two divided passes of j items (one if j = 0) and two
+    # of k items, shared with the first two when j = k
+    assert len(counted) - len(divided) == 1
+    assert sorted(divided) == sorted([j] * (2 if j else 1) + [k] * (2 if j < k else 0))
+    assert sum(counted) <= charged
     pairs = [(w, len(list(run))) for w, run in groupby(y)]
     for order in (pairs, pairs[::-1]):
         assert dp_steps(order, k, counting._STEP_BITS)[1] <= _dp_updates(order, k)
@@ -392,50 +441,6 @@ def test_eigenvector_charges_bound_the_steps_they_count(n):
                     if reports[0].witness is not None:  # the first-index table and ColexIndex's list
                         counted.append(binomial(n, k) + binomial(n - 1, k - 1))
                     assert len(divided) == 2 and sum(counted) <= charged, (n, k, off)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_kneser_apply_is_the_kneser_transpose_times_any_vector(data):
-    # arbitrary integer vectors, not only j-subset sums: the transform must
-    # not lean on bj being a subset-sum vector
-    n = data.draw(st.integers(min_value=0, max_value=8))
-    k = data.draw(st.integers(min_value=0, max_value=n))
-    for j in range(k + 1):
-        size = binomial(n, j)
-        bj = data.draw(st.lists(st.integers(-(10**12), 10**12), min_size=size, max_size=size))
-        columns = transpose(brute_kneser_matrix(n, j, k))
-        assert scheme._kneser_apply(n, j, k, bj) == [sum(map(mul, col, bj)) for col in columns], (n, j, k)
-
-
-def test_zeta_entries_stay_within_wilsons_charge():
-    # every entry the truncated zeta transform builds for Wilson (c): each
-    # level's sums, colex's levels at j = 1 and the constant lists, with
-    # each call's result counted once more, against the packed rows that
-    # verify_wilson_identities charges
-    built = []
-    real_zeta = scheme._zeta
-
-    def zeta(*args):
-        out = real_zeta(*args)
-        built.append(len(out))
-        return out
-
-    def add(a, b):
-        built.append(1)
-        return a + b
-
-    spies = {"_zeta": zeta, "add": add, "colex": lambda items, c, empty=0: colex_entries(items, c, empty, built)}
-    for n in range(2, 9):
-        X = gen_random_zero_sum(n, 9, seed=n)
-        y, _ = X.scaled_ints()
-        for k in range(1, n + 1):
-            for j in range(k + 1):
-                rows, _ = _charges(scheme, lambda: verify_wilson_identities(X, j, k))
-                built.clear()
-                with patch.multiple(scheme, **spies):
-                    scheme._kneser_apply(n, j, k, colex(y, j))
-                assert sum(built) <= rows, (n, j, k)
 
 
 @st.composite

@@ -5,6 +5,7 @@ import pytest
 
 from mmsverify import scheme
 from mmsverify.combinat import KSubset, binomial, colex
+from mmsverify.counting import _size_pass
 from mmsverify.scheme import (
     bose_mesner_eigenvalue,
     build_structure_matrix,
@@ -164,17 +165,20 @@ def test_wilson_identity_b_against_brute_matrices():
 
 
 def test_wilson_identity_c_against_brute_matrices():
-    # identity (c)'s lhs, Wbar_jk^T bj, by inclusion-exclusion; for j > n - k
-    # no j-subset misses a k-subset and every entry is 0
+    # identity (c)'s lhs, Wbar_jk^T bj, is entry 0 of each k-subset's divided
+    # pass at level j, alpha + slope * b_S from the pass over y to level k;
+    # for j > n - k no j-subset misses a k-subset and every entry is 0
     for n in range(2, 8):
         X = gen_random_zero_sum(n, 9, seed=n)
         y, _ = X.scaled_ints()
         for k in range(1, n + 1):
+            full = _size_pass(y, k)
             for j in range(0, k + 1):
                 bj = colex(y, j)
                 columns = transpose(brute_kneser_matrix(n, j, k))
                 want = [sum(w * b for w, b in zip(col, bj)) for col in columns]
-                assert scheme._kneser_apply(n, j, k, bj) == want, (n, j, k)
+                alpha, slope = scheme._affine(full, k, j)
+                assert [alpha[0] + slope[0] * bs for bs in colex(y, k)] == want, (n, j, k)
                 assert verify_wilson_identities(X, j, k).verdict == "verified", (n, j, k)
 
 
@@ -260,9 +264,15 @@ def test_planted_eigenvalue_error_is_caught_with_the_same_witness(monkeypatch):
 
 
 def test_wilson_refuses_passes_over_budget_fast():
-    # C(20,10) passes of 20 * 20 steps (7.4e7) for identity (b), although the
-    # packed rows fit the dense budget
+    # at j = k = n = 2600 the n + 1 packed rows of C(n, n) = 1 entry fit, but
+    # the pass over y and one pair of divided passes of 2600 items do not
     started = time.perf_counter()
-    with pytest.raises(ValueError, match="enumeration budget"):
-        verify_wilson_identities(gen_random_zero_sum(20, 10, seed=1), 10, 19)
+    with pytest.raises(ValueError, match="divided passes .* over the enumeration budget"):
+        verify_wilson_identities(gen_random_zero_sum(2600, 10, seed=1), 2600, 2600)
     assert time.perf_counter() - started < 1.0
+
+
+def test_wilson_answers_where_per_subset_passes_were_refused():
+    # one divided pass per j-subset charged C(37,34) passes, 10,311,493 steps
+    # in all; the two pairs of affine passes take a few thousand
+    assert verify_wilson_identities(gen_random_zero_sum(37, 100, seed=1), 34, 37).verdict == "verified"
