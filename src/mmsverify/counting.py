@@ -345,6 +345,22 @@ def _count(y: Sequence[int], n: int, k: int, atoms: Sequence[Atom]) -> tuple[str
     return (ENGINE_ENUM, *_signed(_split_plain, plain))
 
 
+def _count_exact(y: Sequence[int], m: int, s: int | Fraction) -> int:
+    """The m-subsets of y whose sum is exactly s: those at least s less those at least s + 1.
+
+    An m-subset's sum is at least t exactly when, joined to one more item
+    of value -t, it sums to at least 0, so each count is one _count of
+    the (m+1)-subsets holding that item, pinned by a contains atom. The
+    values keep their spread, and m = 0 needs no case of its own. A sum
+    of integers is never a non-integer s.
+    """
+    if s != int(s):
+        return 0
+    pin = (Atom("contains", frozenset((len(y),))),)
+    at_least = [_count([*y, -t], len(y) + 1, m + 1, pin)[2] for t in (int(s), int(s) + 1)]
+    return at_least[0] - at_least[1]
+
+
 def _pass_steps(m: int, k: int) -> int:
     """Inner steps of _size_pass over m items: item t updates min(t + 1, k) sizes."""
     return m * (m + 1) // 2 if m <= k else k * (k + 1) // 2 + (m - k) * k

@@ -96,18 +96,6 @@ class ColexIndex:
     def __len__(self) -> int:
         return binomial(self.n, self.m)
 
-    def __getitem__(self, c: int) -> tuple[int, ...]:
-        """The c-th subset: its top index t has C(t, m) <= c < C(t+1, m)."""
-        if not 0 <= c < len(self):
-            raise IndexError(f"colex index {c} out of range for C({self.n},{self.m})")
-        m = self.m
-        if not m:
-            return ()
-        t = m - 1
-        while binomial(t + 1, m) <= c:
-            t += 1
-        return self._lower[c - binomial(t, m)] + (t,)
-
     def __iter__(self):
         m = self.m
         if not m:

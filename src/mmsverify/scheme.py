@@ -14,21 +14,24 @@ a popcount. A StructureMatrix keeps its rows packed the same way, and the
 CLI prints each from its int; its row and column index arrays are
 ColexIndex objects, made as they are printed. Sums of b by overlap with a
 block come from counting's divided pass, which is affine in the block's sum
-(_affine): two divided passes give the left-hand side of every row of the
-eigenvector check and of Wilson's identities (b) and (c), and each distinct
-sum is compared once, weighed by how many subsets have it. Before any work,
-ENUM_BUDGET caps the entries built or packed, the pass steps and the
-factorization's pairs.
+(_affine): one divided pass gives the left-hand side a + slope b_S of every
+row of the eigenvector check and of Wilson's identities (b) and (c). A row
+fails unless its sum is the one root of a + slope s = coef s, so the
+failures are counted from subset sums (_mismatches) and no subset is
+listed; for a zero-sum x, a is 0 and the verdict rests on slope = coef.
+Wilson's identity (a) takes two values fixed by (n, j, k), read off two
+short passes. Before any work, ENUM_BUDGET caps the entries built or
+packed, the pass steps and the factorization's pairs.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
 from .combinat import _Record, binomial, charge, colex, subsets_colex
-from .counting import _divided_pass, _divided_steps, _pass_steps, _size_pass
+from .counting import _count_exact, _divided_pass, _divided_steps, _pass_steps, _size_pass
 from .report import BitRow, Claim, ColexIndex, LemmaReport, Precondition, claim
 from .weights import WeightVector
 
@@ -207,24 +210,30 @@ def _affine(full: tuple[list[int], list[int]], size: int, level: int) -> tuple[l
     reads it only to level. A block's own pass is (C(size, a),
     C(size-1, a-1) s) at every size a, and the division is linear in the
     sum series, so the blocks of size zeros and of a one and size-1 zeros
-    give alpha and alpha + slope. The empty block has sum 0 and one pass.
+    give alpha and alpha + slope. When full's sums are all zero, as for a
+    zero-sum y, alpha is 0 with no pass: the block of zeros has s_in = 0,
+    so the division's s_out = s_full - (c_in s_out + s_in c_out) is 0 term
+    by term, and so is every entry s_in c_out + c_in s_out. The empty
+    block has sum 0 and a zero slope, so at most one pass is made for
+    a zero-sum y.
     """
-    alpha = _divided_pass(full, [0] * size, level)
+    alpha = _divided_pass(full, [0] * size, level) if any(full[1]) else [0] * (min(size, level) + 1)
     if not size:
         return alpha, [0] * len(alpha)
     one = _divided_pass(full, [1] + [0] * (size - 1), level)
     return alpha, [u - a for u, a in zip(one, alpha)]
 
 
-def _mismatches(mult: Counter, a: int, slope: int, coef: int) -> tuple[int, list[int]]:
-    """(count, failing sums): the sums s in mult where the left-hand side a + slope s is not coef s.
+def _mismatches(y: Sequence[int], m: int, a: int, slope: int, coef: int) -> int:
+    """The m-subsets S of y whose left-hand side a + slope b_S is not coef b_S.
 
-    The count weighs each failing sum by its multiplicity. A Counter keeps
-    its sums in order of first appearance, so the first failing sum is
-    that of the first failing subset in colex order.
+    With slope = coef that is none when a = 0 and every one otherwise;
+    else every one but those whose sum b_S is the root -a / (slope - coef),
+    counted by counting._count_exact. No subset is listed.
     """
-    bad = [s for s in mult if a + slope * s != coef * s]
-    return sum(map(mult.__getitem__, bad)), bad
+    if slope == coef:
+        return binomial(len(y), m) if a else 0
+    return binomial(len(y), m) - _count_exact(y, m, Fraction(-a, slope - coef))
 
 
 def _eigen_claims(X: WeightVector, k: int, js: Sequence[int]) -> tuple[list[Claim], dict]:
@@ -232,12 +241,14 @@ def _eigen_claims(X: WeightVector, k: int, js: Sequence[int]) -> tuple[list[Clai
 
     Row S of (Wbar^T W) b is the contraction, against C(k - t, j), of
     the divided pass of S's own k items, so each j's left-hand side is
-    alpha_j + beta_j b_S, contracted from _affine. The charge is one pass
-    over y, the two divided passes and their contractions at each j,
-    colex's levels, the count of zero sums, and per k-subset one step for
-    the multiplicity count, two for the witnesses' first-index table and
-    ColexIndex's list, and two at each j: a distinct sum checked and, if
-    it fails, weighed.
+    a_j + slope_j b_S, contracted from _affine, and _mismatches counts the
+    failing rows from the sums alone. x sums to zero, so a_j is 0 and a
+    row fails exactly when slope_j != eig_j and b_S != 0. The first colex
+    subset, S = range(k), holds the k largest entries, and for a nonzero
+    zero-sum x with k < n their sum is positive: so that row fails
+    whenever any row does, and it is the witness. The charge is one pass
+    over y, one divided pass and its two contractions at each j; the
+    counts of zero sums are charged by counting._count.
     """
     n = X.n
     if X.is_zero():
@@ -247,51 +258,32 @@ def _eigen_claims(X: WeightVector, k: int, js: Sequence[int]) -> tuple[list[Clai
             f"eigenvector check needs k < n, got k = n = {n}: the only k-subset is the whole "
             "ground set, whose sum is 0, so b is the zero vector"
         )
-    per_subset = 3 + 2 * len(js)
     charge(
-        _pass_steps(n, k) + 2 * (_divided_steps(k, k) + (k + 1) * len(js)) + binomial(n + 1, k)
-        + per_subset * binomial(n, k) + 1,
-        f"steps of one pass over {n} items, two divided passes, the colex levels of C({n},{k}) subsets "
-        f"and {per_subset} steps per subset",
+        _pass_steps(n, k) + _divided_steps(k, k) + 2 * (k + 1) * len(js),
+        f"steps of one pass over {n} items, a divided pass of {k} items and its contractions",
     )
     y, _ = X.scaled_ints()
-    b = colex(y, k)
-    mult = Counter(b)
-    coeffs = {j: [binomial(k - m, j) for m in range(k + 1)] for j in js}
-    eigs = {j: bose_mesner_eigenvalue(n, k, j) for j in js}
+    nonzero = claim("b is not the zero vector", binomial(n, k) - _count_exact(y, k, 0), ">", 0)
     alpha, slopes = _affine(_size_pass(y, k), k, k)
-    mism = {}
-    witness: dict = {}
-    first: dict[int, int] = {}  # b_S -> its first colex index, built at the first failure
+    bs = sum(y[:k])
+    claims, witness = [nonzero], {}
     for j in js:
-        a, slope = sum(map(mul, coeffs[j], alpha)), sum(map(mul, coeffs[j], slopes))
-        mism[j], bad = _mismatches(mult, a, slope, eigs[j])
-        if bad:
-            bs = bad[0]
-            if not first:  # written from the end, so each sum keeps its smallest index
-                first = dict(zip(reversed(b), range(len(b) - 1, -1, -1)))
-                index = ColexIndex(n, k)
-            witness[j] = {"S": list(index[first[bs]]), "lhs": a + slope * bs, "rhs": eigs[j] * bs}
-    claims = [
-        claim(
-            f"(Wbar^T W) b == {eigs[j]} * b componentwise at j={j}",
-            mism[j],
-            "==",
-            0,
-            note=f"eigenvalue -C(k-1,{j}-1)*C(n-{j}-1,k-1) = {eigs[j]}",
-        )
-        for j in js
-    ]
-    nonzero = claim("b is not the zero vector", len(b) - mult[0], ">", 0)
-    return [nonzero] + claims, witness
+        coeffs, eig = [binomial(k - m, j) for m in range(k + 1)], bose_mesner_eigenvalue(n, k, j)
+        a, slope = sum(map(mul, coeffs, alpha)), sum(map(mul, coeffs, slopes))
+        mism = _mismatches(y, k, a, slope, eig)
+        if mism:
+            witness[j] = {"S": list(range(k)), "lhs": a + slope * bs, "rhs": eig * bs}
+        note = f"eigenvalue -C(k-1,{j}-1)*C(n-{j}-1,k-1) = {eig}"
+        claims.append(claim(f"(Wbar^T W) b == {eig} * b componentwise at j={j}", mism, "==", 0, note=note))
+    return claims, witness
 
 
 def verify_eigenvector(X: WeightVector, j: int, k: int) -> LemmaReport:
     """Check the j-th product matrix maps b to eigenvalue * b, exactly.
 
     Matrix-free: each row's left-hand side is affine in its subset sum,
-    read off _affine's two divided passes contracted against the
-    closed-form coefficients.
+    read off _affine's divided pass contracted against the closed-form
+    coefficients.
     """
     n = X.n
     if not (1 <= k <= n and 0 <= j <= k):
@@ -320,6 +312,28 @@ def verify_eigenvector_all(X: WeightVector, k: int) -> LemmaReport:
     )
 
 
+def _two_valued(n: int, j: int, k: int, in_val: int, out_val: int) -> tuple[int, dict | None]:
+    """(mismatches, witness) of W_jk W_1k^T held to in_val where t lies in Y and out_val elsewhere.
+
+    Entry (Y, t) counts the k-supersets of Y | {t}, so it depends only on
+    m = |Y | {t}|, j or j + 1: it is 0 when m > k, and otherwise the
+    number of (k - m)-subsets of the other n - m items, or of their
+    complements, the (n - k)-subsets; a pass over n - m items to the
+    lower of the two levels counts them. Each of the C(n, j) rows has j
+    entries inside and n - j outside. The first entry in row-major colex
+    order is (range(j), 0), inside unless j = 0, and the first outside
+    one is (range(j), j).
+    """
+    cj = binomial(n, j)
+    mism, witness = 0, None
+    for m, t, want, entries in ((j, 0, in_val, j * cj), (j + 1, j, out_val, (n - j) * cj)):
+        got = _size_pass([0] * (n - m), min(k - m, n - k))[0][-1] if m <= k else 0
+        if entries and got != want:
+            mism += entries
+            witness = witness or {"S": list(range(j)), "t": t, "got": got, "want": want}
+    return mism, witness
+
+
 def verify_wilson_identities(X: WeightVector, j: int, k: int) -> LemmaReport:
     """Exact checks of the three inclusion/Kneser product identities.
 
@@ -328,43 +342,27 @@ def verify_wilson_identities(X: WeightVector, j: int, k: int) -> LemmaReport:
     (b) W_jk W_1k^T x = C(n-j-1, k-j) W_1j^T x.
     (c) Wbar_jk^T W_1j^T x = -C(n-k-1, j-1) W_1k^T x.
 
-    For (a) the n rows of W_1k are packed, one int of C(n, k) bits each,
-    and each row of W_jk is the AND of its j-subset's rows, so each entry
-    is one AND and a popcount. (W_jk b)_Y sums b over the k-subsets
-    meeting Y in j places, entry j of Y's divided pass; (Wbar_jk^T bj)_S
-    sums bj over the j-subsets missing S, entry 0 of S's divided pass at
-    level j. Both are affine in the block's sum, so each identity takes
-    two divided passes from _affine, one pair serving both when j = k,
-    after one pass over y, and compares each distinct sum once. The
-    C(n, j) + n packed rows of C(n, k) entries are charged, and so are
-    the steps of the passes.
+    (a) does not depend on x: _two_valued reads both values off two short
+    passes. (W_jk b)_Y sums b over the k-subsets meeting Y in j places,
+    entry j of Y's divided pass; (Wbar_jk^T bj)_S sums bj over the
+    j-subsets missing S, entry 0 of S's divided pass at level j. Both are
+    affine in the block's sum, so after one pass over y each identity
+    takes one divided pass from _affine, one serving both when j = k, and
+    _mismatches counts its failing rows from the sums. The steps of every
+    pass are charged.
     """
     n = X.n
     if not (1 <= k <= n and 0 <= j <= k):
         raise ValueError(f"need 1 <= k <= n and 0 <= j <= k, got n={n}, k={k}, j={j}")
-    charge((binomial(n, j) + n) * binomial(n, k), f"entries of C({n},{j}) + {n} packed rows of C({n},{k})")
     charge(
-        _pass_steps(n, k) + 2 * (_divided_steps(j, k) + (j < k) * _divided_steps(k, j)),
-        f"steps of one pass over {n} items and the divided passes of blocks of {j} and {k} items",
+        _pass_steps(n, k) + _divided_steps(j, k) + (j < k) * _divided_steps(k, j)
+        + sum(_pass_steps(n - m, min(k - m, n - k)) for m in (j, j + 1) if m <= k),
+        f"steps of the passes over {n} items and of the divided passes of blocks of {j} and {k} items",
     )
     y, _ = X.scaled_ints()
-    jsets = subsets_colex(n, j)
-
-    # (a) entries of W_jk W_1k^T: count k-supersets of (j-subset union singleton)
     in_val = binomial(n - j, k - j)
     out_val = binomial(n - j - 1, k - j - 1)
-    singles, full = _singletons(n, k)
-    mism_a = 0
-    witness_a = None
-    for Y in jsets:
-        row = _meet(singles, full, Y)
-        for t, single in enumerate(singles):
-            got = (row & single).bit_count()
-            want = in_val if t in Y else out_val
-            if got != want:
-                mism_a += 1
-                if witness_a is None:
-                    witness_a = {"S": list(Y), "t": t, "got": got, "want": want}
+    mism_a, witness_a = _two_valued(n, j, k, in_val, out_val)
 
     # (b) (W_jk b)_Y against C(n-j-1, k-j) * b_Y, and (c) (Wbar_jk^T bj)_S
     # against -C(n-k-1, j-1) * b_S; the pass over y to level k serves level j
@@ -372,28 +370,19 @@ def verify_wilson_identities(X: WeightVector, j: int, k: int) -> LemmaReport:
     alpha_b, slope_b = _affine(passes, j, k)
     alpha_c, slope_c = (alpha_b, slope_b) if j == k else _affine(passes, k, j)
     coef_b = binomial(n - j - 1, k - j)
-    mism_b, _ = _mismatches(Counter(colex(y, j)), alpha_b[j], slope_b[j], coef_b)
+    mism_b = _mismatches(y, j, alpha_b[j], slope_b[j], coef_b)
     coef_c = -binomial(n - k - 1, j - 1)
-    mism_c, _ = _mismatches(Counter(colex(y, k)), alpha_c[0], slope_c[0], coef_c)
+    mism_c = _mismatches(y, k, alpha_c[0], slope_c[0], coef_c)
 
     cj = binomial(n, j)
+    checks = (
+        (f"W_jk W_1k^T two-valued ({in_val} inside, {out_val} outside) on {cj * n} entries", mism_a),
+        (f"W_jk W_1k^T x == {coef_b} * W_1j^T x on {cj} entries", mism_b),
+        (f"Wbar_jk^T W_1j^T x == {coef_c} * W_1k^T x on {binomial(n, k)} entries", mism_c),
+    )
     return LemmaReport(
         name="inclusion-product-identities",
         preconditions=tuple(_param_echo(n=n, j=j, k=k)),
-        claims=(
-            claim(
-                f"W_jk W_1k^T two-valued ({in_val} inside, {out_val} outside) on {cj * n} entries",
-                mism_a,
-                "==",
-                0,
-            ),
-            claim(f"W_jk W_1k^T x == {coef_b} * W_1j^T x on {cj} entries", mism_b, "==", 0),
-            claim(
-                f"Wbar_jk^T W_1j^T x == {coef_c} * W_1k^T x on {binomial(n, k)} entries",
-                mism_c,
-                "==",
-                0,
-            ),
-        ),
+        claims=tuple(claim(what, mism, "==", 0) for what, mism in checks),
         witness=witness_a,
     )

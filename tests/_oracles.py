@@ -200,6 +200,30 @@ def wilson_b_per_subset(y, j, k, coef, size_pass, divided_pass):
     )
 
 
+def two_valued_per_entry(n, j, k, in_val, out_val):
+    """(mismatches, first witness) of W_jk W_1k^T held to in_val where t lies in Y and out_val elsewhere.
+
+    Wilson's identity (a) entry by entry over packed rows: the k-subsets
+    holding the j-subset Y are the AND of Y's singleton rows, and entry
+    (Y, t) is the popcount of one more AND, with row t. Rows run over Y in
+    colex order, and t ascends within a row.
+    """
+    singles, full = singleton_rows(n, k)
+    mism, witness = 0, None
+    for Y in sorted(combinations(range(n), j), key=lambda t: t[::-1]):
+        row = full
+        for i in Y:
+            row &= singles[i]
+        for t, single in enumerate(singles):
+            got = (row & single).bit_count()
+            want = in_val if t in Y else out_val
+            if got != want:
+                mism += 1
+                if witness is None:
+                    witness = {"S": list(Y), "t": t, "got": got, "want": want}
+    return mism, witness
+
+
 def brute_inclusion_matrix(n, j, k):
     """Rows indexed by j-sets, columns by k-sets, both in colex order."""
     jsets = sorted(combinations(range(n), j), key=lambda t: t[::-1])

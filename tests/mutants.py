@@ -34,8 +34,12 @@ MUTANTS = (
      "sweep_patterns reads a winner one below the bound as no violation"),
     ("src/mmsverify/lemmas.py", 'count, ">=", bound', 'count + 1, ">=", bound',
      "verify_mms_bound reads a count of C(n-1, k-1) - 1 as meeting the theorem's bound"),
-    ("src/mmsverify/scheme.py", "a + slope * s != coef * s", "a + slope * s > coef * s",
-     "the eigenvector check and Wilson (b) and (c) read a left-hand side below the right as equal to it"),
+    ("src/mmsverify/scheme.py", "if slope == coef:", "if slope <= coef:",
+     "the eigenvector check and Wilson (b) and (c) read a slope below the right-hand coefficient as equal to it"),
+    ("src/mmsverify/scheme.py", "(n - j) * cj", "(n - j - 1) * cj",
+     "Wilson (a) counts a wrong outside value one entry short in every row"),
+    ("src/mmsverify/counting.py", "int(s) + 1", "int(s) + 2",
+     "the exact-sum count takes the subsets of sum s + 1 as of sum s"),
     ("src/mmsverify/lemmas.py", "if s >= 0:", "if s > 0:",
      "simulate_partition's folded trials read a block of sum 0 as negative"),
     ("src/mmsverify/scheme.py", "coef_b = binomial(n - j - 1, k - j)", "coef_b = binomial(n - j, k - j)",

@@ -72,13 +72,29 @@ def test_generators_over_size_limit_exit_2_before_allocating():
 
 
 def test_eigenvector_over_pair_budget_exits_2_with_a_message():
+    # the count of zero k-sums behind "b is not the zero vector" is over
+    # budget for both counting engines at C(5000, 30)
     for extra in ([], ["-j", "2"]):
         started = time.perf_counter()
-        out, err, code = run_captured(["verify", "--lemma", "eigenvector", "--random", "--n", "30", "-k", "8", *extra])
+        out, err, code = run_captured(["verify", "--lemma", "eigenvector", "--random", "--n", "5000", "-k", "30", *extra])
         assert time.perf_counter() - started < 1.0
         assert code == 2
         assert out == ""
         assert "enumeration budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--lemma", "eigenvector", "--random", "--n", "128", "-k", "4"],
+        ["verify", "--lemma", "wilson", "--random", "--n", "128", "-j", "2", "-k", "4"],
+    ],
+)
+def test_operator_identities_answer_at_n_8k_squared(argv):
+    # neither check lists a k-subset, so C(128, 4) = 10.7M rows are no refusal
+    doc, code = run_json(*argv)
+    assert code == 0
+    assert doc["verdict"] == "verified"
 
 
 @pytest.mark.parametrize("k", [4, 5, 6, 7])

@@ -148,7 +148,8 @@ def test_the_public_names_are_pinned_and_resolve():
 # (importer, source, name)
 SHARED_PRIVATE = {("combinat", "_Record")}
 PRIVATE_IMPORTS = {
-    ("scheme", "counting", name) for name in ("_divided_pass", "_divided_steps", "_pass_steps", "_size_pass")
+    ("scheme", "counting", name)
+    for name in ("_count_exact", "_divided_pass", "_divided_steps", "_pass_steps", "_size_pass")
 }
 
 

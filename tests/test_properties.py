@@ -297,7 +297,7 @@ def test_divided_pass_is_affine_in_the_block_sum(y):
 
 @given(zero_sum_vectors(n_max=8, magnitude=40), st.data())
 def test_wilson_b_matches_the_per_subset_oracle(X, data):
-    # the affine kernel and the per-sum comparison count Wilson (b)'s
+    # the affine kernel and the count from subset sums give Wilson (b)'s
     # mismatches as one divided pass per j-subset does, with the true
     # coefficient and with one off by one
     n = X.n
@@ -306,12 +306,32 @@ def test_wilson_b_matches_the_per_subset_oracle(X, data):
     y, _ = X.scaled_ints()
     coef = binomial(n - j - 1, k - j)
     alpha, slope = scheme._affine(_size_pass(y, k), j, k)
-    mult = Counter(colex(y, j))
     for off in (0, 1):
         want = wilson_b_per_subset(y, j, k, coef + off, _size_pass, _divided_pass)
-        assert scheme._mismatches(mult, alpha[j], slope[j], coef + off)[0] == want
+        assert scheme._mismatches(y, j, alpha[j], slope[j], coef + off) == want
         if not off:
             assert verify_wilson_identities(X, j, k).claims[1].lhs == want == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=-30, max_value=30), max_size=9), st.data())
+def test_exact_sums_and_mismatches_match_the_tally(y, data):
+    # any integers, not only zero-sum or sorted ones, at every size m, 0
+    # included: the exact-sum counts are the Counter of all m-subset sums,
+    # and the mismatch count is the tally of the failing sums, at an
+    # integer root, a root between two integers, slope = coef with a != 0
+    # and with a = 0, and one drawn line
+    n = len(y)
+    m = data.draw(st.integers(min_value=0, max_value=n))
+    tally = Counter(colex(y, m))
+    for s in sorted(tally) + [min(tally) - 1, max(tally) + 1, Fraction(1, 2), Fraction(-7, 3)]:
+        assert counting._count_exact(y, m, s) == tally[s], s
+    coef = data.draw(st.integers(min_value=-5, max_value=5))
+    root = data.draw(st.sampled_from(sorted(tally)))
+    drawn = tuple(data.draw(st.integers(min_value=-40, max_value=40)) for _ in range(2))
+    for a, slope in ((-3 * root, coef + 3), (-2 * root - 1, coef + 2), (1, coef), (0, coef), drawn):
+        want = sum(c for s, c in tally.items() if a + slope * s != coef * s)
+        assert scheme._mismatches(y, m, a, slope, coef) == want, (a, slope, coef)
 
 
 @settings(max_examples=150, deadline=None)
@@ -369,11 +389,12 @@ def test_pass_and_dp_charges_bound_the_units_they_count(X, data):
         return _divided_pass(full, items, k)
 
     with patch.multiple(scheme, _size_pass=size_pass, _divided_pass=divided_pass):
-        rows, charged = _charges(scheme, lambda: verify_wilson_identities(X, j, k))
-    # one pass over y; two divided passes of j items (one if j = 0) and two
-    # of k items, shared with the first two when j = k
-    assert len(counted) - len(divided) == 1
-    assert sorted(divided) == sorted([j] * (2 if j else 1) + [k] * (2 if j < k else 0))
+        (charged,) = _charges(scheme, lambda: verify_wilson_identities(X, j, k))
+    # one pass over y and, for identity (a), one over n - j zeros and one
+    # over n - j - 1 (none when j = k); one divided pass of j items (none
+    # if j = 0) and one of k items, shared with the first when j = k
+    assert len(counted) - len(divided) == 2 + (j < k)
+    assert sorted(divided) == sorted([j] * (j > 0) + [k] * (j < k))
     assert sum(counted) <= charged
     pairs = [(w, len(list(run))) for w, run in groupby(y)]
     for order in (pairs, pairs[::-1]):
@@ -382,12 +403,10 @@ def test_pass_and_dp_charges_bound_the_units_they_count(X, data):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_eigenvector_charges_bound_the_steps_they_count(n):
-    # every pass, division and contraction step, every entry of colex's
-    # levels, each k-subset counted into the multiplicities, each distinct
-    # sum read or weighed and, once some j fails, the witnesses' first-index
-    # table and index list; at every k < n and j <= k, with the true
-    # eigenvalues and with each one off by one, and exactly two divided
-    # passes per call
+    # every pass, division and contraction step, at every k < n and j <= k,
+    # with the true eigenvalues and with each one off by one: exactly one
+    # divided pass per call, and no subset listed (colex is not called);
+    # the counts of zero sums charge counting's own budget
     X = gen_random_zero_sum(n, 20, seed=n)
     counted = []
     divided = []
@@ -405,19 +424,8 @@ def test_eigenvector_charges_bound_the_steps_they_count(n):
         counted.append(1)
         return a * b
 
-    class Tally(Counter):
-        def __iter__(self):
-            for value in super().__iter__():
-                counted.append(1)
-                yield value
-
-        def __getitem__(self, value):
-            counted.append(1)
-            return super().__getitem__(value)
-
-    def tally(values):
-        counted.append(len(values))
-        return Tally(values)
+    def listed(*args, **kwargs):
+        raise AssertionError("the eigenvector check listed subsets")
 
     real = scheme.bose_mesner_eigenvalue
     for off in (0, 1):
@@ -426,8 +434,8 @@ def test_eigenvector_charges_bound_the_steps_they_count(n):
             _size_pass=size_pass,
             _divided_pass=divided_pass,
             mul=mul,
-            Counter=tally,
-            colex=lambda items, c, empty=0: colex_entries(items, c, empty, counted),
+            colex=listed,
+            subsets_colex=listed,
             bose_mesner_eigenvalue=lambda n, k, j: real(n, k, j) + off,
         ):
             for k in range(1, n):
@@ -436,11 +444,8 @@ def test_eigenvector_charges_bound_the_steps_they_count(n):
                 ]:
                     counted.clear()
                     divided.clear()
-                    reports = []
-                    (charged,) = _charges(scheme, lambda: reports.append(call()))
-                    if reports[0].witness is not None:  # the first-index table and ColexIndex's list
-                        counted.append(binomial(n, k) + binomial(n - 1, k - 1))
-                    assert len(divided) == 2 and sum(counted) <= charged, (n, k, off)
+                    (charged,) = _charges(scheme, call)
+                    assert len(divided) == 1 and sum(counted) <= charged, (n, k, off)
 
 
 @st.composite
@@ -465,7 +470,8 @@ eigen_vectors = st.one_of(
 def test_per_sum_profiles_match_the_per_subset_oracle(X, data):
     # the mismatch counts and witnesses of every j, with the true eigenvalues
     # and with each patched off by one, are the oracle's, and each call makes
-    # exactly two divided passes, of k zeros and of a one and k - 1 zeros
+    # exactly one divided pass, of a one and k - 1 zeros: x sums to zero,
+    # so the pass of k zeros is known to be 0
     assume(X.n >= 2 and not X.is_zero())
     n = X.n
     k = data.draw(st.integers(min_value=1, max_value=n - 1))
@@ -486,13 +492,13 @@ def test_per_sum_profiles_match_the_per_subset_oracle(X, data):
         ):
             calls.clear()
             report = verify_eigenvector_all(X, k)
-            assert calls == [0, 1]
+            assert calls == [1]
             assert [c.lhs for c in report.claims[1:]] == [mism[j] for j in range(k + 1)]
             assert (report.witness or {}) == witness
             for j in range(k + 1):
                 calls.clear()
                 report = verify_eigenvector(X, j, k)
-                assert calls == [0, 1]
+                assert calls == [1]
                 assert report.claims[1].lhs == mism[j] and report.witness == witness.get(j)
 
 

@@ -24,6 +24,7 @@ from _oracles import (
     matmul,
     singleton_rows,
     transpose,
+    two_valued_per_entry,
 )
 
 
@@ -190,12 +191,13 @@ def test_star_is_genuine_eigenvector_case():
 def test_pair_loops_refuse_over_budget_fast():
     # C(24,12)^2 pairs are far over the enumeration budget, although the
     # factorization's C(24,0) x C(24,12) entries fit it; the eigenvector
-    # checks' C(30,8) subsets of at least 5 steps each (2.9e7) are over it too
-    X = gen_random_zero_sum(30, 10, seed=1)
+    # checks visit no subset, but their count of the zero sums among the
+    # C(5000,30) k-sums is over it for both counting engines
+    X = gen_random_zero_sum(5000, 10, seed=1)
     for check in (
         lambda: verify_factorization(24, 0, 12),
-        lambda: verify_eigenvector(X, 2, 8),
-        lambda: verify_eigenvector_all(X, 8),
+        lambda: verify_eigenvector(X, 2, 30),
+        lambda: verify_eigenvector_all(X, 30),
     ):
         started = time.perf_counter()
         with pytest.raises(ValueError, match="enumeration budget"):
@@ -217,8 +219,8 @@ class _Admitted(Exception):
 
 def test_step_rule_admits_eigenvector_all_at_16_5_and_18_5(monkeypatch):
     # the step rule is checked before the first pass, so reaching a pass
-    # means admitted; no check runs here. C(20,5) subsets of 15 steps and
-    # colex's levels are about 2.5e5 steps.
+    # means admitted; no check runs here. One pass over 20 items and a
+    # divided pass of 5 are a few hundred steps.
     def reached(*args, **kwargs):
         raise _Admitted
 
@@ -229,7 +231,7 @@ def test_step_rule_admits_eigenvector_all_at_16_5_and_18_5(monkeypatch):
 
 
 def test_eigenvector_all_at_1581_1_answers_fast():
-    # 1,581 subsets of 7 steps each and two divided passes of a few steps
+    # one pass over 1,581 items to level 1 and one divided pass of one item
     X = gen_random_zero_sum(1581, 100, seed=1)
     started = time.perf_counter()
     assert verify_eigenvector_all(X, 1).verdict == "verified"
@@ -264,8 +266,8 @@ def test_planted_eigenvalue_error_is_caught_with_the_same_witness(monkeypatch):
 
 
 def test_wilson_refuses_passes_over_budget_fast():
-    # at j = k = n = 2600 the n + 1 packed rows of C(n, n) = 1 entry fit, but
-    # the pass over y and one pair of divided passes of 2600 items do not
+    # at j = k = n = 2600 the pass over y and one divided pass of n items
+    # are over budget, as they are from n = 2,582 on
     started = time.perf_counter()
     with pytest.raises(ValueError, match="divided passes .* over the enumeration budget"):
         verify_wilson_identities(gen_random_zero_sum(2600, 10, seed=1), 2600, 2600)
@@ -274,5 +276,24 @@ def test_wilson_refuses_passes_over_budget_fast():
 
 def test_wilson_answers_where_per_subset_passes_were_refused():
     # one divided pass per j-subset charged C(37,34) passes, 10,311,493 steps
-    # in all; the two pairs of affine passes take a few thousand
+    # in all; the affine passes take a few thousand
     assert verify_wilson_identities(gen_random_zero_sum(37, 100, seed=1), 34, 37).verdict == "verified"
+
+
+def test_wilson_answers_where_the_pair_of_divided_passes_was_refused():
+    # a zero-sum x needs no pass of a block of zeros: at (1491, 1490, 1491)
+    # the pass over y and two pairs of divided passes were 10,010,570 steps
+    X = gen_random_zero_sum(1491, 10, seed=1)
+    assert verify_wilson_identities(X, 1490, 1491).verdict == "verified"
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_two_valued_matches_the_per_entry_oracle(n):
+    # identity (a)'s mismatch count and first witness from its two values
+    # are the packed-row loop's, with the true values and each off by one
+    for k in range(1, n + 1):
+        for j in range(k + 1):
+            in_val, out_val = binomial(n - j, k - j), binomial(n - j - 1, k - j - 1)
+            for d_in, d_out in ((0, 0), (1, 0), (0, 1), (-1, 1)):
+                got = scheme._two_valued(n, j, k, in_val + d_in, out_val + d_out)
+                assert got == two_valued_per_entry(n, j, k, in_val + d_in, out_val + d_out), (n, j, k)
