@@ -14,7 +14,27 @@ one threshold, found by a floor division. A table built once per
 multiplicity tuple holds each prefix's weighted counts at or past every
 threshold.
 
-The grid is counted a row at a time, a row being the candidates that differ
+At d <= 3 the grid is counted by direction. A d = 3 candidate has values
+h > v > w with m1 * h + m2 * v + m3 * w = 0, so h > 0 (were h <= 0, all
+three values would be negative and their weighted sum too), and every
+composition sum is (A * h + B * v) / m3 for integers A and B. The sum is
+homogeneous in (h, v), so its sign, and the count, depend only on the
+direction v / h. Between the grid's least direction and its greatest,
+(top - 1) / top, each level of a prefix switches at most once, at a
+rational breakpoint, so the count is a step function: one value on each
+open cell between breakpoints and one at each breakpoint. A tuple is
+counted in one pass: each prefix's threshold at the two extreme
+directions gives the levels it crosses, their breakpoints are sorted by
+an exact integer key and swept, and only the cells that could beat the
+best so far are searched for grid candidates, least count first. A
+breakpoint p / q is on the grid only at h = q; an open cell takes one
+floor division per h. A tuple whose table has more levels (the sum of its
+suffix lengths, which bounds the crossings) than it has candidates keeps
+its rows, as does d = 4. At d = 2 every candidate (v, -m1 * v / m2) has
+the direction of v = 1, so each tuple has one count, and v = 1 is its
+least candidate.
+
+Rows are counted one at a time, a row being the candidates that differ
 only in the last head v. Along a row a prefix's threshold is the ceiling of
 a ratio of two linear functions of v whose denominator stays positive, so it
 is monotone in v, and part d-1 = c reaches it exactly where one linear
@@ -31,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import prod
+from math import comb, gcd, prod
 from typing import Iterator, Mapping
 
 from .combinat import _Record, binomial, charge
@@ -98,21 +118,25 @@ class SearchSpace(_Record):
         hi down to lo; the last value is (base - m_head * v) / den, with den
         the last multiplicity. Prefixes are lexicographic, heads high to low.
         """
-        top = self.value_range
-        grid = range(top, -top - 1, -1)
         for d in range(2, self.max_distinct + 1):
             for mults in _positive_compositions(self.n, d):
-                *prefix_mults, m_head, den = mults
-                for prefix in itertools.combinations(grid[:-1], d - 2):
-                    base = 0
-                    for m, v in zip(prefix_mults, prefix):
-                        base -= m * v
-                    # The last value (base - m_head * v) / den stays below the
-                    # last head v exactly when v * (m_head + den) > base.
-                    hi = prefix[-1] - 1 if prefix else top
-                    lo = max(base // (m_head + den) + 1, -top)
-                    if lo <= hi:
-                        yield mults, prefix, base, hi, lo
+                yield from _tuple_rows(mults, self.value_range)
+
+
+def _tuple_rows(mults: tuple[int, ...], top: int) -> Iterator[Row]:
+    """The nonempty rows of one multiplicity tuple, in SearchSpace.rows' order."""
+    *prefix_mults, m_head, den = mults
+    grid = range(top, -top - 1, -1)
+    for prefix in itertools.combinations(grid[:-1], len(mults) - 2):
+        base = 0
+        for m, v in zip(prefix_mults, prefix):
+            base -= m * v
+        # The last value (base - m_head * v) / den stays below the last
+        # head v exactly when v * (m_head + den) > base.
+        hi = prefix[-1] - 1 if prefix else top
+        lo = max(base // (m_head + den) + 1, -top)
+        if lo <= hi:
+            yield mults, prefix, base, hi, lo
 
 
 class SearchReport(_Record):
@@ -161,7 +185,7 @@ def _threshold_table(mults: tuple[int, ...], k: int) -> Table:
     sum of C(m_{d-1}, c) * C(m_d, rem - c) over t <= c <= hi, times the
     prefix's weight, the product of C(m_i, c_i) over it.
     """
-    rows = [[binomial(m, c) for c in range(min(m, k) + 1)] for m in mults]
+    rows = [[comb(m, c) for c in range(min(m, k) + 1)] for m in mults]
     *head, last, final = rows
     box = [range(len(row)) for row in head]
     entries = []
@@ -267,14 +291,145 @@ def _row_counts(table: Table, row: Row) -> list[int]:
     return counts
 
 
+def _d3_grid(m1: int, n: int, top: int) -> tuple[list[int], int, tuple[int, int]]:
+    """(lows, size, start) of the d = 3 rows whose first multiplicity is m1.
+
+    lows[h] is the least second head of first head h = 1..top (rows with
+    h <= 0 are empty), size the number of candidates, and start =
+    (h, lows[h]) the grid's least direction v / h, the smallest h first.
+    """
+    lows = [0] + [max((-m1 * h) // (n - m1) + 1, -top) for h in range(1, top + 1)]
+    h0 = 1
+    for h in range(2, top + 1):
+        if lows[h] * h0 < lows[h0] * h:
+            h0 = h
+    return lows, sum(h - lows[h] for h in range(1, top + 1)), (h0, lows[h0])
+
+
+def _least_on_grid(cell: tuple[int, ...], lows: list[int], top: int) -> tuple[int, int] | None:
+    """The least grid candidate (h, v), smallest h first, whose direction v / h lies in a cell.
+
+    A point cell (p, q) holds v / h = p / q exactly when (h, v) is a
+    multiple of the reduced pair, so only its h can be least. An open cell
+    (pl, ql, l, pr, qr, r) holds pl / ql < v / h < pr / qr, with l = 1 or
+    r = 1 closing that end; each h takes the least v past the left end,
+    v * ql >= pl * h + 1 - l, and holds it to the right end,
+    v * qr < pr * h + r.
+    """
+    if len(cell) == 2:
+        p, q = cell
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        return (q, p) if q <= top and p >= lows[q] else None
+    pl, ql, l, pr, qr, r = cell
+    for h in range(1, top + 1):
+        v = max((pl * h - l) // ql + 1, lows[h])
+        if v * qr < pr * h + r:
+            return h, v
+    return None
+
+
+def _direction_cells(table: Table, mults: tuple[int, ...], top: int,
+                     start: tuple[int, int]) -> list[tuple[int, tuple[int, ...]]]:
+    """(count, cell) for every cell of a d = 3 tuple's directions, least direction first.
+
+    With values (h, v, w) and m3 * w = -m1 * h - m2 * v, level c of prefix
+    c1 counts where h * (alpha + c * m1) + v * (c * sigma - step) >= 0, a
+    half-line of directions v / h ending at one breakpoint. Each prefix's
+    threshold is evaluated at the grid's least direction, start, and at its
+    greatest, (top - 1) / top; only the levels between the two switch, each
+    on from its breakpoint up (q > 0) or off past it (q < 0). Equal
+    breakpoints are merged under the exact key p * K // q: with every
+    denominator at most D and K = D * D, distinct ratios are at least
+    1 / K apart. The cells alternate open and point, as _least_on_grid
+    reads them, and cover the directions from start to (top - 1) / top.
+    """
+    m1, m2, m3 = mults
+    sigma = m2 + m3
+    h0, v0 = start
+    dw0, dw1 = v0 * sigma + m1 * h0, (top - 1) * sigma + m1 * top
+    scale = (sigma * (m1 + sigma)) ** 2  # every |c * sigma - step| is at most sigma * n
+    count, events = 0, {}
+    for c1, rem, c_lo, c_hi, suffix in table[1]:
+        alpha, step = c1 * m3 - rem * m1, m2 * rem
+        t = -((h0 * alpha - v0 * step) // dw0)
+        u = -((top * alpha - (top - 1) * step) // dw1)
+        t = c_lo if t < c_lo else c_hi + 1 if t > c_hi else t
+        u = c_lo if u < c_lo else c_hi + 1 if u > c_hi else u
+        if t <= c_hi:
+            count += suffix[t - c_lo]
+        for c in range(min(t, u), max(t, u)):
+            j = c - c_lo
+            weight = suffix[j] - suffix[j + 1] if c < c_hi else suffix[j]
+            p, q = -alpha - c * m1, c * sigma - step
+            on = weight
+            if q < 0:
+                p, q, on = -p, -q, 0
+            event = events.setdefault(p * scale // q, [p, q, 0, 0])
+            event[2] += on
+            event[3] += weight - on
+    cells = []
+    pl, ql, l = v0, h0, 1
+    for key in sorted(events):
+        p, q, on, off = events[key]
+        cells.append((count, (pl, ql, l, p, q, 0)))
+        cells.append((count + on, (p, q)))
+        count += on - off
+        pl, ql, l = p, q, 0
+    cells.append((count, (pl, ql, l, top - 1, top, 1)))
+    return cells
+
+
+def _direction_best(cells: list[tuple[int, tuple[int, ...]]], lows: list[int], top: int,
+                    limit: int) -> tuple[int, tuple[int, int]] | None:
+    """(count, (h, v)) of the least grid candidate counting at most limit, or None.
+
+    Cells are tried in order of count; the first count that holds a grid
+    candidate is the tuple's least, and its cells give the least (h, v).
+    """
+    best = None
+    for count, cell in sorted((cell for cell in cells if cell[0] <= limit), key=lambda cell: cell[0]):
+        if best is not None and count > best[0]:
+            break
+        found = _least_on_grid(cell, lows, top)
+        if found is not None and (best is None or (count, found) < best):
+            best = (count, found)
+    return best
+
+
+def _rows_best(table: Table, mults: tuple[int, ...], top: int,
+               limit: int) -> tuple[int, tuple[int, tuple[int, ...]] | None]:
+    """(candidates, (count, heads) of the least counting at most limit, or None), row by row."""
+    examined, best = 0, None
+    for row in _tuple_rows(mults, top):
+        _, prefix, _, _, lo = row
+        counts = _row_counts(table, row)
+        examined += len(counts)
+        least = min(counts)
+        if least > limit:
+            continue
+        # Values fall with v along a row, so its argmin is its last least count.
+        found = (least, prefix + (lo + counts[::-1].index(least),))
+        if best is None or found < best:
+            best, limit = found, least
+    return examined, best
+
+
 def sweep_patterns(space: SearchSpace) -> SearchReport:
     """Minimize the nonnegative k-subset count over the whole grid.
 
-    The threshold table (see _threshold_table) is rebuilt only when the
-    multiplicity tuple changes, and _row_counts counts each row of
-    SearchSpace.rows in exact integers in one call. Ties break toward the
-    lexicographically smallest (multiplicities, values), which are built
-    only for a count that ties or beats the best so far. Before the report
+    The threshold table (see _threshold_table) is built once per
+    multiplicity tuple. A d = 3 candidate (h, v, w) has h > 0, since three
+    strictly decreasing values with a zero weighted sum cannot all be
+    negative, and each composition sum is homogeneous in (h, v), so a
+    tuple's count depends only on v / h: _direction_cells sweeps it across
+    the breakpoints between the grid's extreme directions, and
+    _direction_best finds the least candidate of the least cell that holds
+    one. A tuple whose table has more levels than it has candidates, and
+    every d = 4 tuple, is counted row by row by _row_counts instead; a d = 2
+    tuple has one direction, so one count, at v = 1. candidates_examined
+    counts every grid candidate either way. Ties break toward the
+    lexicographically smallest (multiplicities, values). Before the report
     is emitted, the winner is re-counted by count_nonnegative_dp in both
     value orders and by count_nonnegative on the expanded vector, whose
     own chooser and budget pick the engine; none of them shares code with
@@ -282,32 +437,40 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
     only the engine count_nonnegative chose.
     """
     charge(space.size(), "grid candidates before the zero-sum filter", "reduce value_range or max_distinct")
-    n, k = space.n, space.k
+    n, k, top = space.n, space.k, space.value_range
     bound = star_family_size(n, k)
     # The single value 0 comes first: every k-subset sums to 0.
-    b_count, b_mults, b_scaled, b_den = binomial(n, k), (n,), (0,), 1
+    b_count, b_mults, b_heads = binomial(n, k), (n,), ()
     examined = 1
-    table_mults: tuple[int, ...] = ()
-    for row in space.rows():
-        mults, prefix, base, hi, lo = row
-        if mults != table_mults:
-            table_mults, table = mults, _threshold_table(mults, k)
-        counts = _row_counts(table, row)
-        examined += len(counts)
-        least = min(counts)
-        if least > b_count:
-            continue
-        # Values fall with v along a row, so its argmin is its last least count;
-        # equal multiplicities share den, so scaled tuples compare as values.
-        v = lo + counts[::-1].index(least)
-        m_head, den = mults[-2:]
-        scaled = tuple(h * den for h in prefix) + (v * den, base - m_head * v)
-        if least < b_count or (mults, scaled) < (b_mults, b_scaled):
-            b_count, b_mults, b_scaled, b_den = least, mults, scaled, den
+    grid_m1 = 0
+    for d in range(2, space.max_distinct + 1):
+        for mults in _positive_compositions(n, d):
+            table = _threshold_table(mults, k)
+            if d == 3 and mults[0] != grid_m1:
+                grid_m1 = mults[0]
+                lows, size, start = _d3_grid(grid_m1, n, top)
+            if d == 2:
+                # every candidate has the direction of v = 1, where the sum
+                # of c_1 * v + (k - c_1) * w has the sign of c_1 * n - k * m_1
+                [(_, _, c_lo, c_hi, suffix)] = table[1]
+                t = max(-((-mults[0] * k) // n), c_lo)
+                examined += top
+                found = (suffix[t - c_lo] if t <= c_hi else 0, (1,))
+            # by direction unless the levels, which bound the crossings,
+            # outnumber the candidates; every entry has at least one level
+            elif d == 3 and len(table[1]) <= size and (
+                    sum(len(entry[4]) for entry in table[1]) <= size):
+                examined += size
+                found = _direction_best(_direction_cells(table, mults, top, start), lows, top, b_count)
+            else:
+                rows, found = _rows_best(table, mults, top, b_count)
+                examined += rows
+            if found is not None and (found[0], mults, found[1]) < (b_count, b_mults, b_heads):
+                b_count, b_mults, b_heads = found[0], mults, found[1]
 
-    pattern = MultiplicityPattern(
-        tuple((Fraction(s, b_den), m) for s, m in zip(b_scaled, b_mults))
-    )
+    # The last value solves the zero sum: m_d * w = -(m_1 * h_1 + ... + m_{d-1} * h_{d-1}).
+    last = Fraction(-sum(m * h for m, h in zip(b_mults, b_heads)), b_mults[-1])
+    pattern = MultiplicityPattern(tuple(zip(tuple(map(Fraction, b_heads)) + (last,), b_mults)))
     forward = count_nonnegative_dp(pattern, k)
     backward = count_nonnegative_dp(pattern, k, reverse=True)
     recount = count_nonnegative(pattern.expand(), k)

@@ -2,7 +2,9 @@
 
 Everything here goes through itertools.combinations and direct Fraction
 sums so that a bug in the library's generation or DP machinery cannot hide
-behind itself.
+behind itself. The one exception is row_sweep, the search's row loop, which
+runs the package's row kernel; test_search holds that kernel to
+threshold_count candidate by candidate.
 """
 
 from fractions import Fraction
@@ -338,6 +340,37 @@ def threshold_count(mults, scaled, k):
         for c in range(max(0, rem - m_final, -(base // dw)), min(m_last, rem) + 1):
             total += weight * comb(m_last, c) * comb(m_final, rem - c)
     return total
+
+
+def row_sweep(space):
+    """(best count, best pattern's pairs, candidates examined) of a search, row by row.
+
+    Every row of space.rows() is counted by the package's row kernel; a
+    row's argmin is its last least count, since values fall with v along
+    it, and ties break toward the least (multiplicities, values). Nothing
+    is counted by direction.
+    """
+    from mmsverify.search import _row_counts, _threshold_table
+
+    n, k = space.n, space.k
+    b_count, b_mults, b_scaled, b_den = comb(n, k), (n,), (0,), 1
+    examined = 1
+    table_mults = ()
+    for row in space.rows():
+        mults, prefix, base, hi, lo = row
+        if mults != table_mults:
+            table_mults, table = mults, _threshold_table(mults, k)
+        counts = _row_counts(table, row)
+        examined += len(counts)
+        least = min(counts)
+        if least > b_count:
+            continue
+        v = lo + counts[::-1].index(least)
+        m_head, den = mults[-2:]
+        scaled = tuple(h * den for h in prefix) + (v * den, base - m_head * v)
+        if least < b_count or (mults, scaled) < (b_mults, b_scaled):
+            b_count, b_mults, b_scaled, b_den = least, mults, scaled, den
+    return b_count, tuple((Fraction(s, b_den), m) for s, m in zip(b_scaled, b_mults)), examined
 
 
 def pattern_pairs(values):

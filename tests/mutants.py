@@ -32,6 +32,13 @@ MUTANTS = (
      "count_nonnegative reads a count of C(n-1, k-1) - 1 as satisfying the bound"),
     ("src/mmsverify/search.py", "violation=b_count < bound", "violation=b_count + 1 < bound",
      "sweep_patterns reads a winner one below the bound as no violation"),
+    ("src/mmsverify/search.py", "cells.append((count + on, (p, q)))", "cells.append((count - off, (p, q)))",
+     "a d = 3 breakpoint's point cell drops the compositions summing to exactly 0 there"),
+    ("src/mmsverify/search.py", "sum(h - lows[h] for h in range(1, top + 1))",
+     "sum(h - lows[h] + 1 for h in range(1, top + 1))",
+     "a d = 3 tuple counted by direction reports one candidate too many per first head"),
+    ("src/mmsverify/search.py", "(pl * h - l) // ql + 1", "(pl * h) // ql + 1",
+     "the first open cell of a d = 3 tuple loses the grid's least direction"),
     ("src/mmsverify/lemmas.py", 'count, ">=", bound', 'count + 1, ">=", bound',
      "verify_mms_bound reads a count of C(n-1, k-1) - 1 as meeting the theorem's bound"),
     ("src/mmsverify/scheme.py", "if slope == coef:", "if slope <= coef:",

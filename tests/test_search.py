@@ -9,13 +9,16 @@ from mmsverify.combinat import binomial
 from mmsverify.counting import ENGINE_ENUM, ENGINE_GF, MultiplicityPattern, count_nonnegative_dp
 from mmsverify.search import (
     SearchSpace,
+    _d3_grid,
+    _direction_best,
+    _direction_cells,
     _row_counts,
     _threshold_table,
     find_counterexample,
     sweep_patterns,
 )
 
-from _oracles import brute_count, filtered_candidates, space_candidates, threshold_count
+from _oracles import brute_count, filtered_candidates, row_sweep, space_candidates, threshold_count
 
 
 def _subset_count(mults, scaled, k):
@@ -363,3 +366,127 @@ def test_benchmark_searches_are_pinned(n, k, d, v, count, examined, pairs):
 def test_every_candidate_is_examined_once():
     space = SearchSpace(n=9, k=3, max_distinct=4, value_range=3)
     assert sweep_patterns(space).candidates_examined == sum(1 for _ in space_candidates(space))
+
+
+def _sweep_outcome(space):
+    report = sweep_patterns(space)
+    return report.best_count, report.best_pattern.pairs, report.candidates_examined
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sweep_matches_the_row_loop_on_every_small_space(n):
+    for k, d, v in product(range(1, n + 1), (1, 2, 3), range(1, 6)):
+        space = SearchSpace(n=n, k=k, max_distinct=d, value_range=v)
+        assert _sweep_outcome(space) == row_sweep(space), (n, k, d, v)
+
+
+def _d3_candidates(mults, top):
+    """Every grid candidate (h, v) of a d = 3 tuple, filtered from all heads in [-top, top]."""
+    m1, m2, m3 = mults
+    return [(h, v) for h in range(1 - top, top + 1) for v in range(-top, h) if v * (m2 + m3) > -m1 * h]
+
+
+@st.composite
+def ray_cases(draw):
+    """(mults, k, top, (h, v)): a d = 3 tuple and a grid candidate on whose ray a composition of k sums to 0.
+
+    The composition is not a multiple of mults, so its sum is zero on that
+    one direction only: a breakpoint. (h, v) is the grid's least direction,
+    its greatest or any candidate, so the breakpoint falls on an extreme
+    direction as well as inside.
+    """
+    mults = tuple(draw(st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=3)))
+    top = draw(st.integers(min_value=1, max_value=8))
+    m1, m2, m3 = mults
+    grid = _d3_candidates(mults, top)
+    where = draw(st.sampled_from((min, max, None)))
+    if where is None:
+        h, v = draw(st.sampled_from(grid))
+    else:
+        h, v = where(grid, key=lambda hv: (Fraction(hv[1], hv[0]), -hv[0]))
+    zeros = [c for c in product(range(m1 + 1), range(m2 + 1), range(m3 + 1))
+             if (c[0] * m3 - c[2] * m1) * h + (c[1] * m3 - c[2] * m2) * v == 0
+             and (c[0] * m3 - c[2] * m1, c[1] * m3 - c[2] * m2) != (0, 0)]
+    assume(zeros)
+    return mults, sum(draw(st.sampled_from(zeros))), top, (h, v)
+
+
+def _holds(cell, s):
+    """Whether direction s lies in a cell of _direction_cells."""
+    if len(cell) == 2:
+        return s == Fraction(*cell)
+    pl, ql, l, pr, qr, r = cell
+    left, right = Fraction(pl, ql), Fraction(pr, qr)
+    return (left < s or (l and left == s)) and (s < right or (r and s == right))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ray_cases())
+def test_direction_cells_count_every_grid_direction(case):
+    # each grid candidate lies in exactly one cell, whose count is the
+    # per-candidate oracle's; the drawn ray, strictly inside, is a point
+    # cell; the least candidate of the least count is the tuple's argmin;
+    # and the whole sweep agrees with the row loop
+    mults, k, top, ray = case
+    m1, m2, m3 = mults
+    n = sum(mults)
+    lows, size, start = _d3_grid(m1, n, top)
+    cells = _direction_cells(_threshold_table(mults, k), mults, top, start)
+    grid = _d3_candidates(mults, top)
+    assert size == len(grid) and all(h > 0 for h, _ in grid)
+    directions = [Fraction(v, h) for h, v in grid]
+    scored = []
+    for (h, v), s in zip(grid, directions):
+        [count] = [count for count, cell in cells if _holds(cell, s)]
+        assert count == threshold_count(mults, (h * m3, v * m3, -m1 * h - m2 * v), k), (h, v)
+        scored.append((count, (h, v)))
+    s = Fraction(ray[1], ray[0])
+    if min(directions) < s < max(directions):
+        assert any(len(cell) == 2 and _holds(cell, s) for _, cell in cells)
+    assert _direction_best(cells, lows, top, binomial(n, k)) == min(scored)
+    assert _direction_best(cells, lows, top, min(scored)[0] - 1) is None
+    space = SearchSpace(n=n, k=k, max_distinct=3, value_range=top)
+    assert _sweep_outcome(space) == row_sweep(space)
+
+
+@pytest.mark.parametrize("n,k,v", [(40, 20, 2), (16, 8, 3), (12, 6, 2)])
+def test_sweep_matches_the_row_loop_where_tuples_keep_their_rows(monkeypatch, n, k, v):
+    # a tuple whose table has more levels than it has candidates is
+    # counted by rows; these spaces mix such tuples with counted-by-direction ones
+    import mmsverify.search as search
+
+    paths = set()
+    real_rows, real_cells = search._row_counts, search._direction_cells
+    monkeypatch.setattr(search, "_row_counts", lambda *a: paths.add("rows") or real_rows(*a))
+    monkeypatch.setattr(search, "_direction_cells", lambda *a: paths.add("cells") or real_cells(*a))
+    space = SearchSpace(n=n, k=k, max_distinct=3, value_range=v)
+    assert _sweep_outcome(space) == row_sweep(space)
+    assert paths == {"rows", "cells"}
+
+
+def test_d3_searches_count_by_direction_and_d4_by_rows(monkeypatch):
+    import mmsverify.search as search
+
+    rows, iterated = [], []
+    real = search._row_counts
+    real_rows = SearchSpace.rows
+
+    def spy(table, row):
+        rows.append(row)
+        return real(table, row)
+
+    def spy_rows(self):
+        iterated.append(self)
+        return real_rows(self)
+
+    monkeypatch.setattr(search, "_row_counts", spy)
+    monkeypatch.setattr(SearchSpace, "rows", spy_rows)
+    report = find_counterexample(7, 1, 20)
+    assert (report.best_count, report.candidates_examined) == (50388, 68902)
+    assert rows == [] and iterated == []
+    # at d = 4 every four-valued row still reaches the row kernel
+    space = SearchSpace(n=14, k=4, max_distinct=4, value_range=4)
+    sweep_patterns(space)
+    assert iterated == []
+    assert [row for row in rows if len(row[0]) == 4] == [
+        row for row in real_rows(space) if len(row[0]) == 4]
