@@ -27,6 +27,7 @@ packed, the pass steps and the factorization's pairs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, prod
 from operator import mul
 from typing import Sequence
 
@@ -318,8 +319,9 @@ def _two_valued(n: int, j: int, k: int, in_val: int, out_val: int) -> tuple[int,
     Entry (Y, t) counts the k-supersets of Y | {t}, so it depends only on
     m = |Y | {t}|, j or j + 1: it is 0 when m > k, and otherwise the
     number of (k - m)-subsets of the other n - m items, or of their
-    complements, the (n - k)-subsets; a pass over n - m items to the
-    lower of the two levels counts them. Each of the C(n, j) rows has j
+    complements, the (n - k)-subsets: C(n - m, r) at the lower level r,
+    the product of r falling factors over r!, a route apart from the
+    math.comb values it is held to. Each of the C(n, j) rows has j
     entries inside and n - j outside. The first entry in row-major colex
     order is (range(j), 0), inside unless j = 0, and the first outside
     one is (range(j), j).
@@ -327,7 +329,8 @@ def _two_valued(n: int, j: int, k: int, in_val: int, out_val: int) -> tuple[int,
     cj = binomial(n, j)
     mism, witness = 0, None
     for m, t, want, entries in ((j, 0, in_val, j * cj), (j + 1, j, out_val, (n - j) * cj)):
-        got = _size_pass([0] * (n - m), min(k - m, n - k))[0][-1] if m <= k else 0
+        r = min(k - m, n - k)
+        got = prod(range(n - m - r + 1, n - m + 1)) // factorial(r) if m <= k else 0
         if entries and got != want:
             mism += entries
             witness = witness or {"S": list(range(j)), "t": t, "got": got, "want": want}
@@ -342,21 +345,21 @@ def verify_wilson_identities(X: WeightVector, j: int, k: int) -> LemmaReport:
     (b) W_jk W_1k^T x = C(n-j-1, k-j) W_1j^T x.
     (c) Wbar_jk^T W_1j^T x = -C(n-k-1, j-1) W_1k^T x.
 
-    (a) does not depend on x: _two_valued reads both values off two short
-    passes. (W_jk b)_Y sums b over the k-subsets meeting Y in j places,
-    entry j of Y's divided pass; (Wbar_jk^T bj)_S sums bj over the
-    j-subsets missing S, entry 0 of S's divided pass at level j. Both are
-    affine in the block's sum, so after one pass over y each identity
-    takes one divided pass from _affine, one serving both when j = k, and
-    _mismatches counts its failing rows from the sums. The steps of every
-    pass are charged.
+    (a) does not depend on x: _two_valued computes both values, charged
+    one step per factor. (W_jk b)_Y sums b over the k-subsets meeting Y
+    in j places, entry j of Y's divided pass; (Wbar_jk^T bj)_S sums bj
+    over the j-subsets missing S, entry 0 of S's divided pass at level j.
+    Both are affine in the block's sum, so after one pass over y each
+    identity takes one divided pass from _affine, one serving both when
+    j = k, and _mismatches counts its failing rows from the sums. The
+    steps of every pass are charged.
     """
     n = X.n
     if not (1 <= k <= n and 0 <= j <= k):
         raise ValueError(f"need 1 <= k <= n and 0 <= j <= k, got n={n}, k={k}, j={j}")
     charge(
         _pass_steps(n, k) + _divided_steps(j, k) + (j < k) * _divided_steps(k, j)
-        + sum(_pass_steps(n - m, min(k - m, n - k)) for m in (j, j + 1) if m <= k),
+        + sum(min(k - m, n - k) for m in (j, j + 1) if m <= k),
         f"steps of the passes over {n} items and of the divided passes of blocks of {j} and {k} items",
     )
     y, _ = X.scaled_ints()

@@ -49,6 +49,8 @@ MUTANTS = (
      "the exact-sum count takes the subsets of sum s + 1 as of sum s"),
     ("src/mmsverify/lemmas.py", "if s >= 0:", "if s > 0:",
      "simulate_partition's folded trials read a block of sum 0 as negative"),
+    ("src/mmsverify/scheme.py", "prod(range(n - m - r + 1, n - m + 1))", "prod(range(n - m - r + 2, n - m + 1))",
+     "Wilson (a) computes its two values without the least factor of C(n - m, r)"),
     ("src/mmsverify/scheme.py", "coef_b = binomial(n - j - 1, k - j)", "coef_b = binomial(n - j, k - j)",
      "Wilson's identity (b) is held against the wrong coefficient C(n-j, k-j)"),
     ("src/mmsverify/scheme.py", "coef_c = -binomial(n - k - 1, j - 1)", "coef_c = -binomial(n - k, j - 1)",

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import pytest
 from conftest import REPO_ROOT, run_captured
 
 from mmsverify import cli, lemmas, search
+from mmsverify.__main__ import launch
 from mmsverify.counting import CountReport
 from mmsverify.weights import gen_random_zero_sum, load_weights
 
@@ -705,3 +708,47 @@ def test_json_runs_are_byte_identical(cli_runner):
     assert first.returncode == 0
     assert first.stdout == second.stdout
 
+
+def test_launcher_freezes_the_heap_before_the_process_exits(cli_runner, tmp_path):
+    # shutdown's collections skip the permanent generation; the atexit hook
+    # runs after launch() returns and before those collections
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: sys.stderr.write(f'{gc.get_freeze_count()}\\n'))\n"
+    )
+    done = cli_runner("count", "--star", "--n", "8", "-k", "2", extra_path=tmp_path)
+    assert done.returncode == 0
+    assert int(done.stderr) > 0
+
+
+def test_main_and_run_leave_the_heap_unfrozen(capsys):
+    # tests call them in process, where a freeze would pin pytest's heap
+    before = gc.get_freeze_count()
+    assert cli.main(["count", "--star", "--n", "8", "-k", "2"]) == 0
+    assert run_captured(["count", "--star", "--n", "8", "-k", "2"])[2] == 0
+    assert gc.get_freeze_count() == before
+    assert capsys.readouterr().out.startswith("command: count --star --n 8 -k 2\n")
+
+
+def test_console_script_is_the_launcher():
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["mmsverify"]
+    module, name = target.split(":")
+    assert getattr(importlib.import_module(module), name) is launch
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--random", "--n", "12", "-k", "3", "--seed", "5"),
+    ("verify", "--lemma", "wilson", "--random", "--n", "9", "-j", "2", "-k", "4"),
+    ("spectrum", "--kind", "kneser", "--n", "6", "-j", "1", "-k", "2"),
+    ("search", "--counterexample", "-k", "7", "-r", "1", "--value-range", "20"),
+    ("gen", "--random", "--n", "6", "--seed", "3"),
+], ids=lambda argv: argv[0])
+def test_launcher_prints_the_bytes_run_prints(argv):
+    argv = [*argv, "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "mmsverify", *argv], capture_output=True,
+                          env=env, cwd=REPO_ROOT)
+    out, err, code = run_captured(argv)
+    assert (done.stdout, done.stderr, done.returncode) == (out.encode(), err.encode(), code)

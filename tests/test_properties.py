@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, groupby
+from math import prod
 from unittest.mock import patch
 
 import pytest
@@ -388,11 +389,17 @@ def test_pass_and_dp_charges_bound_the_units_they_count(X, data):
         divided.append(len(items))
         return _divided_pass(full, items, k)
 
-    with patch.multiple(scheme, _size_pass=size_pass, _divided_pass=divided_pass):
+    def product(factors):
+        factors = list(factors)
+        counted.append(len(factors))
+        return prod(factors)
+
+    with patch.multiple(scheme, _size_pass=size_pass, _divided_pass=divided_pass, prod=product):
         (charged,) = _charges(scheme, lambda: verify_wilson_identities(X, j, k))
-    # one pass over y and, for identity (a), one over n - j zeros and one
-    # over n - j - 1 (none when j = k); one divided pass of j items (none
-    # if j = 0) and one of k items, shared with the first when j = k
+    # one pass over y and, for identity (a), a product of C(n - j, .)'s
+    # factors and one of C(n - j - 1, .)'s (none when j = k); one divided
+    # pass of j items (none if j = 0) and one of k items, shared with the
+    # first when j = k
     assert len(counted) - len(divided) == 2 + (j < k)
     assert sorted(divided) == sorted([j] * (j > 0) + [k] * (j < k))
     assert sum(counted) <= charged

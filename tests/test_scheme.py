@@ -287,6 +287,23 @@ def test_wilson_answers_where_the_pair_of_divided_passes_was_refused():
     assert verify_wilson_identities(X, 1490, 1491).verdict == "verified"
 
 
+def test_wilson_at_n_8k_squared_is_admitted_through_k_107(monkeypatch):
+    # (a)'s two values cost one step per factor, so the pass over y sets
+    # the charge: k = 107 fits the budget and k = 108 does not
+    class Charged(Exception):
+        pass
+
+    def spy(work, what, hint=""):
+        raise Charged(work)
+
+    with pytest.raises(ValueError, match="= 10083907, over the enumeration budget"):
+        verify_wilson_identities(gen_star(93_312), 54, 108)
+    monkeypatch.setattr(scheme, "charge", spy)
+    with pytest.raises(Charged) as charged:
+        verify_wilson_identities(gen_star(91_592), 53, 107)
+    assert charged.value.args == (9_806_336,)
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_two_valued_matches_the_per_entry_oracle(n):
     # identity (a)'s mismatch count and first witness from its two values
