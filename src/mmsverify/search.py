@@ -45,6 +45,20 @@ from the v where its inequality flips, one floor division per level; only
 the rest are evaluated at every v. On a row of L candidates a prefix that
 crosses c levels so costs O(1 + c) work, against O(L) for evaluating it at
 every candidate, and never more than O(L).
+
+A tuple whose floor already exceeds the best count so far is skipped
+before its table is built. With C_j and M_j the prefix sums of a
+composition c and of the multiplicities, and zero sum giving
+n * v_d = -sum over j < d of M_j * (v_j - v_{j+1}), Abel summation reads
+sum c_i * v_i = sum over j < d of (C_j - k * M_j / n) * (v_j - v_{j+1}).
+Every gap v_j - v_{j+1} is positive and can dominate the others, so c is
+nonnegative at every strictly decreasing zero-sum vector of the tuple
+exactly when n * C_j >= k * M_j for every j < d. The weighted count of
+those compositions is the floor: no candidate of the tuple counts fewer.
+It depends on (mults, n, k) alone and takes one pass over the blocks,
+about d * (k + 1)^2 steps: at d = 3 about what the tuple's table costs,
+which a tuple of few candidates would not repay, so only a tuple with
+more than k grid candidates computes it.
 """
 
 from __future__ import annotations
@@ -398,13 +412,12 @@ def _direction_best(cells: list[tuple[int, tuple[int, ...]]], lows: list[int], t
 
 
 def _rows_best(table: Table, mults: tuple[int, ...], top: int,
-               limit: int) -> tuple[int, tuple[int, tuple[int, ...]] | None]:
-    """(candidates, (count, heads) of the least counting at most limit, or None), row by row."""
-    examined, best = 0, None
+               limit: int) -> tuple[int, tuple[int, ...]] | None:
+    """(count, heads) of the least candidate counting at most limit, or None, row by row."""
+    best = None
     for row in _tuple_rows(mults, top):
         _, prefix, _, _, lo = row
         counts = _row_counts(table, row)
-        examined += len(counts)
         least = min(counts)
         if least > limit:
             continue
@@ -412,7 +425,32 @@ def _rows_best(table: Table, mults: tuple[int, ...], top: int,
         found = (least, prefix + (lo + counts[::-1].index(least),))
         if best is None or found < best:
             best, limit = found, least
-    return examined, best
+    return best
+
+
+def _floor(mults: tuple[int, ...], n: int, k: int) -> int:
+    """A lower bound on a tuple's count at every strictly decreasing zero-sum vector.
+
+    The weighted count, prod C(m_i, c_i), of the compositions c of k with
+    n * C_j >= k * M_j for every j < d, C_j and M_j being the prefix sums
+    of c and of mults: by Abel summation (see the module docstring) these
+    are exactly the compositions nonnegative at every such vector. One pass
+    over the blocks keeps the weighted count of each admissible prefix sum.
+    """
+    low, counts = 0, [1]  # counts[C - low]: weighted prefixes of sum C, low <= C <= k
+    total = 0
+    for m in mults[:-1]:
+        total += m
+        row = [comb(m, c) for c in range(min(m, k) + 1)]
+        new_low = -((-k * total) // n)  # the least C_j with n * C_j >= k * M_j
+        grown = [0] * (k + 1 - new_low)
+        for s, w in enumerate(counts, low):
+            skip = max(new_low - s, 0)
+            for c, b in enumerate(row[skip:k + 1 - s], s + skip - new_low):
+                grown[c] += w * b
+        low, counts = new_low, grown
+    last = mults[-1]
+    return sum(w * comb(last, k - c) for c, w in enumerate(counts, low) if k - c <= last)
 
 
 def sweep_patterns(space: SearchSpace) -> SearchReport:
@@ -427,8 +465,13 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
     _direction_best finds the least candidate of the least cell that holds
     one. A tuple whose table has more levels than it has candidates, and
     every d = 4 tuple, is counted row by row by _row_counts instead; a d = 2
-    tuple has one direction, so one count, at v = 1. candidates_examined
-    counts every grid candidate either way. Ties break toward the
+    tuple has one direction, so one count, at v = 1. Before its table, a
+    d >= 3 tuple with more than k grid candidates computes its _floor, the
+    weighted count of the compositions nonnegative at every zero-sum vector
+    of the tuple, and is skipped when the floor exceeds the best count so
+    far; a floor equal to it does not skip, since the tuple could still
+    win the tie-break. candidates_examined counts every grid candidate
+    either way, a skipped tuple's included. Ties break toward the
     lexicographically smallest (multiplicities, values). Before the report
     is emitted, the winner is re-counted by count_nonnegative_dp in both
     value orders and by count_nonnegative on the expanded vector, whose
@@ -442,29 +485,37 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
     # The single value 0 comes first: every k-subset sums to 0.
     b_count, b_mults, b_heads = binomial(n, k), (n,), ()
     examined = 1
-    grid_m1 = 0
+    grid = ()
     for d in range(2, space.max_distinct + 1):
         for mults in _positive_compositions(n, d):
+            if d == 2:
+                size = top
+            elif d == 3 and mults[:1] != grid:
+                grid = mults[:1]
+                lows, size, start = _d3_grid(mults[0], n, top)
+            elif d == 4 and mults[:2] != grid:
+                # a d = 4 tuple's rows depend on its first two multiplicities alone
+                grid = mults[:2]
+                size = sum(hi - lo + 1 for *_, hi, lo in _tuple_rows(mults, top))
+            examined += size
+            # a floor over the best so far skips the tuple; at d = 3 the floor
+            # costs about one table, so only tuples of more than k candidates try it
+            if d > 2 and size > k and _floor(mults, n, k) > b_count:
+                continue
             table = _threshold_table(mults, k)
-            if d == 3 and mults[0] != grid_m1:
-                grid_m1 = mults[0]
-                lows, size, start = _d3_grid(grid_m1, n, top)
             if d == 2:
                 # every candidate has the direction of v = 1, where the sum
                 # of c_1 * v + (k - c_1) * w has the sign of c_1 * n - k * m_1
                 [(_, _, c_lo, c_hi, suffix)] = table[1]
                 t = max(-((-mults[0] * k) // n), c_lo)
-                examined += top
                 found = (suffix[t - c_lo] if t <= c_hi else 0, (1,))
             # by direction unless the levels, which bound the crossings,
             # outnumber the candidates; every entry has at least one level
             elif d == 3 and len(table[1]) <= size and (
                     sum(len(entry[4]) for entry in table[1]) <= size):
-                examined += size
                 found = _direction_best(_direction_cells(table, mults, top, start), lows, top, b_count)
             else:
-                rows, found = _rows_best(table, mults, top, b_count)
-                examined += rows
+                found = _rows_best(table, mults, top, b_count)
             if found is not None and (found[0], mults, found[1]) < (b_count, b_mults, b_heads):
                 b_count, b_mults, b_heads = found[0], mults, found[1]
 

@@ -342,6 +342,27 @@ def threshold_count(mults, scaled, k):
     return total
 
 
+def ray_floor(mults, k):
+    """The weighted compositions of k nonnegative on every extreme ray of a tuple's zero-sum cone.
+
+    Ray j < d has the value n - M_j on the first j blocks and -M_j on the
+    rest, M_j being the sum of the first j multiplicities; every strictly
+    decreasing zero-sum vector with these multiplicities is a positive
+    combination of the d - 1 rays. Each composition is summed on every
+    ray directly and weighted by its product of math.comb factors.
+    """
+    n, d = sum(mults), len(mults)
+    rays = []
+    for j in range(1, d):
+        m_j = sum(mults[:j])
+        rays.append([n - m_j] * j + [-m_j] * (d - j))
+    total = 0
+    for comp in product(*(range(min(m, k) + 1) for m in mults)):
+        if sum(comp) == k and all(sum(c * x for c, x in zip(comp, ray)) >= 0 for ray in rays):
+            total += prod(comb(m, c) for m, c in zip(mults, comp))
+    return total
+
+
 def row_sweep(space):
     """(best count, best pattern's pairs, candidates examined) of a search, row by row.
 

@@ -39,6 +39,10 @@ MUTANTS = (
      "a d = 3 tuple counted by direction reports one candidate too many per first head"),
     ("src/mmsverify/search.py", "(pl * h - l) // ql + 1", "(pl * h) // ql + 1",
      "the first open cell of a d = 3 tuple loses the grid's least direction"),
+    ("src/mmsverify/search.py", "_floor(mults, n, k) > b_count", "_floor(mults, n, k) >= b_count",
+     "a tuple whose floor ties the best count is skipped, though it can still win the tie-break"),
+    ("src/mmsverify/search.py", "new_low = -((-k * total) // n)", "new_low = (k * total) // n",
+     "the floor admits prefixes with n * C_j just below k * M_j, so it can exceed a tuple's least count"),
     ("src/mmsverify/lemmas.py", 'count, ">=", bound', 'count + 1, ">=", bound',
      "verify_mms_bound reads a count of C(n-1, k-1) - 1 as meeting the theorem's bound"),
     ("src/mmsverify/scheme.py", "if slope == coef:", "if slope <= coef:",

@@ -12,13 +12,15 @@ from mmsverify.search import (
     _d3_grid,
     _direction_best,
     _direction_cells,
+    _floor,
+    _positive_compositions,
     _row_counts,
     _threshold_table,
     find_counterexample,
     sweep_patterns,
 )
 
-from _oracles import brute_count, filtered_candidates, row_sweep, space_candidates, threshold_count
+from _oracles import brute_count, filtered_candidates, ray_floor, row_sweep, space_candidates, threshold_count
 
 
 def _subset_count(mults, scaled, k):
@@ -479,14 +481,58 @@ def test_d3_searches_count_by_direction_and_d4_by_rows(monkeypatch):
         iterated.append(self)
         return real_rows(self)
 
+    space = SearchSpace(n=14, k=4, max_distinct=4, value_range=4)
+    # the least count over the grid before each tuple, by the row loop; every
+    # four-valued tuple there has more than k = 4 candidates, so each tries its floor
+    best, before, table_mults = binomial(14, 4), {}, ()
+    for row in real_rows(space):
+        if row[0] != table_mults:
+            table_mults, table = row[0], _threshold_table(row[0], 4)
+            before[table_mults] = best
+        best = min(best, *real(table, row))
+    expected = [row for row in real_rows(space)
+                if len(row[0]) == 4 and ray_floor(row[0], 4) <= before[row[0]]]
+    assert 0 < len(expected) < sum(1 for row in real_rows(space) if len(row[0]) == 4)
+
     monkeypatch.setattr(search, "_row_counts", spy)
     monkeypatch.setattr(SearchSpace, "rows", spy_rows)
     report = find_counterexample(7, 1, 20)
     assert (report.best_count, report.candidates_examined) == (50388, 68902)
     assert rows == [] and iterated == []
-    # at d = 4 every four-valued row still reaches the row kernel
-    space = SearchSpace(n=14, k=4, max_distinct=4, value_range=4)
-    sweep_patterns(space)
+    # at d = 4 a tuple reaches the row kernel only when its floor does not
+    # exceed the best count so far; the skipped ones still count their candidates
+    report = sweep_patterns(space)
+    assert (report.best_count, report.candidates_examined) == (286, 9236)
     assert iterated == []
-    assert [row for row in rows if len(row[0]) == 4] == [
-        row for row in real_rows(space) if len(row[0]) == 4]
+    assert [row for row in rows if len(row[0]) == 4] == expected
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_floor_is_the_count_on_the_extreme_rays(n):
+    # every three- and four-valued tuple of n, at every k
+    for d, k in product((3, 4), range(1, n + 1)):
+        for mults in _positive_compositions(n, d):
+            assert _floor(mults, n, k) == ray_floor(mults, k), (mults, k)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_floor_bounds_the_count_at_every_grid_candidate(n):
+    for k, d in product(range(1, n + 1), (3, 4)):
+        floors = {}
+        for mults, scaled, _ in space_candidates(SearchSpace(n=n, k=k, max_distinct=d, value_range=2)):
+            if len(mults) == d:
+                floor = floors.setdefault(mults, _floor(mults, n, k))
+                assert floor <= threshold_count(mults, scaled, k), (mults, scaled, k)
+
+
+# every (n, k, d, v) with 3 <= n <= 12, d = 3 or 4 and v = 1, 2, 3 or 5; a
+# stride of five keeps every d and v in the slice and the slice near 1 s
+SMALL_SPACES = [(n, k, d, v) for n in range(3, 13) for k in range(1, n + 1) for d in (3, 4) for v in (1, 2, 3, 5)]
+
+
+def test_sweep_with_floor_skips_matches_the_row_loop():
+    # the floor skips only tuples that lose outright: a tuple tied with the
+    # best can still win the tie-break, so a floor equal to the best must not skip
+    for n, k, d, v in SMALL_SPACES[::5]:
+        space = SearchSpace(n=n, k=k, max_distinct=d, value_range=v)
+        assert _sweep_outcome(space) == row_sweep(space), (n, k, d, v)
