@@ -1,11 +1,11 @@
 """Exact-arithmetic verification of nonnegative k-subset sum bounds.
 
 Every count and sum here is a Python int or fractions.Fraction, and every
-verdict compares those, with one exception: simulate_partition's tolerance
-claim holds the float distance of its empirical mean from the exact
-expectation against five standard errors (its std_error, a float from
-math.sqrt), and demands exact equality only when the sample variance is
-zero. The only other floats are the runtimes the CLI prints in text mode.
+verdict compares those: simulate_partition's tolerance claim holds the
+squared distance of its empirical mean from the exact expectation against
+25 times the sample variance over the trials, both Fractions. Floats
+appear only for display: that claim's std_error, from math.sqrt, and the
+runtimes the CLI prints in text mode.
 The package offers counting engines over zero-sum weight vectors,
 association-scheme identity checks, instance verifiers for the bound
 lemmas, and an exhaustive pattern search, plus a CLI wrapping all of it.

@@ -253,11 +253,13 @@ def simulate_partition(
     test_simulate_partition_is_one_stream_of_consecutive_shuffles
     replays random.Random.shuffle itself and guards the equivalence.
     Z >= 1 must hold in every trial, and the empirical mean is held against the
-    exact expectation (m-1) |F| / C((m-1)k, k) within five standard errors.
-    With zero sample variance, a mean equal to it is claimed as that
-    equality; a mean that differs means every trial drew the same Z, an
-    empty band, and the claim is recorded as vacuous, a sampling artefact
-    rather than a violation. Before any count or
+    exact expectation E = (m-1) |F| / C((m-1)k, k) within five standard
+    errors, decided in Fractions as (mean - E)^2 <= 25 s^2 / trials with s^2
+    the sample variance; std_error, the float sqrt(s^2 / trials), is for
+    display only. With zero sample variance this claims mean == E; a mean
+    that differs means every trial drew the same Z, an empty band, and the
+    claim is recorded as vacuous, a sampling artefact rather than a
+    violation. Before any count or
     trial, the trials * (m-1) * k indices shuffled in all are checked
     against ENUM_BUDGET, and a refusal names the largest trials that fit.
     """
@@ -354,29 +356,23 @@ def simulate_partition(
         variance = (Fraction(sum_z2) - trials * mean * mean) / (trials - 1)
     else:
         variance = Fraction(0)
-    se = math.sqrt(float(variance) / trials)
     pigeonhole = claim("Z >= 1 in every trial", min_z, ">=", 1)
     band = "abs(empirical mean - exact expectation) <= 5 standard errors"
-    if se == 0.0 and mean == exact_e:
-        tolerance = claim(
-            "empirical mean equals the exact expectation (zero sample variance)",
-            mean,
-            "==",
-            exact_e,
-        )
-    elif se == 0.0:  # every trial drew the same Z: a sampling artefact, not a verdict
+    if variance == 0 and mean != exact_e:  # every trial drew the same Z: a sampling artefact, not a verdict
         tolerance = vacuous(
             band,
             f"vacuous: zero sample variance leaves the five-standard-error band empty; "
             f"exact expectation {exact_e}, empirical mean {mean}",
         )
     else:
+        # squared, so the band needs no square root: (mean - E)^2 <= 25 s^2 / trials
         tolerance = claim(
             band,
-            abs(float(mean - exact_e)),
+            (mean - exact_e) ** 2,
             "<=",
-            5.0 * se,
-            note=f"exact expectation {exact_e}, empirical mean {mean}, se {se!r}",
+            25 * variance / trials,
+            note=f"squared distance against 25 * sample variance / trials; exact expectation {exact_e}, "
+            f"empirical mean {mean}, sample variance {variance}",
         )
     return LemmaReport(
         name="partition-average",
@@ -393,7 +389,7 @@ def simulate_partition(
             "family_size": fam,
             "exact_expectation": exact_e,
             "empirical_mean": mean,
-            "std_error": se,
+            "std_error": math.sqrt(float(variance) / trials),  # for display; no claim reads it
             "min_Z": min_z,
             "trials": trials,
             "seed": seed,

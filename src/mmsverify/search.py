@@ -39,12 +39,12 @@ only in the last head v. Along a row a prefix's threshold is the ceiling of
 a ratio of two linear functions of v whose denominator stays positive, so it
 is monotone in v, and part d-1 = c reaches it exactly where one linear
 inequality in v holds. Each prefix is therefore evaluated at the two ends of
-the row: if its threshold stays put it adds one constant to the row; if it
-crosses fewer levels than half the row, each crossed level adds its weight
-from the v where its inequality flips, one floor division per level; only
-the rest are evaluated at every v. On a row of L candidates a prefix that
-crosses c levels so costs O(1 + c) work, against O(L) for evaluating it at
-every candidate, and never more than O(L).
+the row, whatever its length: if its threshold stays put it adds one
+constant to the row; otherwise each crossed level adds its weight from the
+v where its inequality flips, one floor division per level. A prefix that
+crosses c levels so costs O(1 + c) work, and a row costs its candidates
+and its table's entries plus the levels they cross; no candidate is
+evaluated on its own.
 
 A tuple whose floor already exceeds the best count so far is skipped
 before its table is built. With C_j and M_j the prefix sums of a
@@ -226,12 +226,10 @@ def _row_counts(table: Table, row: Row) -> list[int]:
     Level c_{d-1} = c counts exactly when t <= c, that is when
     v * (step - c * slope) <= a - c * base, one linear inequality in v. So
     each level switches at most once along the row, and t, clamped to the
-    prefix's levels, is monotone in v. Rows of three or more candidates
-    evaluate t at hi and lo: a prefix whose clamped thresholds agree adds one
-    constant; one that crosses fewer levels than half the row adds each
-    crossed level's weight, through a difference array, from the v where
-    its inequality flips; the others are evaluated at every v in between,
-    as are all prefixes of shorter rows. Integers only.
+    prefix's levels, is monotone in v. Every prefix is evaluated at hi and
+    lo only: one whose clamped thresholds agree adds one constant to the
+    row, and any other adds each crossed level's weight, through a
+    difference array, from the v where its inequality flips. Integers only.
     """
     box, entries = table
     mults, prefix, base, hi, lo = row
@@ -240,69 +238,44 @@ def _row_counts(table: Table, row: Row) -> list[int]:
     for parts, h in zip(box, prefix):
         lifts = [s + c * h * den for s in lifts for c in parts]
     slope = m_head + den
-    size = hi - lo + 1
-    if size < 3:
-        terms = [(rem * base + lifts[g], m_head * rem, c_lo, c_hi, suffix)
-                 for g, rem, c_lo, c_hi, suffix in entries]
-        counts, start, stop = [0] * size, 0, size
-    else:
-        # a difference array: steps[i] is the change of the folded prefixes'
-        # total from candidate i - 1 to candidate i, v = hi - i
-        steps = [0] * size
-        terms, flat, dense_hi, dense_lo = [], 0, 0, 0
-        dw_hi, dw_lo = hi * slope - base, lo * slope - base
-        for g, rem, c_lo, c_hi, suffix in entries:
-            a, step = rem * base + lifts[g], m_head * rem
-            t = -((a - hi * step) // dw_hi)
-            u = -((a - lo * step) // dw_lo)
-            t = c_lo if t < c_lo else c_hi + 1 if t > c_hi else t
-            u = c_lo if u < c_lo else c_hi + 1 if u > c_hi else u
-            if t == u:
-                if t <= c_hi:
-                    flat += suffix[t - c_lo]
-            elif u < t and 2 * (t - u) < size:
-                # levels t-1 down to u switch on as v falls, each at the
-                # largest v with v * q <= r
-                prev = suffix[t - c_lo] if t <= c_hi else 0
-                flat += prev
-                r, q = a - t * base, step - t * slope
-                for j in range(t - c_lo - 1, u - c_lo - 1, -1):
-                    r += base
-                    q += slope
-                    steps[hi - r // q] += suffix[j] - prev
-                    prev = suffix[j]
-            elif t < u and 2 * (u - t) < size:
-                # levels u-1 down to t switch off as v falls, each below the
-                # least v with v * q <= -r
-                flat += suffix[t - c_lo]
-                prev = suffix[u - c_lo] if u <= c_hi else 0
-                r, q = u * base - a, step - u * slope
-                for j in range(u - c_lo - 1, t - c_lo - 1, -1):
-                    r -= base
-                    q += slope
-                    steps[hi + 1 + r // q] -= suffix[j] - prev
-                    prev = suffix[j]
-            else:
-                terms.append((a, step, c_lo, c_hi, suffix))
-                dense_hi += suffix[t - c_lo] if t <= c_hi else 0
-                dense_lo += suffix[u - c_lo] if u <= c_hi else 0
-        steps[0] = flat
-        counts = list(itertools.accumulate(steps))
-        counts[0] += dense_hi
-        counts[-1] += dense_lo
-        start, stop = 1, size - 1
-    if not terms:
-        return counts
-    for i in range(start, stop):
-        v = hi - i
-        dw = v * slope - base
-        total = counts[i]
-        for a, step, c_lo, c_hi, suffix in terms:
-            t = -((a - v * step) // dw)
+    # a difference array: steps[i] is the change of the row's count from
+    # candidate i - 1 to candidate i, v = hi - i; steps[0] is the count at hi
+    steps = [0] * (hi - lo + 1)
+    flat = 0
+    dw_hi, dw_lo = hi * slope - base, lo * slope - base
+    for g, rem, c_lo, c_hi, suffix in entries:
+        a, step = rem * base + lifts[g], m_head * rem
+        t = -((a - hi * step) // dw_hi)
+        u = -((a - lo * step) // dw_lo)
+        t = c_lo if t < c_lo else c_hi + 1 if t > c_hi else t
+        u = c_lo if u < c_lo else c_hi + 1 if u > c_hi else u
+        if t == u:
             if t <= c_hi:
-                total += suffix[t - c_lo if t > c_lo else 0]
-        counts[i] = total
-    return counts
+                flat += suffix[t - c_lo]
+        elif u < t:
+            # levels t-1 down to u switch on as v falls, each at the
+            # largest v with v * q <= r
+            prev = suffix[t - c_lo] if t <= c_hi else 0
+            flat += prev
+            r, q = a - t * base, step - t * slope
+            for j in range(t - c_lo - 1, u - c_lo - 1, -1):
+                r += base
+                q += slope
+                steps[hi - r // q] += suffix[j] - prev
+                prev = suffix[j]
+        else:
+            # levels u-1 down to t switch off as v falls, each below the
+            # least v with v * q <= -r
+            flat += suffix[t - c_lo]
+            prev = suffix[u - c_lo] if u <= c_hi else 0
+            r, q = u * base - a, step - u * slope
+            for j in range(u - c_lo - 1, t - c_lo - 1, -1):
+                r -= base
+                q += slope
+                steps[hi + 1 + r // q] -= suffix[j] - prev
+                prev = suffix[j]
+    steps[0] = flat
+    return list(itertools.accumulate(steps))
 
 
 def _d3_grid(m1: int, n: int, top: int) -> tuple[list[int], int, tuple[int, int]]:
@@ -464,7 +437,8 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
     the breakpoints between the grid's extreme directions, and
     _direction_best finds the least candidate of the least cell that holds
     one. A tuple whose table has more levels than it has candidates, and
-    every d = 4 tuple, is counted row by row by _row_counts instead; a d = 2
+    every d = 4 tuple, is counted row by row by _row_counts instead, each
+    row from the breakpoints of the levels its prefixes cross; a d = 2
     tuple has one direction, so one count, at v = 1. Before its table, a
     d >= 3 tuple with more than k grid candidates computes its _floor, the
     weighted count of the compositions nonnegative at every zero-sum vector
@@ -510,9 +484,8 @@ def sweep_patterns(space: SearchSpace) -> SearchReport:
                 t = max(-((-mults[0] * k) // n), c_lo)
                 found = (suffix[t - c_lo] if t <= c_hi else 0, (1,))
             # by direction unless the levels, which bound the crossings,
-            # outnumber the candidates; every entry has at least one level
-            elif d == 3 and len(table[1]) <= size and (
-                    sum(len(entry[4]) for entry in table[1]) <= size):
+            # outnumber the candidates
+            elif d == 3 and sum(len(entry[4]) for entry in table[1]) <= size:
                 found = _direction_best(_direction_cells(table, mults, top, start), lows, top, b_count)
             else:
                 found = _rows_best(table, mults, top, b_count)

@@ -505,8 +505,9 @@ def replay_partition(values, k, rest, rng, trials):
 
     Each trial shuffles the same list (a copy of rest) in place with rng,
     splits the order into consecutive k-blocks and counts the blocks whose
-    Fraction sum is >= 0. Returns (least Z, mean Z as a Fraction, the
-    first three orders as tuples).
+    Fraction sum is >= 0. Returns (least Z, mean Z and sample variance of
+    Z as Fractions, the first three orders as tuples); one trial has
+    variance 0.
     """
     perm = list(rest)
     zs = []
@@ -517,7 +518,9 @@ def replay_partition(values, k, rest, rng, trials):
         zs.append(sum(1 for b in blocks if sum((values[i] for i in b), Fraction(0)) >= 0))
         if t < 3:
             firsts.append(tuple(perm))
-    return min(zs), Fraction(sum(zs), trials), firsts
+    mean = Fraction(sum(zs), trials)
+    variance = sum((z - mean) ** 2 for z in zs) / (trials - 1) if trials > 1 else Fraction(0)
+    return min(zs), mean, variance, firsts
 
 
 def second_block_floor(n, k, b_A):

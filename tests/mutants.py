@@ -43,6 +43,12 @@ MUTANTS = (
      "a tuple whose floor ties the best count is skipped, though it can still win the tie-break"),
     ("src/mmsverify/search.py", "new_low = -((-k * total) // n)", "new_low = (k * total) // n",
      "the floor admits prefixes with n * C_j just below k * M_j, so it can exceed a tuple's least count"),
+    ("src/mmsverify/search.py", "steps[hi - r // q]", "steps[hi - (r - 1) // q]",
+     "a row's level whose composition sum is exactly 0 at a candidate past hi switches on one candidate late"),
+    ("src/mmsverify/search.py", "steps[hi + 1 + r // q]", "steps[hi + 1 + (r + 1) // q]",
+     "a row's level whose composition sum is exactly 0 at a candidate before lo switches off one candidate early"),
+    ("src/mmsverify/lemmas.py", "25 * variance / trials", "24 * variance / trials",
+     "simulate_partition's band narrows from 5 to sqrt(24) standard errors"),
     ("src/mmsverify/lemmas.py", 'count, ">=", bound', 'count + 1, ">=", bound',
      "verify_mms_bound reads a count of C(n-1, k-1) - 1 as meeting the theorem's bound"),
     ("src/mmsverify/scheme.py", "if slope == coef:", "if slope <= coef:",

@@ -360,15 +360,16 @@ def test_partition_with_zero_sample_variance_is_not_a_violation(trials):
     "argv,digest",
     [
         (["--n", "26", "-k", "5", "--lemma", "partition", "--trials", "3000", "--seed", "17"],
-         "b0719b8bda10414ed8002cecd935731bf037f15ded13842802e9e335cb4fd7ef"),
+         "35f29554e4827bc2f0756f8a9ea9b24c154ced4bc365e3c881f000f0ad975c0f"),
         (["--n", "19", "-k", "3", "--magnitude", "30", "--lemma", "partition", "--trials", "4",
           "--seed", "2"],
-         "97cc724306012e103d6a2c01f8c8bf20e6e1244eb4a4b4478031bea79ca4f54b"),
+         "c2c0e54ac49aaba8261c648d3d116c7cdf8981947785a9a0a4a326e63e849bb3"),
     ],
+    ids=["n26-k5-trials3000-seed17", "n19-k3-m30-trials4-seed2"],
 )
 def test_partition_json_is_pinned(argv, digest):
-    # digests taken with random.Random.shuffle called on the indices in every
-    # trial: the inlined draws keep the statistics, witnesses and claims byte for byte
+    # the statistics and witnesses are those of random.Random.shuffle called on
+    # the indices in every trial; the band claim's lhs and rhs are exact Fractions
     out, err, code = run_captured(["verify", "--random", *argv, "--format", "json"])
     assert (err, code) == ("", 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest

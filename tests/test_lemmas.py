@@ -235,9 +235,17 @@ def test_simulate_partition_is_one_stream_of_consecutive_shuffles():
         rest = [i for i in range(n) if i not in U]
         report = simulate_partition(X, k, KSubset(T, n), trials=trials, seed=seed)
         assert report.extra["U"] == U and len(rest) == (m - 1) * k
-        min_z, mean, firsts = replay_partition(X.values, k, rest, random.Random(seed), trials)
+        min_z, mean, variance, firsts = replay_partition(X.values, k, rest, random.Random(seed), trials)
         assert report.extra["min_Z"] == min_z, (n, k)
         assert report.extra["empirical_mean"] == mean, (n, k)
+        # the band is decided in Fractions: (mean - E)^2 against 25 s^2 / trials,
+        # vacuous only when every trial drew the same Z away from E
+        band, gap = report.claims[1], mean - report.extra["exact_expectation"]
+        if variance == 0 and gap != 0:
+            assert band.lhs is None and band.note.startswith("vacuous"), (n, k)
+        else:
+            assert (band.lhs, band.relation, band.rhs) == (gap ** 2, "<=", 25 * variance / trials), (n, k)
+            assert type(band.lhs) is type(band.rhs) is Fraction
         assert [tuple(w["permutation"]) for w in report.witness] == firsts, (n, k)
         for w in report.witness:
             parts = [sorted(w["permutation"][a : a + k]) for a in range(0, len(rest), k)]

@@ -172,24 +172,32 @@ def test_every_winner_is_recounted_once_by_count_nonnegative(monkeypatch, n, k, 
 
 
 @pytest.mark.parametrize(
-    "n,k,d,v", [(10, 5, 4, 3), (9, 4, 4, 3), (8, 3, 4, 4), (7, 2, 4, 4), (6, 6, 4, 3), (5, 1, 4, 3)]
+    "n,k,d,v",
+    [(10, 5, 4, 3), (9, 4, 4, 3), (8, 3, 4, 4), (7, 2, 4, 4), (6, 6, 4, 3), (5, 1, 4, 3), (7, 3, 3, 12)],
 )
 def test_threshold_kernel_matches_dp_and_brute_on_every_candidate(n, k, d, v):
     # each row is counted whole and one value at a time, and every count is
     # held to the per-candidate oracle, the DP in both orders and itertools
-    seen = 0
+    seen, pairs, wide = 0, 0, 0
     for mults, prefix, base, hi, lo in SearchSpace(n=n, k=k, max_distinct=d, value_range=v).rows():
         table = _threshold_table(mults, k)
         counts = _row_counts(table, (mults, prefix, base, hi, lo))
         m_head, den = mults[-2:]
-        for count, head in zip(counts, range(hi, lo - 1, -1)):
-            scaled = tuple(h * den for h in prefix) + (head * den, base - m_head * head)
+        scaled = [tuple(h * den for h in prefix) + (head * den, base - m_head * head) for head in range(hi, lo - 1, -1)]
+        for count, head, s in zip(counts, range(hi, lo - 1, -1), scaled):
             assert _row_counts(table, (mults, prefix, base, head, head)) == [count]
-            assert count == threshold_count(mults, scaled, k), (mults, scaled)
-            assert (count, count) == _dp_both_orders(mults, scaled, k), (mults, scaled)
-            assert count == _subset_count(mults, scaled, k), (mults, scaled)
+            assert count == threshold_count(mults, s, k), (mults, s)
+            assert (count, count) == _dp_both_orders(mults, s, k), (mults, s)
+            assert count == _subset_count(mults, s, k), (mults, s)
             seen += 1
+        at_hi, at_lo = _thresholds(mults, scaled[0], k), _thresholds(mults, scaled[-1], k)
+        pairs += len(counts) == 2
+        wide += len(counts) >= 3 and any(2 * abs(at_hi[g] - at_lo[g]) >= len(counts) for g in at_hi)
     assert seen > 0
+    if v == 12:
+        # the long rows reach rows of two candidates and prefixes that cross
+        # at least half their row, both of which one rule must count
+        assert pairs > 0 and wide > 0
 
 
 @st.composite
@@ -236,10 +244,11 @@ def test_threshold_kernel_matches_dp_and_brute(case):
     assert (count, count) == _dp_both_orders(mults, scaled, k)
     assert count == _subset_count(mults, scaled, k)
     # the same candidate counted as the first of a longer row, which stops
-    # where the solved last value would reach the last head
-    lo = max(base // (m_head + den) + 1, head - 3)
-    counts = _row_counts(table, (mults, tuple(prefix), base, head, lo))
+    # where the solved last value would reach the last head, or at -6
+    lo = max(base // (m_head + den) + 1, -6)
+    counts, oracle, _ = _row_and_oracle(mults, tuple(prefix), base, head, lo, k)
     assert counts[0] == count and len(counts) == head - lo + 1
+    assert counts == oracle
 
 
 def _row_and_oracle(mults, prefix, base, hi, lo, k):
@@ -292,7 +301,7 @@ def test_row_kernel_matches_the_oracle_along_whole_long_rows(case):
 @pytest.mark.parametrize(
     "n,k,v,mults,prefix,size,edge",
     [
-        # rows of one, two and three candidates, which the kernel treats apart
+        # rows of one, two and three candidates
         (7, 3, 20, (1, 1, 5), (1,), 1, None),
         (7, 3, 20, (1, 1, 5), (2,), 2, None),
         (7, 3, 20, (1, 1, 5), (3,), 3, None),
