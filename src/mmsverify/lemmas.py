@@ -243,12 +243,16 @@ def simulate_partition(
     draw from one random.Random(seed): they are consecutive Fisher-Yates
     passes over the same list, each uniform whatever order it starts from.
     The passes make the draws of CPython's random.Random.shuffle (as 3.10
-    and 3.11 implement it), inlined, and swap the leftover scaled values
-    rather than their indices; only the three witness trials swap the
-    indices, so every report is the one that shuffling the indices in
-    every trial gives. From trial 3 on each block's sum is added up as
-    the pass fixes its positions, and Z is counted as each block ends,
-    with no list of sums and no slicing. Python does not promise
+    and 3.11 implement it), inlined, so every report is the one that
+    shuffling the indices in every trial gives. Every pass adds each value
+    it fixes at a position to that position's block sum and counts Z as
+    each block ends, with no list of sums and no slicing. The first three
+    passes, whose orders are the witnesses, shuffle the entries y_i B + i
+    with B = 2^bitlen(kn), above any block's index sum: a block's entry sum
+    has the sign of its value sum, and an entry's index is its residue
+    mod B. After them the entries become the plain values y_i again, whose
+    block sums mostly stay in CPython's small-int cache, where a tagged sum
+    makes a new int on every addition. Python does not promise
     shuffle's draws across versions;
     test_simulate_partition_is_one_stream_of_consecutive_shuffles
     replays random.Random.shuffle itself and guards the equivalence.
@@ -259,8 +263,12 @@ def simulate_partition(
     display only. With zero sample variance this claims mean == E; a mean
     that differs means every trial drew the same Z, an empty band, and the
     claim is recorded as vacuous, a sampling artefact rather than a
-    violation. Before any count or
-    trial, the trials * (m-1) * k indices shuffled in all are checked
+    violation. The third claim is exact: every partition of the leftover
+    indices has Z >= 1, so E >= 1, which is |F| >= C((m-1)k, k) / (m-1) =
+    C((m-1)k-1, k-1). F avoids T, and (m-1)k - 1 exceeds lemma 4's n - 2k
+    by k - 1 - r, so for k >= 2 and r < k - 1 this floor is strictly above
+    lemma 4's C(n-2k, k-1), and equal to it at r = k - 1. Before any count
+    or trial, the trials * (m-1) * k indices shuffled in all are checked
     against ENUM_BUDGET, and a refusal names the largest trials that fit.
     """
     n = X.n
@@ -281,23 +289,15 @@ def simulate_partition(
         f"indices shuffled by trials={trials} of {(m - 1) * k} each",
         f"at most {ENUM_BUDGET // ((m - 1) * k)} trials fit at n={n}, k={k}",
     )
-    in_T = set(T.indices)
-    tail: list[int] = []
-    if r:
-        for i in range(n - 1, -1, -1):
-            if i not in in_T:
-                tail.append(i)
-                if len(tail) == r:
-                    break
-    U = tuple(sorted(in_T | set(tail)))
-    in_U = set(U)
-    rest = [i for i in range(n) if i not in in_U]
+    blocks = m - 1
+    outside = [i for i in range(n) if i not in T.indices]
+    rest = outside[: blocks * k]
+    U = tuple(sorted(T.indices + tuple(outside[blocks * k :])))
     y, _ = X.scaled_ints()
     if sum(y[i] for i in U) >= 0:
         raise AssertionError("U = T + smallest leftovers must keep a negative sum")
 
     fam = count_nonnegative(X, k, Restriction.disjoint(*U)).nonnegative_count
-    blocks = m - 1
     exact_e = Fraction(blocks * fam, binomial(blocks * k, k))
 
     rng = random.Random(seed)
@@ -307,46 +307,38 @@ def simulate_partition(
     # then positions i and j swap
     plan = [(i, (i + 1).bit_length()) for i in range(len(rest) - 1, 0, -1)]
     # a pass fixes position i once it has swapped, and block b is positions
-    # bk..bk+k-1, so from trial 3 on the value swapped into i joins its
-    # block's sum. block_plans holds the plan's steps block by block, top
-    # block first. The bottom block's steps end with (0, 0), which adds
-    # vals[0] to its sum: getrandbits(0) is 0 and takes nothing from the
-    # stream
-    block_plans = [plan[a : a + k] for a in range(0, blocks * k, k)]
-    block_plans[-1].append((0, 0))
-    perm = rest[:]
+    # bk..bk+k-1, so the value swapped into i joins its block's sum.
+    # block_plans holds the plan's steps block by block, top block first.
+    # The bottom block's steps end with (0, 0), which adds vals[0] to its
+    # sum: getrandbits(0) is 0 and takes nothing from the stream
     cuts = range(0, blocks * k, k)
+    block_plans = [plan[a : a + k] for a in cuts]
+    block_plans[-1].append((0, 0))
+    B = 1 << (k * n).bit_length()
+    vals = [y[i] * B + i for i in rest]  # tagged until the witness trials end
     tally = [0] * (blocks + 1)
     samples: list[dict] = []
     for t in range(trials):
-        if t < 3:  # the witness trials swap the indices; trial 0 binds vals
-            for i, width in plan:
+        z = 0
+        for steps in block_plans:
+            s = 0
+            for i, width in steps:
                 j = draw(width)
                 while j > i:
                     j = draw(width)
-                perm[i], perm[j] = perm[j], perm[i]
-            vals = [y[i] for i in perm]
-            z = 0
-            for a in cuts:
-                if sum(vals[a : a + k]) >= 0:
-                    z += 1
-            parts = [sorted(perm[a : a + k]) for a in cuts]
-            samples.append({"trial": t, "permutation": perm[:], "parts": parts, "Z": z})
-        else:
-            z = 0
-            for steps in block_plans:
-                s = 0
-                for i, width in steps:
-                    j = draw(width)
-                    while j > i:
-                        j = draw(width)
-                    v = vals[j]
-                    vals[j] = vals[i]
-                    vals[i] = v
-                    s += v
-                if s >= 0:
-                    z += 1
+                v = vals[j]
+                vals[j] = vals[i]
+                vals[i] = v
+                s += v
+            if s >= 0:
+                z += 1
         tally[z] += 1
+        if t < 3:  # a witness trial: the order is the entries' residues
+            perm = [v % B for v in vals]
+            parts = [sorted(perm[a : a + k]) for a in cuts]
+            samples.append({"trial": t, "permutation": perm, "parts": parts, "Z": z})
+            if t == 2:
+                vals = [v // B for v in vals]
     sum_z = sum(z * c for z, c in enumerate(tally))
     sum_z2 = sum(z * z * c for z, c in enumerate(tally))
     min_z = next(z for z, c in enumerate(tally) if c)
@@ -357,6 +349,9 @@ def simulate_partition(
     else:
         variance = Fraction(0)
     pigeonhole = claim("Z >= 1 in every trial", min_z, ">=", 1)
+    exact = claim(
+        "nonnegative k-subsets disjoint from U >= C((m-1)k-1,k-1)", fam, ">=", binomial(blocks * k - 1, k - 1)
+    )
     band = "abs(empirical mean - exact expectation) <= 5 standard errors"
     if variance == 0 and mean != exact_e:  # every trial drew the same Z: a sampling artefact, not a verdict
         tolerance = vacuous(
@@ -380,7 +375,7 @@ def simulate_partition(
             Precondition("b_T < 0", b_T, True),
             Precondition("m >= 2", m, True),
         ),
-        claims=(pigeonhole, tolerance),
+        claims=(pigeonhole, tolerance, exact),
         witness=samples,
         extra={
             "m": m,

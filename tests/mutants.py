@@ -58,7 +58,13 @@ MUTANTS = (
     ("src/mmsverify/counting.py", "int(s) + 1", "int(s) + 2",
      "the exact-sum count takes the subsets of sum s + 1 as of sum s"),
     ("src/mmsverify/lemmas.py", "if s >= 0:", "if s > 0:",
-     "simulate_partition's folded trials read a block of sum 0 as negative"),
+     "simulate_partition reads a block of sum 0 as negative"),
+    ("src/mmsverify/lemmas.py", "B = 1 << (k * n).bit_length()", "B = 1 << n.bit_length()",
+     "simulate_partition's index tag is only as wide as n, so a block's index sum spills into its value sum"),
+    ("src/mmsverify/lemmas.py", "if t == 2:", "if t == 1:",
+     "simulate_partition untags after trial 1, so the third witness reads its order off plain values"),
+    ("src/mmsverify/lemmas.py", "binomial(blocks * k - 1, k - 1)", "binomial(blocks * k - 1, k - 1) + 1",
+     "the partition's exact claim holds |F| against C((m-1)k-1, k-1) + 1, which the star cannot meet"),
     ("src/mmsverify/scheme.py", "prod(range(n - m - r + 1, n - m + 1))", "prod(range(n - m - r + 2, n - m + 1))",
      "Wilson (a) computes its two values without the least factor of C(n - m, r)"),
     ("src/mmsverify/scheme.py", "coef_b = binomial(n - j - 1, k - j)", "coef_b = binomial(n - j, k - j)",

@@ -360,10 +360,10 @@ def test_partition_with_zero_sample_variance_is_not_a_violation(trials):
     "argv,digest",
     [
         (["--n", "26", "-k", "5", "--lemma", "partition", "--trials", "3000", "--seed", "17"],
-         "35f29554e4827bc2f0756f8a9ea9b24c154ced4bc365e3c881f000f0ad975c0f"),
+         "681b030b7cef7482bdea32af9c7f78c40b5dd7442911fb6ab36bc10824afb326"),
         (["--n", "19", "-k", "3", "--magnitude", "30", "--lemma", "partition", "--trials", "4",
           "--seed", "2"],
-         "c2c0e54ac49aaba8261c648d3d116c7cdf8981947785a9a0a4a326e63e849bb3"),
+         "e0550f94faff2e5da36e3d223b8ecbd9e3f55c1d3b19240bf7c6251fab9cab36"),
     ],
     ids=["n26-k5-trials3000-seed17", "n19-k3-m30-trials4-seed2"],
 )

@@ -216,19 +216,28 @@ def _thirds(n, seed):
 
 def test_simulate_partition_is_one_stream_of_consecutive_shuffles():
     # (13, 3) and (26, 5) leave r = 1 index to U besides T, (12, 3) none.
-    # Trials 1 to 4 straddle the three witness trials and the first pass
-    # that folds the block sums into the shuffle; (19, 2) and (18, 1)
+    # Trials 1 to 4 straddle the three witness trials, which shuffle tagged
+    # entries, and the untagging after trial 2; (19, 2) and (18, 1)
     # leave 16 and 17 indices, where the draw width steps from 5 bits to 4
     # and the 5-bit draws are rejected about half the time; (26, 5) and (34, 4), the
     # latter on rationals, are the benchmark's shapes. At k = 1 the bottom
     # block is position 0 alone, (8, 4) and (11, 5) leave one block, the
-    # latter with r = 1, and (2, 1) one block of position 0.
+    # latter with r = 1, and (2, 1) one block of position 0. The ties cases
+    # draw entries of magnitude 1, mostly -1, 0 and 1, so blocks of sum
+    # exactly 0 or -1 are common; there k * n needs more bits than n, and
+    # every run crosses from the three witness trials to the later ones.
     cases = [(13, 3, 1, 700), (12, 3, 9, 500), (26, 5, 4, 300)]
     for n, k in ((13, 3), (7, 1), (8, 4), (11, 5), (2, 1), (5, 1)):
         cases += [(n, k, seed, trials) for seed, trials in ((2, 1), (3, 2), (4, 3), (5, 4), (6, 40))]
     cases += [(19, 2, 6, 400), (18, 1, 7, 400), (26, 5, 11, 3000), (34, 4, 12, 2000)]
-    for n, k, seed, trials in cases:
-        X = _thirds(n, seed) if n == 34 else gen_random_zero_sum(n, 20, seed=seed)
+    ties = [(19, 2, 20, 4), (25, 3, 21, 5), (17, 2, 23, 6), (16, 3, 22, 4), (21, 4, 22, 5), (26, 5, 21, 300)]
+    tied_sums = []
+    for n, k, seed, trials in cases + ties:
+        if (n, k, seed, trials) in ties:
+            X = gen_random_zero_sum(n, 1, seed=seed)
+            assert (k * n).bit_length() > n.bit_length()
+        else:
+            X = _thirds(n, seed) if n == 34 else gen_random_zero_sum(n, 20, seed=seed)
         T = tuple(range(n - k, n))
         m, r = divmod(n, k)
         U = sorted(T + tuple(i for i in range(n - 1, -1, -1) if i not in T)[:r])
@@ -247,12 +256,29 @@ def test_simulate_partition_is_one_stream_of_consecutive_shuffles():
             assert (band.lhs, band.relation, band.rhs) == (gap ** 2, "<=", 25 * variance / trials), (n, k)
             assert type(band.lhs) is type(band.rhs) is Fraction
         assert [tuple(w["permutation"]) for w in report.witness] == firsts, (n, k)
+        floor = report.claims[2]
+        assert (floor.lhs, floor.rhs) == (report.extra["family_size"], binomial((m - 1) * k - 1, k - 1))
+        assert floor.satisfied, (n, k)
         for w in report.witness:
             parts = [sorted(w["permutation"][a : a + k]) for a in range(0, len(rest), k)]
             assert w["parts"] == parts
             assert w["Z"] == sum(1 for p in parts if sum(X.values[i] for i in p) >= 0)
+            if (n, k, seed, trials) in ties:
+                tied_sums += [sum(X.values[i] for i in p) for p in parts]
+    assert tied_sums.count(0) >= 10 and tied_sums.count(-1) >= 10
     other = simulate_partition(X, k, KSubset(T, n), trials=trials, seed=seed + 1)
     assert other.witness != report.witness
+
+
+def test_partition_family_floor_is_exact_on_the_star():
+    # on the star F is the k-subsets of the leftover indices through index
+    # 0, exactly C((m-1)k-1, k-1) of them, so the exact claim is an equality
+    for n, k in ((9, 2), (12, 2), (13, 3), (26, 5), (34, 4), (11, 5), (7, 1)):
+        report = simulate_partition(gen_star(n), k, KSubset(tuple(range(n - k, n)), n), trials=20, seed=1)
+        floor = report.claims[2]
+        assert floor.lhs == floor.rhs == report.extra["family_size"], (n, k)
+        assert floor.rhs == binomial((n // k - 1) * k - 1, k - 1)
+        assert floor.relation == ">=" and floor.satisfied
 
 
 def test_simulate_partition_input_errors():
